@@ -59,7 +59,7 @@ def make_basis(s, n, tol: float = DEFAULT_TOL) -> TruthBasis:
     if s.size < 2:
         raise QTooSmall("truth vectors need dimension >= 2")
     for name, v in (("s", s), ("n", n)):
-        if abs(np.linalg.norm(v) - 1.0) > tol:
+        if not abs(np.linalg.norm(v) - 1.0) <= tol:
             raise NotUnitNorm(f"|{name}| = {np.linalg.norm(v)!r}; pre-normalize to unit length")
     eps = float(s @ n)
     if abs(eps) > DEPENDENCE_THRESHOLD:

@@ -46,7 +46,7 @@ class NonOrthogonalBasis(VectorLogicError):
 
 
 class NonCommuting(VectorLogicError):
-    """Series argument does not commute with the negation operator."""
+    """Series argument is not in span{I, N}, the commutative logic algebra."""
 
 
 class SeriesNotConverged(VectorLogicError):

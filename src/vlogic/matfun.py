@@ -12,8 +12,12 @@ C and S replace the -1 in the cosine/sine series by the negation matrix:
     S(X) = X + N X^3/3! + X^5/5! + N X^7/7! + ...
 
 (N^m collapses to I or N since N^2 = I), giving e^{AX} = C(X) + A S(X)
-whenever the argument commutes with the algebra. With Pi = B*i*pi one gets
+whenever the argument lies in span{I, N}. With Pi = B*i*pi one gets
 C(Pi v) = cos(pi v) I and S(Pi v) = i sin(pi v) B.
+
+span{I, N} = {S (a I2 + b J) Y^T} with S = [s n], Y = [y z] and J the 2x2
+swap, so each series is summed term by term on the 2x2 core a I2 + b J
+(I and N become I2 and J) and lifted back to Q x Q once.
 """
 
 from __future__ import annotations
@@ -25,15 +29,15 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import NonCommuting, SeriesNotConverged
-from .operators import max_norm
-from .srn import ALPHA, BETA
+from .operators import identity_operator, max_norm, negation_operator
+from .srn import sqrt_not
 
 COMMUTATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Truncation control: stop when the added term's max-norm < term_tol."""
+    """Truncation control: stop when the added 2x2 core term's max-norm < term_tol."""
 
     term_tol: float = 1e-16
     max_terms: int = 64
@@ -61,60 +65,62 @@ class LogicAlgebraContext:
 
 
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
-    """Build the algebra context in extended precision.
-
-    The series below amplify any violation of the algebra relations
-    (N^2 = I, A^2 = N, AB = I) by the size of their largest term, so the
-    context matrices are rebuilt here in long-double precision with duals
-    from the exact 2x2 Gram inverse; the relations then hold to ~1e-19 and
-    survive arguments up to max-norm ~25 within the suite's 1e-8 budget.
-    """
-    s = basis.s.astype(np.longdouble)
-    n = basis.n.astype(np.longdouble)
-    gss, gnn, gsn = s @ s, n @ n, s @ n
-    det = gss * gnn - gsn * gsn
-    y = (gnn * s - gsn * n) / det
-    z = (gss * n - gsn * s) / det
-    ident = (np.outer(s, y) + np.outer(n, z)).astype(np.clongdouble)
-    neg = (np.outer(n, y) + np.outer(s, z)).astype(np.clongdouble)
-    a = ALPHA * ident + BETA * neg
-    b = BETA * ident + ALPHA * neg
-    return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=a, B=b, Pi=pi_matrix_of(b))
-
-
-def pi_matrix_of(b: np.ndarray) -> np.ndarray:
-    return 1j * pi * np.asarray(b)
+    """Build the context in complex128; the series never multiply these matrices."""
+    pair = sqrt_not(basis)
+    ident = identity_operator(basis).astype(complex)
+    neg = negation_operator(basis).astype(complex)
+    return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=pair.A, B=pair.B, Pi=1j * pi * pair.B)
 
 
 def pi_matrix(ctx: LogicAlgebraContext) -> np.ndarray:
     """Pi = B * i * pi, the matrix stand-in for pi."""
-    return pi_matrix_of(ctx.B)
-
-
-def _check_commutes(x: np.ndarray, n: np.ndarray):
-    resid = max_norm(x @ n - n @ x)
-    if resid > COMMUTATOR_TOL:
-        raise NonCommuting(f"argument does not commute with N (commutator max-norm {resid:.3e})")
+    return ctx.Pi
 
 
 # Series are accumulated in extended precision: partial sums can exceed the
 # final value by many orders of magnitude (e.g. C(Pi v) at large v), and
 # double-precision terms would cap the achievable residual near 1e-7.
 _ACC_DTYPE = np.clongdouble
+_I2 = np.eye(2, dtype=_ACC_DTYPE)
+_J = np.array([[0, 1], [1, 0]], dtype=_ACC_DTYPE)
+
+
+def _frame(ctx: LogicAlgebraContext) -> tuple[np.ndarray, np.ndarray]:
+    b = ctx.basis
+    return np.column_stack([b.s, b.n]), np.column_stack([b.y, b.z])
+
+
+def _core(ctx: LogicAlgebraContext, x) -> np.ndarray:
+    """The core a*I2 + b*J of X in span{I, N}, from Y^T X S symmetrized: the
+    rounding of Y^T X S does not commute with J, and the series would amplify
+    it by its largest term (~1e9 at X = 7.5 Pi)."""
+    frame, dual = _frame(ctx)
+    x = np.asarray(x, dtype=complex)
+    c = dual.T @ x @ frame
+    a, b = (c[0, 0] + c[1, 1]) / 2, (c[0, 1] + c[1, 0]) / 2
+    core = np.array([[a, b], [b, a]])
+    resid = max_norm(x - _lift(ctx, core))
+    if not resid <= COMMUTATOR_TOL:
+        raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid:.3e})")
+    return core.astype(_ACC_DTYPE)
+
+
+def _lift(ctx: LogicAlgebraContext, core: np.ndarray) -> np.ndarray:
+    frame, dual = _frame(ctx)
+    return frame @ np.asarray(core, dtype=complex) @ dual.T
 
 
 def logical_exp(
     ctx: LogicAlgebraContext, g: np.ndarray, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     """e^G with the logical identity as zeroth term, truncated per policy."""
-    g = np.asarray(g, dtype=_ACC_DTYPE)
-    _check_commutes(g, ctx.N)
-    acc = ctx.I.astype(_ACC_DTYPE)
+    g = _core(ctx, g)
+    acc = _I2.copy()
     term = g.copy()
     for k in range(1, policy.max_terms + 1):
         acc += term
         if max_norm(term) < policy.term_tol:
-            return acc.astype(complex)
+            return _lift(ctx, acc)
         term = term @ g / (k + 1)
     raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
 
@@ -122,27 +128,24 @@ def logical_exp(
 def _even_odd_series(ctx, x, policy, odd: bool) -> np.ndarray:
     """Sum_{m>=0} N^m X^{2m+r} / (2m+r)! with r = 1 for odd, else 0.
 
-    N^m is the actual matrix power, which alternates between the logical
-    identity and N; the m = 0 even term is the logical identity itself.
+    N^m alternates between the logical identity and N (I2 and J on the
+    core); the m = 0 even term is the logical identity itself.
     """
-    x = np.asarray(x, dtype=_ACC_DTYPE)
-    _check_commutes(x, ctx.N)
+    x = _core(ctx, x)
     xsq = x @ x
-    acc = x.copy() if odd else ctx.I.astype(_ACC_DTYPE)
+    acc = x.copy() if odd else _I2.copy()
     power = x.copy() if odd else None  # X^{2m+r}, built incrementally
     coef = _ACC_DTYPE(1.0)
     exponent = 1 if odd else 0
-    ident = ctx.I.astype(_ACC_DTYPE)
-    neg = ctx.N.astype(_ACC_DTYPE)
     for m in range(1, policy.max_terms + 1):
         power = power @ xsq if power is not None else xsq.copy()
         coef /= (exponent + 1) * (exponent + 2)
         exponent += 2
-        factor = neg if m % 2 == 1 else ident
+        factor = _J if m % 2 == 1 else _I2
         term = coef * (factor @ power)
         acc += term
         if max_norm(term) < policy.term_tol:
-            return acc.astype(complex)
+            return _lift(ctx, acc)
     raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
 
 
@@ -185,14 +188,6 @@ class IdentityReport:
         ]
 
 
-def _matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    # repeated multiplication; k stays small at desk scale
-    out = m.copy()
-    for _ in range(k - 1):
-        out = out @ m
-    return out
-
-
 def verify_euler_suite(
     ctx: LogicAlgebraContext,
     v_samples,
@@ -233,7 +228,7 @@ def verify_euler_suite(
         res["d"] = max(res["d"], max_norm(s - 0.5 * ctx.B @ (e_pos - e_neg)))
         for k in ks:
             ck, sk = csx(k * v)
-            res["h"] = max(res["h"], max_norm(_matrix_power(c + ctx.A @ s, int(k)) - (ck + ctx.A @ sk)))
+            res["h"] = max(res["h"], max_norm(np.linalg.matrix_power(c + ctx.A @ s, int(k)) - (ck + ctx.A @ sk)))
 
     for va in v_samples:
         for vb in v_samples:

@@ -63,13 +63,17 @@ def basis_from_dict(d: dict, tol: float = DEFAULT_TOL) -> TruthBasis:
     return make_basis(s, n, tol=tol)
 
 
+def _reject_constant(token: str):
+    raise VectorLogicError(f"non-finite number {token} in JSON")
+
+
 def load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def dump_json(obj, path: str | None = None):
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if path is None:
         print(text)
     else:

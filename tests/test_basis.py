@@ -81,6 +81,12 @@ def test_make_basis_errors():
         make_basis(v, v)
 
 
+@pytest.mark.parametrize("s,n", [([np.nan, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, np.nan])])
+def test_make_basis_rejects_nan(s, n):
+    with pytest.raises(NotUnitNorm):
+        make_basis(s, n)
+
+
 def test_random_basis_errors():
     with pytest.raises(QTooSmall):
         random_basis(1, 0.0, 0)

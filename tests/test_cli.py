@@ -151,3 +151,16 @@ def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "op", "--basis", "/nonexistent.json", "--gate", "OR")
     assert code == 1
     assert err
+
+
+def test_non_finite_oracle_exits_1(capsys, tmp_path):
+    basis_file = tmp_path / "set1.json"
+    oracle_file = tmp_path / "nan.json"
+    run(capsys, "basis", "--canonical", "SET1", "--out", str(basis_file))
+    oracle_file.write_text(json.dumps({"rows": 2, "cols": 2, "re": [[float("nan"), 0.0], [0.0, 1.0]]}))
+    code, out, err = run(
+        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("vlogic: error")

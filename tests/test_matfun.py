@@ -19,6 +19,7 @@ from vlogic import (
 )
 from vlogic.errors import NonCommuting, SeriesNotConverged
 from vlogic.matfun import scalar_exp_series
+from vlogic.verify import EULER_KS, EULER_V_SAMPLES
 
 SUITE_TOL = 1e-8
 
@@ -72,6 +73,15 @@ def test_exp_rejects_noncommuting_argument(ctx):
         logical_exp(ctx, g)
     with pytest.raises(NonCommuting):
         C_of(ctx, g)
+
+
+def test_rejects_argument_outside_logic_span(ctx):
+    # commutes with N, but acts on the complement of span{s, n}
+    g = 0.7 * (np.eye(4) - ctx.I)
+    assert max_norm(g @ ctx.N - ctx.N @ g) < 1e-15
+    for series in (logical_exp, C_of, S_of):
+        with pytest.raises(NonCommuting):
+            series(ctx, g)
 
 
 def test_series_cap(ctx):
@@ -177,3 +187,44 @@ def test_identity_report_entries(ctx):
     entries = report.entries()
     assert {e["identity"] for e in entries} == set(report.residuals)
     assert all(e["pass"] for e in entries)
+
+
+def dense_series(ctx, x, kind, terms=40):
+    """Reference: the series summed literally on Q x Q complex128 matrices.
+
+    kind "exp" sums X^k / k!, "C" sums N^m X^2m / (2m)!, "S" sums
+    N^m X^(2m+1) / (2m+1)!, with X^0 the logical identity.
+    """
+    x = np.asarray(x, dtype=complex)
+    neg = np.asarray(ctx.N, dtype=complex)
+    power = np.asarray(ctx.I, dtype=complex)
+    total = np.zeros_like(power)
+    for k in range(terms):
+        if kind == "exp":
+            total += power / math.factorial(k)
+        elif k % 2 == (kind == "S"):
+            total += np.linalg.matrix_power(neg, k // 2) @ power / math.factorial(k)
+        power = power @ x
+    return total
+
+
+@pytest.mark.parametrize(
+    "basis", [canonical_basis("DIM4"), random_basis(8, 0.35, 3)], ids=["DIM4", "Q8-oblique"]
+)
+def test_series_match_dense_reference(basis):
+    c = make_context(basis)
+    for v in (-0.5, -0.2, 0.1, 0.35, 0.5):
+        x = c.Pi * v
+        assert max_norm(logical_exp(c, c.A @ x) - dense_series(c, c.A @ x, "exp")) < 1e-12
+        assert max_norm(C_of(c, x) - dense_series(c, x, "C")) < 1e-12
+        assert max_norm(S_of(c, x) - dense_series(c, x, "S")) < 1e-12
+    # a core that is no multiple of Pi: X = 0.3 I - 0.2i N
+    x = 0.3 * c.I - 0.2j * c.N
+    for series, kind in ((logical_exp, "exp"), (C_of, "C"), (S_of, "S")):
+        assert max_norm(series(c, x) - dense_series(c, x, kind)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_euler_suite_oblique_bases(dim):
+    report = verify_euler_suite(make_context(random_basis(dim, 0.35, 1)), EULER_V_SAMPLES, ks=EULER_KS)
+    assert report.passed, report.residuals
