@@ -2,10 +2,14 @@
 """Sweep the full verification report over dimensions and seeds.
 
 Usage: python scripts/run_verification.py [--dims 2,4,8,16] [--seeds 3]
+
+Each line gives the wall-clock seconds of that (dim, seed) run, so a sweep
+shows how the cost grows with the dimension.
 """
 
 import argparse
 import sys
+import time
 
 from vlogic.verify import run_full_verification
 
@@ -19,14 +23,16 @@ def main():
     all_ok = True
     for dim in (int(d) for d in args.dims.split(",")):
         for seed in range(args.seeds):
+            start = time.perf_counter()
             report = run_full_verification(dim=dim, seed=seed)
+            elapsed = time.perf_counter() - start
             status = "PASS" if report["pass"] else "FAIL"
             worst = max(
                 max(sec.get("residuals", {"": 0.0}).values())
                 for sec in report["sections"].values()
                 if "residuals" in sec
             )
-            print(f"[{status}] dim={dim} seed={seed} worst residual {worst:.2e}")
+            print(f"[{status}] dim={dim} seed={seed} worst residual {worst:.2e} {elapsed:.3f} s")
             all_ok = all_ok and report["pass"]
     return 0 if all_ok else 2
 

@@ -103,6 +103,8 @@ def cmd_diagnose(args) -> int:
     payload = {
         "verdict": result.verdict,
         "distance": result.distance,
+        "runner_up": result.runner_up,
+        "runner_up_distance": result.runner_up_distance,
         "signature": {
             "re_s": sig.re_s,
             "re_n": sig.re_n,

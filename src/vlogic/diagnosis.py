@@ -2,10 +2,13 @@
 
 A hidden monadic gate U is probed with the single input A s (the true
 vector prefiltered by a square root of NOT); a hidden dyadic gate T with
-(A(x)A)(s(x)s). The output's real and imaginary coefficients along s and n
-form a four-number signature that distinguishes all four monadic gates and
-the seven named dyadic gates. The oracle is received as an opaque matrix,
-never as a gate name. Requires an orthonormal basis.
+(A(x)A)(s(x)s). By the mixed-product rule that input is the Q^2 vector
+(As)(x)(As), so a probe builds only its Q^2 probe vector and never the
+Q^2 x Q^2 matrix A(x)A. The output's real and imaginary coefficients along
+s and n form a four-number signature that distinguishes all four monadic
+gates and the seven named dyadic gates; a diagnosis also reports the
+runner-up reference and its distance. The oracle is received as an opaque
+matrix, never as a gate name. Requires an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .basis import TruthBasis
 from .errors import DimensionMismatch, NonOrthogonalBasis
 from .operators import dyadic_operator, max_norm
 from .scalar_logic import ALL_DYADIC_TABLES, TRUE, DyadicTable
-from .srn import ALPHA, BETA, sqrt_not
+from .srn import ALPHA, BETA
 
 UNKNOWN = "UNKNOWN"
 AMBIGUOUS = "AMBIGUOUS"
@@ -63,6 +66,8 @@ class DiagnosisResult:
     verdict: str
     signature: GateSignature
     distance: float
+    runner_up: str  # second-nearest reference signature
+    runner_up_distance: float
 
 
 def _require_orthonormal(basis: TruthBasis):
@@ -80,13 +85,25 @@ def _signature_of_output(out: np.ndarray, basis: TruthBasis) -> GateSignature:
     return GateSignature(re_s, re_n, im_s, im_n, residual=max_norm(out - recon))
 
 
+def _root_times_true(basis: TruthBasis) -> np.ndarray:
+    # A s = alpha I s + beta N s = alpha s + beta n in any basis; forming the
+    # Q x Q root A would cost more memory than the whole dyadic probe vector
+    return ALPHA * basis.s + BETA * basis.n
+
+
+def _apply_probe(oracle: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # real and imaginary parts apart, so a real oracle is never cast to a
+    # complex copy
+    return oracle @ v.real + 1j * (oracle @ v.imag)
+
+
 def probe_monadic(oracle: np.ndarray, basis: TruthBasis) -> GateSignature:
     """Signature of oracle @ (A s) for a hidden Q x Q gate."""
     _require_orthonormal(basis)
     oracle = np.asarray(oracle)
     if oracle.shape != (basis.dim, basis.dim):
         raise DimensionMismatch(f"monadic oracle must be {basis.dim}x{basis.dim}, got {oracle.shape}")
-    out = oracle @ (sqrt_not(basis).A @ basis.s)
+    out = _apply_probe(oracle, _root_times_true(basis))
     return _signature_of_output(out, basis)
 
 
@@ -98,8 +115,8 @@ def probe_dyadic(oracle: np.ndarray, basis: TruthBasis) -> GateSignature:
         raise DimensionMismatch(
             f"dyadic oracle must be {basis.dim}x{basis.dim ** 2}, got {oracle.shape}"
         )
-    a = sqrt_not(basis).A
-    out = oracle @ (np.kron(a, a) @ np.kron(basis.s, basis.s))
+    a_s = _root_times_true(basis)
+    out = _apply_probe(oracle, np.kron(a_s, a_s))  # = (A(x)A)(s(x)s)
     return _signature_of_output(out, basis)
 
 
@@ -108,12 +125,15 @@ def _classify(sig: GateSignature, references: dict, tol: float) -> DiagnosisResu
         name: max(abs(c - r) for c, r in zip(sig.coefficients, ref))
         for name, ref in references.items()
     }
-    hits = sorted((d, name) for name, d in dists.items() if d < tol)
-    if not hits:
-        return DiagnosisResult(UNKNOWN, sig, min(dists.values()))
-    if len(hits) > 1:
-        return DiagnosisResult(AMBIGUOUS, sig, hits[0][0])
-    return DiagnosisResult(hits[0][1], sig, hits[0][0])
+    ranked = sorted((d, name) for name, d in dists.items())
+    (best, best_name), (second, second_name) = ranked[0], ranked[1]
+    if best >= tol:
+        verdict = UNKNOWN
+    elif second < tol:
+        verdict = AMBIGUOUS
+    else:
+        verdict = best_name
+    return DiagnosisResult(verdict, sig, best, second_name, second)
 
 
 def classify_monadic(sig: GateSignature, tol: float = DEFAULT_CLASSIFY_TOL) -> DiagnosisResult:

@@ -35,12 +35,18 @@ def monadic_operator(basis: TruthBasis, table: MonadicTable) -> np.ndarray:
 
 
 def dyadic_operator(basis: TruthBasis, table: DyadicTable) -> np.ndarray:
-    duals = ((basis.y, basis.y), (basis.y, basis.z), (basis.z, basis.y), (basis.z, basis.z))
-    t = np.zeros((basis.dim, basis.dim * basis.dim))
-    for out, (d1, d2) in zip(table.outputs, duals):
-        vec = basis.s if out == TRUE else basis.n
-        t += np.outer(vec, np.kron(d1, d2))
-    return t
+    """[e f g h] @ rows(y(x)y, y(x)z, z(x)y, z(x)z): one Q x 4 @ 4 x Q^2 product."""
+    outs = np.stack([basis.s if out == TRUE else basis.n for out in table.outputs], axis=1)
+    w = np.stack((basis.y, basis.z))
+    duals = (w[:, None, :, None] * w[None, :, None, :]).reshape(4, basis.dim * basis.dim)
+    return outs @ duals
+
+
+def _dyadic_times_kron(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T (X(x)Y) for a Q x Q^2 gate T and Q x Q matrices X, Y, without the
+    Q^2 x Q^2 Kronecker matrix: T as Q x Q x Q contracted with X and Y."""
+    q = x.shape[0]
+    return np.einsum("ikm,kj,ml->ijl", t.reshape(q, q, q), x, y, optimize=True).reshape(q, q * q)
 
 
 def identity_operator(basis: TruthBasis) -> np.ndarray:

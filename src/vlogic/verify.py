@@ -14,6 +14,7 @@ import numpy as np
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
 from .operators import (
+    _dyadic_times_kron,
     dyadic_operator,
     identity_operator,
     kron,
@@ -67,8 +68,8 @@ def tautology_residuals(b: TruthBasis) -> dict[str, float]:
     d = dyadic_operator(b, scalar_logic.OR)
     c = dyadic_operator(b, scalar_logic.AND)
     return {
-        "L_minus_D_NxI": max_norm(l - d @ kron(neg, ident)),
-        "D_minus_NC_NxN": max_norm(d - neg @ c @ kron(neg, neg)),
+        "L_minus_D_NxI": max_norm(l - _dyadic_times_kron(d, neg, ident)),
+        "D_minus_NC_NxN": max_norm(d - neg @ _dyadic_times_kron(c, neg, neg)),
     }
 
 

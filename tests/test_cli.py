@@ -88,6 +88,20 @@ def test_diagnose_hidden_xor(capsys, tmp_path):
     assert payload["verdict"] == "XOR"
 
 
+def test_diagnose_reports_runner_up(capsys, tmp_path):
+    basis_file = tmp_path / "dim4.json"
+    oracle_file = tmp_path / "hidden.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    run(capsys, "op", "--basis", str(basis_file), "--gate", "AND", "--out", str(oracle_file))
+    code, payload = run_json(
+        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file)
+    )
+    assert code == 0
+    assert payload["verdict"] == "AND"
+    assert payload["runner_up"] != "AND"
+    assert payload["runner_up_distance"] >= 0.5
+
+
 def test_diagnose_arity_inferred(capsys, tmp_path):
     basis_file = tmp_path / "set1.json"
     oracle_file = tmp_path / "hidden.json"

@@ -1,5 +1,7 @@
 """One-probe gate identification: signatures, classification, collisions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,48 @@ def test_ambiguous_never_arises_for_named_gates(set1):
     for table in list(sl.MONADIC_GATES.values()):
         res = classify_monadic(probe_monadic(monadic_operator(set1, table), set1))
         assert res.verdict != AMBIGUOUS
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_probe_dyadic_matches_dense_kron_probe(dim):
+    # reference: the literal Q^2 x Q^2 prefilter (A(x)A) applied to s(x)s
+    b = random_basis(dim, 0.0, seed=dim)
+    a = sqrt_not(b).A
+    probe = np.kron(a, a) @ np.kron(b.s, b.s)
+    for table in sl.ALL_DYADIC_TABLES:
+        real = dyadic_operator(b, table)
+        for oracle in (real, (0.6 - 0.8j) * real):
+            out = oracle @ probe
+            expected = (b.y @ out.real, b.z @ out.real, b.y @ out.imag, b.z @ out.imag)
+            sig = probe_dyadic(oracle, b)
+            assert max(abs(c - e) for c, e in zip(sig.coefficients, expected)) < 1e-13
+
+
+def test_probe_and_classify_at_dim128():
+    b = random_basis(128, 0.0, seed=7)
+    for name, table in sl.MONADIC_GATES.items():
+        assert classify_monadic(probe_monadic(monadic_operator(b, table), b)).verdict == name
+    for name, table in sl.NAMED_DYADIC_GATES.items():
+        oracle = dyadic_operator(b, table)  # 16 MiB, built before tracing
+        tracemalloc.start()
+        try:
+            sig = probe_dyadic(oracle, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert classify_dyadic(sig).verdict == name
+
+
+def test_runner_up_distance_at_least_half(dim4):
+    results = [
+        (name, classify_monadic(probe_monadic(monadic_operator(dim4, table), dim4)))
+        for name, table in sl.MONADIC_GATES.items()
+    ] + [
+        (name, classify_dyadic(probe_dyadic(dyadic_operator(dim4, table), dim4)))
+        for name, table in sl.NAMED_DYADIC_GATES.items()
+    ]
+    for name, res in results:
+        assert res.verdict == name
+        assert res.runner_up != name
+        assert res.runner_up_distance >= 0.5

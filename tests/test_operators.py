@@ -19,6 +19,7 @@ from vlogic import (
     random_basis,
 )
 from vlogic.errors import DimensionMismatch
+from vlogic.operators import _dyadic_times_kron
 
 TOL = 1e-10
 
@@ -186,3 +187,31 @@ def test_generalized_identity_negation_nonorthogonal():
     assert max_norm(i_bar @ b.n - b.n) < TOL
     assert max_norm(n_bar @ b.s - b.n) < TOL
     assert max_norm(n_bar @ b.n - b.s) < TOL
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_tautology_contraction_matches_dense_kron(dim):
+    # every table, so gates that are not symmetric in their two inputs
+    # (IMPL) pin the order of the Kronecker factors; OR and AND give the
+    # tautology products d (N(x)I) and N c (N(x)N)
+    b = random_basis(dim, 0.35, seed=dim)
+    i_op = identity_operator(b)
+    n_op = negation_operator(b)
+    for table in sl.ALL_DYADIC_TABLES:
+        t = dyadic_operator(b, table)
+        assert max_norm(_dyadic_times_kron(t, n_op, i_op) - t @ np.kron(n_op, i_op)) < 1e-13
+        assert max_norm(
+            n_op @ _dyadic_times_kron(t, n_op, n_op) - n_op @ t @ np.kron(n_op, n_op)
+        ) < 1e-13
+
+
+@pytest.mark.parametrize("dim,eps,seed", [(2, 0.35, 1), (5, -0.4, 2), (8, 0.35, 3)])
+def test_dyadic_operator_matches_outer_product_sum(dim, eps, seed):
+    b = random_basis(dim, eps, seed)
+    duals = ((b.y, b.y), (b.y, b.z), (b.z, b.y), (b.z, b.z))
+    for table in sl.ALL_DYADIC_TABLES:
+        expected = sum(
+            np.outer(b.s if out == sl.TRUE else b.n, np.kron(d1, d2))
+            for out, (d1, d2) in zip(table.outputs, duals)
+        )
+        assert max_norm(dyadic_operator(b, table) - expected) < 1e-13
