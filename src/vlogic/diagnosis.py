@@ -121,13 +121,12 @@ def probe_dyadic(oracle: np.ndarray, basis: TruthBasis) -> GateSignature:
 
 
 def _classify(sig: GateSignature, references: dict, tol: float) -> DiagnosisResult:
-    dists = {
-        name: max(abs(c - r) for c, r in zip(sig.coefficients, ref))
-        for name, ref in references.items()
-    }
-    ranked = sorted((d, name) for name, d in dists.items())
+    # np.max propagates NaN, so a non-finite signature is far from every
+    # reference and `not best < tol` sends it to UNKNOWN
+    dists = np.abs(np.array(list(references.values())) - sig.coefficients).max(axis=1)
+    ranked = sorted(zip(dists.tolist(), references))
     (best, best_name), (second, second_name) = ranked[0], ranked[1]
-    if best >= tol:
+    if not best < tol:
         verdict = UNKNOWN
     elif second < tol:
         verdict = AMBIGUOUS
