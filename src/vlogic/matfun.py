@@ -16,14 +16,16 @@ whenever the argument lies in span{I, N}. With Pi = B*i*pi one gets
 C(Pi v) = cos(pi v) I and S(Pi v) = i sin(pi v) B.
 
 span{I, N} = {S (a I2 + b J) Y^T} with S = [s n], Y = [y z] and J the 2x2
-swap, so each series is summed term by term on the 2x2 core a I2 + b J
-(I and N become I2 and J) and lifted back to Q x Q once.
+swap. Every core a I2 + b J is diagonal in the 2x2 Hadamard basis, with
+eigenvalues a + b (J = +1) and a - b (J = -1), so each series is summed term
+by term on those two scalars (N^m becomes 1 and (-1)^m) and lifted back to
+Q x Q once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -81,71 +83,90 @@ def pi_matrix(ctx: LogicAlgebraContext) -> np.ndarray:
 # final value by many orders of magnitude (e.g. C(Pi v) at large v), and
 # double-precision terms would cap the achievable residual near 1e-7.
 _ACC_DTYPE = np.clongdouble
-_I2 = np.eye(2, dtype=_ACC_DTYPE)
-_J = np.array([[0, 1], [1, 0]], dtype=_ACC_DTYPE)
 
 
 def _frame(ctx: LogicAlgebraContext) -> tuple[np.ndarray, np.ndarray]:
+    """S = [s n] (Q x 2) and Y^T = [y z]^T (2 x Q)."""
     b = ctx.basis
-    return np.column_stack([b.s, b.n]), np.column_stack([b.y, b.z])
+    return np.array((b.s, b.n)).T, np.array((b.y, b.z))
 
 
-def _core(ctx: LogicAlgebraContext, x) -> np.ndarray:
-    """The core a*I2 + b*J of X in span{I, N}, from Y^T X S symmetrized: the
-    rounding of Y^T X S does not commute with J, and the series would amplify
-    it by its largest term (~1e9 at X = 7.5 Pi)."""
-    frame, dual = _frame(ctx)
+def _eigenvalues(ctx: LogicAlgebraContext, x):
+    """The eigenvalues a + b and a - b of the core a*I2 + b*J of X in span{I, N}.
+
+    The core comes from Y^T X S symmetrized: the rounding of Y^T X S does not
+    commute with J, and the series would amplify it by its largest term
+    (~1e9 at X = 7.5 Pi). The 2x2 Hadamard matrix diagonalizes every such
+    core, with J = +1 on the first eigenvector and -1 on the second.
+    """
+    frame, dual_t = _frame(ctx)
     x = np.asarray(x, dtype=complex)
-    c = dual.T @ x @ frame
+    c = dual_t @ x @ frame
     a, b = (c[0, 0] + c[1, 1]) / 2, (c[0, 1] + c[1, 0]) / 2
-    core = np.array([[a, b], [b, a]])
-    resid = max_norm(x - _lift(ctx, core))
+    resid = max_norm(x - _lift(ctx, a, b))
     if not resid <= COMMUTATOR_TOL:
         raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid:.3e})")
-    return core.astype(_ACC_DTYPE)
+    a, b = _ACC_DTYPE(a), _ACC_DTYPE(b)
+    return a + b, a - b
 
 
-def _lift(ctx: LogicAlgebraContext, core: np.ndarray) -> np.ndarray:
-    frame, dual = _frame(ctx)
-    return frame @ np.asarray(core, dtype=complex) @ dual.T
+def _lift(ctx: LogicAlgebraContext, a, b) -> np.ndarray:
+    """S (a I2 + b J) Y^T: the Q x Q matrix a I + b N."""
+    frame, dual_t = _frame(ctx)
+    return frame @ np.array([[a, b], [b, a]], dtype=complex) @ dual_t
+
+
+def _lift_eigen(ctx: LogicAlgebraContext, plus, minus) -> np.ndarray:
+    """The Q x Q matrix whose core has eigenvalues plus (J = +1) and minus (J = -1)."""
+    return _lift(ctx, (plus + minus) / 2, (plus - minus) / 2)
+
+
+def _core_term_norm(plus, minus) -> float:
+    """Max-norm of the 2x2 core term whose eigenvalues are plus and minus."""
+    return max(abs(plus + minus), abs(plus - minus)) / 2
 
 
 def logical_exp(
     ctx: LogicAlgebraContext, g: np.ndarray, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     """e^G with the logical identity as zeroth term, truncated per policy."""
-    g = _core(ctx, g)
-    acc = _I2.copy()
-    term = g.copy()
+    lam_p, lam_m = _eigenvalues(ctx, g)
+    acc_p = acc_m = _ACC_DTYPE(1.0)
+    term_p, term_m = lam_p, lam_m
     for k in range(1, policy.max_terms + 1):
-        acc += term
-        if max_norm(term) < policy.term_tol:
-            return _lift(ctx, acc)
-        term = term @ g / (k + 1)
+        acc_p += term_p
+        acc_m += term_m
+        if _core_term_norm(term_p, term_m) < policy.term_tol:
+            return _lift_eigen(ctx, acc_p, acc_m)
+        term_p = term_p * lam_p / (k + 1)
+        term_m = term_m * lam_m / (k + 1)
     raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
 
 
 def _even_odd_series(ctx, x, policy, odd: bool) -> np.ndarray:
     """Sum_{m>=0} N^m X^{2m+r} / (2m+r)! with r = 1 for odd, else 0.
 
-    N^m alternates between the logical identity and N (I2 and J on the
-    core); the m = 0 even term is the logical identity itself.
+    N^m is 1 on the J = +1 eigenvalue and (-1)^m on the J = -1 one, so the
+    second eigenvalue's powers step by -lambda^2; the m = 0 even term is the
+    logical identity itself.
     """
-    x = _core(ctx, x)
-    xsq = x @ x
-    acc = x.copy() if odd else _I2.copy()
-    power = x.copy() if odd else None  # X^{2m+r}, built incrementally
+    lam_p, lam_m = _eigenvalues(ctx, x)
+    step_p, step_m = lam_p * lam_p, -(lam_m * lam_m)
+    # X^{2m+r} N^m on each eigenvalue, built incrementally
+    power_p, power_m = (lam_p, lam_m) if odd else (_ACC_DTYPE(1.0), _ACC_DTYPE(1.0))
+    acc_p, acc_m = power_p, power_m
     coef = _ACC_DTYPE(1.0)
     exponent = 1 if odd else 0
-    for m in range(1, policy.max_terms + 1):
-        power = power @ xsq if power is not None else xsq.copy()
+    for _ in range(policy.max_terms):
+        power_p = power_p * step_p
+        power_m = power_m * step_m
         coef /= (exponent + 1) * (exponent + 2)
         exponent += 2
-        factor = _J if m % 2 == 1 else _I2
-        term = coef * (factor @ power)
-        acc += term
-        if max_norm(term) < policy.term_tol:
-            return _lift(ctx, acc)
+        term_p, term_m = coef * power_p, coef * power_m
+        acc_p += term_p
+        acc_m += term_m
+        if _core_term_norm(term_p, term_m) < policy.term_tol:
+            return _lift_eigen(ctx, acc_p, acc_m)
     raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
 
 
@@ -204,9 +225,18 @@ def verify_euler_suite(
     (e) C(Pi a + Pi b) = C(Pi a) C(Pi b) + N S(Pi a) S(Pi b)
     (f) S(Pi a + Pi b) = S(Pi a) C(Pi b) + S(Pi b) C(Pi a)
     (g) e^{A Pi} + I = O (Great Euler Equation, v = 1)
-    (h) (C(Pi v) + A S(Pi v))^k = C(Pi k v) + A S(Pi k v), integer k
+    (h) (C(Pi v) + A S(Pi v))^k = C(Pi k v) + A S(Pi k v), integer k >= 0;
+        the zeroth power is the logical identity I, as in e^G
+
+    Raises ValueError for a non-finite v or a negative k.
     """
     v_samples = [float(v) for v in v_samples]
+    for v in v_samples:
+        if not isfinite(v):
+            raise ValueError(f"v must be finite, got {v!r}")
+    for k in ks:
+        if k < 0:
+            raise ValueError(f"k must be a non-negative integer, got {k!r}")
     res = {name: 0.0 for name in "abcdefh"}
 
     cache = {}
@@ -228,7 +258,8 @@ def verify_euler_suite(
         res["d"] = max(res["d"], max_norm(s - 0.5 * ctx.B @ (e_pos - e_neg)))
         for k in ks:
             ck, sk = csx(k * v)
-            res["h"] = max(res["h"], max_norm(np.linalg.matrix_power(c + ctx.A @ s, int(k)) - (ck + ctx.A @ sk)))
+            power = ctx.I if k == 0 else np.linalg.matrix_power(c + ctx.A @ s, int(k))
+            res["h"] = max(res["h"], max_norm(power - (ck + ctx.A @ sk)))
 
     for va in v_samples:
         for vb in v_samples:

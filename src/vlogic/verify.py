@@ -17,12 +17,11 @@ from .operators import (
     _dyadic_times_kron,
     dyadic_operator,
     identity_operator,
-    kron,
     max_norm,
     monadic_operator,
     negation_operator,
 )
-from .scalar_logic import ALL_DYADIC_TABLES, MONADIC_GATES, TRUE, dyad_eval, mon_eval
+from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, TRUE, dyad_eval, mon_eval
 
 IDENTITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
@@ -41,23 +40,24 @@ def basis_residuals(b: TruthBasis) -> dict[str, float]:
 
 
 def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
-    """Matrix gates vs the scalar +/-1 oracle on every {s,n} input combination."""
-    vec = {TRUE: b.s, -1: b.n}
+    """Matrix gates vs the scalar +/-1 oracle on every {s,n} input combination.
+
+    Each gate is applied once to all its inputs side by side: [s n] for a
+    monadic gate, K = [s(x)s, s(x)n, n(x)s, n(x)n] for a dyadic one, so the
+    max-norm of the Q x 2 or Q x 4 residual is the worst input's residual.
+    """
+    vec = {TRUE: b.s, FALSE: b.n}
+    mon_inputs = (TRUE, FALSE)
+    dyad_inputs = [(u, v) for u in (TRUE, FALSE) for v in (TRUE, FALSE)]
+    mon_k = np.column_stack([vec[w] for w in mon_inputs])
+    dyad_k = np.column_stack([np.kron(vec[u], vec[v]) for u, v in dyad_inputs])
     out: dict[str, float] = {}
     for name, table in MONADIC_GATES.items():
-        u = monadic_operator(b, table)
-        r = max(
-            max_norm(u @ vec[w] - vec[mon_eval(table, w)]) for w in (1, -1)
-        )
-        out[f"monadic_{name}"] = r
+        expected = np.column_stack([vec[mon_eval(table, w)] for w in mon_inputs])
+        out[f"monadic_{name}"] = max_norm(monadic_operator(b, table) @ mon_k - expected)
     for table in ALL_DYADIC_TABLES:
-        t = dyadic_operator(b, table)
-        r = max(
-            max_norm(t @ kron(vec[u], vec[v]) - vec[dyad_eval(table, u, v)])
-            for u in (1, -1)
-            for v in (1, -1)
-        )
-        out[f"dyadic_{table.name}"] = r
+        expected = np.column_stack([vec[dyad_eval(table, u, v)] for u, v in dyad_inputs])
+        out[f"dyadic_{table.name}"] = max_norm(dyadic_operator(b, table) @ dyad_k - expected)
     return out
 
 

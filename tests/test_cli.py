@@ -1,6 +1,7 @@
 """CLI contract: JSON payloads, exit codes, round trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -178,3 +179,24 @@ def test_non_finite_oracle_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("vlogic: error")
+
+
+@pytest.mark.parametrize("v", ["inf", "nan", "0.5,-inf"])
+def test_euler_non_finite_v_exits_1(capsys, tmp_path, v):
+    basis_file = tmp_path / "dim4.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "euler", "--basis", str(basis_file), "--v", v)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+def test_euler_negative_k_exits_1(capsys, tmp_path):
+    basis_file = tmp_path / "dim4.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    code, out, err = run(capsys, "euler", "--basis", str(basis_file), "--k", "-1")
+    assert code == 1
+    assert out == ""
+    assert "non-negative" in err

@@ -228,3 +228,105 @@ def test_series_match_dense_reference(basis):
 def test_euler_suite_oblique_bases(dim):
     report = verify_euler_suite(make_context(random_basis(dim, 0.35, 1)), EULER_V_SAMPLES, ks=EULER_KS)
     assert report.passed, report.residuals
+
+
+_I2 = np.eye(2, dtype=np.clongdouble)
+_J = np.array([[0, 1], [1, 0]], dtype=np.clongdouble)
+
+
+def core_loop_series(ctx, x, kind, policy=SeriesPolicy()):
+    """Reference: the series summed with 2x2 long-double products on the core
+    a I2 + b J (I and N become I2 and J), stopped when the core term's
+    max-norm drops below policy.term_tol. kind is "exp", "C" or "S".
+    """
+    b = ctx.basis
+    frame, dual = np.column_stack([b.s, b.n]), np.column_stack([b.y, b.z])
+    c = dual.T @ np.asarray(x, dtype=complex) @ frame
+    a, bj = (c[0, 0] + c[1, 1]) / 2, (c[0, 1] + c[1, 0]) / 2
+    g = np.array([[a, bj], [bj, a]]).astype(np.clongdouble)
+    if kind == "exp":
+        acc, term = _I2.copy(), g.copy()
+        for k in range(1, policy.max_terms + 1):
+            acc += term
+            if max_norm(term) < policy.term_tol:
+                return frame @ acc.astype(complex) @ dual.T
+            term = term @ g / (k + 1)
+        raise SeriesNotConverged("reference")
+    odd = kind == "S"
+    gsq = g @ g
+    acc = g.copy() if odd else _I2.copy()
+    power = g.copy() if odd else _I2.copy()
+    coef = np.clongdouble(1.0)
+    exponent = 1 if odd else 0
+    for m in range(1, policy.max_terms + 1):
+        power = power @ gsq
+        coef /= (exponent + 1) * (exponent + 2)
+        exponent += 2
+        term = coef * ((_J if m % 2 == 1 else _I2) @ power)
+        acc += term
+        if max_norm(term) < policy.term_tol:
+            return frame @ acc.astype(complex) @ dual.T
+    raise SeriesNotConverged("reference")
+
+
+SERIES_KINDS = ((logical_exp, "exp"), (C_of, "C"), (S_of, "S"))
+
+
+def series_arguments(c, v):
+    """(series, kind, argument) triples at parameter v: C and S at Pi v, e^G at
+    A Pi v, and all three at the core (0.3 I - 0.2i N) v, no multiple of Pi."""
+    yield logical_exp, "exp", c.A @ c.Pi * v
+    yield C_of, "C", c.Pi * v
+    yield S_of, "S", c.Pi * v
+    for series, kind in SERIES_KINDS:
+        yield series, kind, (0.3 * c.I - 0.2j * c.N) * v
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+@pytest.mark.parametrize("eps", [0.0, 0.35])
+def test_eigenvalue_series_match_core_loop(dim, eps):
+    c = make_context(random_basis(dim, eps, 2))
+    for v in np.linspace(-3.0, 3.0, 25):
+        for series, kind, x in series_arguments(c, v):
+            ref = core_loop_series(c, x, kind)
+            assert max_norm(series(c, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, v)
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+@pytest.mark.parametrize("eps", [0.0, 0.35])
+def test_eigenvalue_series_stop_like_core_loop(dim, eps):
+    c = make_context(random_basis(dim, eps, 2))
+    raised = 0
+    for max_terms in (8, 12, 20, 30, 64):
+        policy = SeriesPolicy(max_terms=max_terms)
+        for v in np.linspace(-7.5, 7.5, 61):
+            for series, kind, x in series_arguments(c, v):
+                try:
+                    core_loop_series(c, x, kind, policy)
+                    expect_raise = False
+                except SeriesNotConverged:
+                    expect_raise = True
+                if expect_raise:
+                    raised += 1
+                    with pytest.raises(SeriesNotConverged):
+                        series(c, x, policy)
+                else:
+                    series(c, x, policy)
+    assert raised > 0
+
+
+def test_de_moivre_zeroth_power_is_logical_identity(ctx):
+    # X^0 is the logical identity I (rank 2 at Q = 4), not eye(4)
+    report = verify_euler_suite(ctx, EULER_V_SAMPLES, ks=(0, 1, 2))
+    assert report.residuals["h_de_moivre"] < SUITE_TOL, report.residuals
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+def test_euler_suite_rejects_non_finite_v(ctx, v):
+    with pytest.raises(ValueError, match="finite"):
+        verify_euler_suite(ctx, [0.5, v])
+
+
+def test_euler_suite_rejects_negative_k(ctx):
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_euler_suite(ctx, [0.5], ks=(2, -1))
