@@ -8,6 +8,10 @@ the exact two-column pseudoinverse of [s n]:
 
 so that <y,s> = <z,n> = 1 and <y,n> = <z,s> = 0. Negative eps in (-1, 0) is
 accepted; the formulas are valid for any |eps| < 1.
+
+Every gate, root of NOT and series value is a small core carried by the
+frame S = [s n] (Q x 2) and its duals Y^T = [y z]^T (2 x Q), Y^T S = I2;
+each basis holds both, read-only.
 """
 
 from __future__ import annotations
@@ -44,10 +48,8 @@ class TruthBasis:
     epsilon: float
     y: np.ndarray
     z: np.ndarray
-
-    @property
-    def orthonormal(self) -> bool:
-        return abs(self.epsilon) < DEFAULT_TOL
+    frame: np.ndarray  # [s n], Q x 2
+    duals: np.ndarray  # [y z]^T, 2 x Q
 
 
 def make_basis(s, n, tol: float = DEFAULT_TOL) -> TruthBasis:
@@ -66,7 +68,10 @@ def make_basis(s, n, tol: float = DEFAULT_TOL) -> TruthBasis:
         raise NearlyDependent(f"|<s,n>| = {abs(eps)} too close to 1")
     y = (s - eps * n) / (1.0 - eps * eps)
     z = (n - eps * s) / (1.0 - eps * eps)
-    return TruthBasis(dim=s.size, s=_frozen(s), n=_frozen(n), epsilon=eps, y=_frozen(y), z=_frozen(z))
+    return TruthBasis(
+        dim=s.size, s=_frozen(s), n=_frozen(n), epsilon=eps, y=_frozen(y), z=_frozen(z),
+        frame=_frozen(np.stack((s, n), axis=1)), duals=_frozen(np.stack((y, z))),
+    )
 
 
 _CANONICAL = {

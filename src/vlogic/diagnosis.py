@@ -8,7 +8,9 @@ Q^2 x Q^2 matrix A(x)A. The output's real and imaginary coefficients along
 s and n form a four-number signature that distinguishes all four monadic
 gates and the seven named dyadic gates; a diagnosis also reports the
 runner-up reference and its distance. The oracle is received as an opaque
-matrix, never as a gate name. Requires an orthonormal basis.
+matrix, never as a gate name. Any basis will do, orthonormal or oblique:
+A s = alpha*s + beta*n holds in every basis, and the duals read the
+output's coefficients along s and n exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TruthBasis
-from .errors import DimensionMismatch, NonOrthogonalBasis
+from .errors import DimensionMismatch
 from .operators import dyadic_operator, max_norm
-from .scalar_logic import ALL_DYADIC_TABLES, TRUE, DyadicTable
+from .scalar_logic import ALL_DYADIC_TABLES, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, DyadicTable
 from .srn import ALPHA, BETA
 
 UNKNOWN = "UNKNOWN"
@@ -28,24 +30,18 @@ AMBIGUOUS = "AMBIGUOUS"
 
 DEFAULT_CLASSIFY_TOL = 1e-6
 
-# (re_s, re_n, im_s, im_n) of the probe output for each gate, from expanding
-# oracle(A s) = oracle(alpha*s + beta*n) with alpha = (1+i)/2, beta = (1-i)/2.
-MONADIC_REFERENCE_SIGNATURES = {
-    "CID": (1.0, 0.0, 0.0, 0.0),
-    "CNOT": (0.0, 1.0, 0.0, 0.0),
-    "ID": (0.5, 0.5, 0.5, -0.5),
-    "NOT": (0.5, 0.5, -0.5, 0.5),
-}
+# The probe input expanded over the gate's inputs: A s = alpha*s + beta*n on
+# (t, f), and (As)(x)(As) on (tt, tf, ft, ff).
+_MONADIC_WEIGHTS = (ALPHA, BETA)
+_DYADIC_WEIGHTS = (ALPHA * ALPHA, ALPHA * BETA, ALPHA * BETA, BETA * BETA)
 
-DYADIC_REFERENCE_SIGNATURES = {
-    "AND": (0.0, 1.0, 0.5, -0.5),
-    "OR": (1.0, 0.0, 0.5, -0.5),
-    "IMPL": (0.5, 0.5, 0.0, 0.0),
-    "EQUI": (0.0, 1.0, 0.0, 0.0),
-    "XOR": (1.0, 0.0, 0.0, 0.0),
-    "NAND": (1.0, 0.0, -0.5, 0.5),
-    "NOR": (0.0, 1.0, -0.5, 0.5),
-}
+
+def _signature_of_table(weights, outputs) -> tuple[float, float, float, float]:
+    """(re_s, re_n, im_s, im_n): the s coefficient collects the weights of the
+    TRUE outputs and the n coefficient those of the FALSE outputs."""
+    cs = sum(w for w, out in zip(weights, outputs) if out == TRUE)
+    cn = sum(w for w, out in zip(weights, outputs) if out != TRUE)
+    return (complex(cs).real, complex(cn).real, complex(cs).imag, complex(cn).imag)
 
 
 @dataclass(frozen=True)
@@ -70,25 +66,18 @@ class DiagnosisResult:
     runner_up_distance: float
 
 
-def _require_orthonormal(basis: TruthBasis):
-    if not basis.orthonormal:
-        raise NonOrthogonalBasis(f"diagnosis requires epsilon = 0, got epsilon = {basis.epsilon}")
-
-
 def _signature_of_output(out: np.ndarray, basis: TruthBasis) -> GateSignature:
-    # coefficient extraction via the duals; for epsilon = 0 they equal s, n
-    # but one code path serves both.
-    re, im = np.real(out), np.imag(out)
-    re_s, re_n = float(basis.y @ re), float(basis.z @ re)
-    im_s, im_n = float(basis.y @ im), float(basis.z @ im)
-    recon = (re_s + 1j * im_s) * basis.s + (re_n + 1j * im_n) * basis.n
-    return GateSignature(re_s, re_n, im_s, im_n, residual=max_norm(out - recon))
+    c = basis.duals @ out  # the coefficients along s and n
+    return GateSignature(
+        float(c[0].real), float(c[1].real), float(c[0].imag), float(c[1].imag),
+        residual=max_norm(out - basis.frame @ c),
+    )
 
 
 def _root_times_true(basis: TruthBasis) -> np.ndarray:
     # A s = alpha I s + beta N s = alpha s + beta n in any basis; forming the
     # Q x Q root A would cost more memory than the whole dyadic probe vector
-    return ALPHA * basis.s + BETA * basis.n
+    return basis.frame @ np.array(_MONADIC_WEIGHTS)
 
 
 def _apply_probe(oracle: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -99,7 +88,6 @@ def _apply_probe(oracle: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def probe_monadic(oracle: np.ndarray, basis: TruthBasis) -> GateSignature:
     """Signature of oracle @ (A s) for a hidden Q x Q gate."""
-    _require_orthonormal(basis)
     oracle = np.asarray(oracle)
     if oracle.shape != (basis.dim, basis.dim):
         raise DimensionMismatch(f"monadic oracle must be {basis.dim}x{basis.dim}, got {oracle.shape}")
@@ -109,7 +97,6 @@ def probe_monadic(oracle: np.ndarray, basis: TruthBasis) -> GateSignature:
 
 def probe_dyadic(oracle: np.ndarray, basis: TruthBasis) -> GateSignature:
     """Signature of oracle @ (A(x)A)(s(x)s) for a hidden Q x Q^2 gate."""
-    _require_orthonormal(basis)
     oracle = np.asarray(oracle)
     if oracle.shape != (basis.dim, basis.dim * basis.dim):
         raise DimensionMismatch(
@@ -136,24 +123,39 @@ def _classify(sig: GateSignature, references: dict, tol: float) -> DiagnosisResu
 
 
 def classify_monadic(sig: GateSignature, tol: float = DEFAULT_CLASSIFY_TOL) -> DiagnosisResult:
+    """Nearest monadic reference in max-norm: the verdict if closer than tol.
+
+    The references are at least 0.5 apart, so for tol <= 0.25 a signature
+    within tol of a reference classifies as that gate, never as AMBIGUOUS.
+    """
     return _classify(sig, MONADIC_REFERENCE_SIGNATURES, tol)
 
 
 def classify_dyadic(sig: GateSignature, tol: float = DEFAULT_CLASSIFY_TOL) -> DiagnosisResult:
+    """Nearest named dyadic reference in max-norm: the verdict if closer than tol.
+
+    The seven references are at least 0.5 apart, so for tol <= 0.25 a
+    signature within tol of a reference classifies as that gate, never as
+    AMBIGUOUS.
+    """
     return _classify(sig, DYADIC_REFERENCE_SIGNATURES, tol)
 
 
 def symbolic_dyadic_signature(table: DyadicTable) -> tuple[float, float, float, float]:
     """Exact probe signature of a dyadic table, without building any matrix.
 
-    T(A(x)A)(s(x)s) = alpha^2*e + alpha*beta*f + alpha*beta*g + beta^2*h,
-    so the s coefficient collects the weights of the TRUE slots and the
-    n coefficient those of the FALSE slots.
+    T(A(x)A)(s(x)s) = alpha^2*e + alpha*beta*f + alpha*beta*g + beta^2*h.
     """
-    weights = (ALPHA * ALPHA, ALPHA * BETA, ALPHA * BETA, BETA * BETA)
-    cs = sum(w for w, out in zip(weights, table.outputs) if out == TRUE)
-    cn = sum(w for w, out in zip(weights, table.outputs) if out != TRUE)
-    return (complex(cs).real, complex(cn).real, complex(cs).imag, complex(cn).imag)
+    return _signature_of_table(_DYADIC_WEIGHTS, table.outputs)
+
+
+# Reference signature of each named gate.
+MONADIC_REFERENCE_SIGNATURES = {
+    name: _signature_of_table(_MONADIC_WEIGHTS, (t.out_t, t.out_f)) for name, t in MONADIC_GATES.items()
+}
+DYADIC_REFERENCE_SIGNATURES = {
+    name: symbolic_dyadic_signature(t) for name, t in NAMED_DYADIC_GATES.items()
+}
 
 
 def enumerate_dyadic_signatures(
@@ -165,7 +167,6 @@ def enumerate_dyadic_signatures(
     gates sharing one signature, classes of size >= 2 being genuine
     one-probe ambiguities (e.g. the constant-true gate collides with XOR).
     """
-    _require_orthonormal(basis)
     signatures: dict[str, GateSignature] = {}
     groups: dict[tuple, list[str]] = {}
     for table in ALL_DYADIC_TABLES:

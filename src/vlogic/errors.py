@@ -41,10 +41,6 @@ class NoConvergence(VectorLogicError):
     pass
 
 
-class NonOrthogonalBasis(VectorLogicError):
-    """Probe diagnosis requires an orthonormal truth basis (epsilon = 0)."""
-
-
 class NonCommuting(VectorLogicError):
     """Series argument is not in span{I, N}, the commutative logic algebra."""
 

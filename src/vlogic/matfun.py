@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import NonCommuting, SeriesNotConverged
-from .operators import identity_operator, max_norm, negation_operator
+from .operators import lift, max_norm
 from .srn import sqrt_not
 
 COMMUTATOR_TOL = 1e-10
@@ -69,8 +69,8 @@ class LogicAlgebraContext:
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
     """Build the context in complex128; the series never multiply these matrices."""
     pair = sqrt_not(basis)
-    ident = identity_operator(basis).astype(complex)
-    neg = negation_operator(basis).astype(complex)
+    ident = lift(basis, np.eye(2, dtype=complex))
+    neg = lift(basis, np.array([[0, 1], [1, 0]], dtype=complex))
     return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=pair.A, B=pair.B, Pi=1j * pi * pair.B)
 
 
@@ -85,12 +85,6 @@ def pi_matrix(ctx: LogicAlgebraContext) -> np.ndarray:
 _ACC_DTYPE = np.clongdouble
 
 
-def _frame(ctx: LogicAlgebraContext) -> tuple[np.ndarray, np.ndarray]:
-    """S = [s n] (Q x 2) and Y^T = [y z]^T (2 x Q)."""
-    b = ctx.basis
-    return np.array((b.s, b.n)).T, np.array((b.y, b.z))
-
-
 def _eigenvalues(ctx: LogicAlgebraContext, x):
     """The eigenvalues a + b and a - b of the core a*I2 + b*J of X in span{I, N}.
 
@@ -99,26 +93,21 @@ def _eigenvalues(ctx: LogicAlgebraContext, x):
     (~1e9 at X = 7.5 Pi). The 2x2 Hadamard matrix diagonalizes every such
     core, with J = +1 on the first eigenvector and -1 on the second.
     """
-    frame, dual_t = _frame(ctx)
     x = np.asarray(x, dtype=complex)
-    c = dual_t @ x @ frame
-    a, b = (c[0, 0] + c[1, 1]) / 2, (c[0, 1] + c[1, 0]) / 2
-    resid = max_norm(x - _lift(ctx, a, b))
+    c = ctx.basis.duals @ x @ ctx.basis.frame
+    core = (c + c[::-1, ::-1]) / 2  # (c + J c J) / 2 = a I2 + b J
+    resid = max_norm(x - lift(ctx.basis, core))
     if not resid <= COMMUTATOR_TOL:
         raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid:.3e})")
-    a, b = _ACC_DTYPE(a), _ACC_DTYPE(b)
+    a, b = _ACC_DTYPE(core[0, 0]), _ACC_DTYPE(core[0, 1])
     return a + b, a - b
 
 
-def _lift(ctx: LogicAlgebraContext, a, b) -> np.ndarray:
-    """S (a I2 + b J) Y^T: the Q x Q matrix a I + b N."""
-    frame, dual_t = _frame(ctx)
-    return frame @ np.array([[a, b], [b, a]], dtype=complex) @ dual_t
-
-
 def _lift_eigen(ctx: LogicAlgebraContext, plus, minus) -> np.ndarray:
-    """The Q x Q matrix whose core has eigenvalues plus (J = +1) and minus (J = -1)."""
-    return _lift(ctx, (plus + minus) / 2, (plus - minus) / 2)
+    """S (a I2 + b J) Y^T = a I + b N, the Q x Q matrix whose core has
+    eigenvalues plus = a + b (J = +1) and minus = a - b (J = -1)."""
+    a, b = (plus + minus) / 2, (plus - minus) / 2
+    return lift(ctx.basis, np.array([[a, b], [b, a]], dtype=complex))
 
 
 def _core_term_norm(plus, minus) -> float:
@@ -228,15 +217,22 @@ def verify_euler_suite(
     (h) (C(Pi v) + A S(Pi v))^k = C(Pi k v) + A S(Pi k v), integer k >= 0;
         the zeroth power is the logical identity I, as in e^G
 
-    Raises ValueError for a non-finite v or a negative k.
+    Raises ValueError for a k that is not a non-negative integer, and for a
+    v whose series argument Pi v, Pi k v or Pi (va + vb) is not finite.
     """
     v_samples = [float(v) for v in v_samples]
-    for v in v_samples:
-        if not isfinite(v):
-            raise ValueError(f"v must be finite, got {v!r}")
     for k in ks:
-        if k < 0:
+        if not (k >= 0 and float(k).is_integer()):
             raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    ks = [int(k) for k in ks]
+    # Python floats overflow to inf without a warning, unlike numpy arrays
+    pi_norm = max_norm(ctx.Pi)
+    arguments = [("v", v) for v in v_samples]
+    arguments += [("k*v", k * v) for k in ks for v in v_samples]
+    arguments += [("va+vb", va + vb) for va in v_samples for vb in v_samples]
+    for label, w in arguments:
+        if not isfinite(w * pi_norm):
+            raise ValueError(f"series argument Pi*{label} is not finite at {label} = {w!r}")
     res = {name: 0.0 for name in "abcdefh"}
 
     cache = {}
@@ -258,7 +254,7 @@ def verify_euler_suite(
         res["d"] = max(res["d"], max_norm(s - 0.5 * ctx.B @ (e_pos - e_neg)))
         for k in ks:
             ck, sk = csx(k * v)
-            power = ctx.I if k == 0 else np.linalg.matrix_power(c + ctx.A @ s, int(k))
+            power = ctx.I if k == 0 else np.linalg.matrix_power(c + ctx.A @ s, k)
             res["h"] = max(res["h"], max_norm(power - (ck + ctx.A @ sk)))
 
     for va in v_samples:
@@ -284,5 +280,5 @@ def verify_euler_suite(
     return IdentityReport(
         residuals=named,
         tolerance=tol,
-        metadata={"v_samples": v_samples, "ks": [int(k) for k in ks], "dim": ctx.basis.dim},
+        metadata={"v_samples": v_samples, "ks": ks, "dim": ctx.basis.dim},
     )

@@ -1,8 +1,8 @@
 """Logic gates as matrices over a truth basis.
 
-Monadic gates are Q x Q matrices built from dual outer products,
-U = a y^T + b z^T, so that U s = a and U n = b. Dyadic gates are Q x Q^2
-matrices acting on Kronecker products of truth vectors,
+Monadic gates are Q x Q matrices U = [a b] [y z]^T, so that U s = a and
+U n = b, where a and b are columns of the frame [s n]. Dyadic gates are
+Q x Q^2 matrices acting on Kronecker products of truth vectors,
 T = e (y(x)y)^T + f (y(x)z)^T + g (z(x)y)^T + h (z(x)z)^T.
 
 For a non-orthogonal basis these constructions give the generalized
@@ -28,18 +28,25 @@ def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.kron(u, v)
 
 
+def lift(basis: TruthBasis, core) -> np.ndarray:
+    """[s n] core [y z]^T: the Q x Q matrix whose 2 x 2 core over the frame is core."""
+    return basis.frame @ core @ basis.duals
+
+
+def _output_columns(basis: TruthBasis, outputs) -> np.ndarray:
+    """The frame column of each output: s for TRUE, n for FALSE."""
+    return basis.frame[:, [0 if out == TRUE else 1 for out in outputs]]
+
+
 def monadic_operator(basis: TruthBasis, table: MonadicTable) -> np.ndarray:
-    a = basis.s if table.out_t == TRUE else basis.n
-    b = basis.s if table.out_f == TRUE else basis.n
-    return np.outer(a, basis.y) + np.outer(b, basis.z)
+    return _output_columns(basis, (table.out_t, table.out_f)) @ basis.duals
 
 
 def dyadic_operator(basis: TruthBasis, table: DyadicTable) -> np.ndarray:
     """[e f g h] @ rows(y(x)y, y(x)z, z(x)y, z(x)z): one Q x 4 @ 4 x Q^2 product."""
-    outs = np.stack([basis.s if out == TRUE else basis.n for out in table.outputs], axis=1)
-    w = np.stack((basis.y, basis.z))
-    duals = (w[:, None, :, None] * w[None, :, None, :]).reshape(4, basis.dim * basis.dim)
-    return outs @ duals
+    w = basis.duals
+    rows = (w[:, None, :, None] * w[None, :, None, :]).reshape(4, basis.dim * basis.dim)
+    return _output_columns(basis, table.outputs) @ rows
 
 
 def _dyadic_times_kron(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -106,20 +106,6 @@ def dyad_eval(table: DyadicTable, u: int, v: int) -> int:
     return table.outputs[idx]
 
 
-def monadic_gate(name: str) -> MonadicTable:
-    try:
-        return MONADIC_GATES[name.upper()]
-    except KeyError:
-        raise UnknownGate(f"unknown monadic gate {name!r}") from None
-
-
-def dyadic_gate(name: str) -> DyadicTable:
-    try:
-        return NAMED_DYADIC_GATES[name.upper()]
-    except KeyError:
-        raise UnknownGate(f"unknown dyadic gate {name!r}") from None
-
-
 def gate(name: str) -> MonadicTable | DyadicTable:
     """Look up any named gate, case-insensitive."""
     key = name.upper()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import NoConvergence, NonSquare
-from .operators import identity_operator, max_norm, negation_operator
+from .operators import identity_operator, lift, max_norm, negation_operator
 
 
 def solve_srn_coefficients() -> tuple[complex, complex]:
@@ -51,10 +51,9 @@ class SrnPair:
 
 
 def sqrt_not(basis: TruthBasis) -> SrnPair:
-    ident = identity_operator(basis)
-    neg = negation_operator(basis)
-    a = ALPHA * ident + BETA * neg
-    b = BETA * ident + ALPHA * neg
+    # alpha*I + beta*N has the core alpha*I2 + beta*J over the frame
+    a = lift(basis, np.array([[ALPHA, BETA], [BETA, ALPHA]]))
+    b = lift(basis, np.array([[BETA, ALPHA], [ALPHA, BETA]]))
     a.setflags(write=False)
     b.setflags(write=False)
     return SrnPair(A=a, B=b, alpha=ALPHA, beta=BETA)

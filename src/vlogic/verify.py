@@ -46,17 +46,16 @@ def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
     monadic gate, K = [s(x)s, s(x)n, n(x)s, n(x)n] for a dyadic one, so the
     max-norm of the Q x 2 or Q x 4 residual is the worst input's residual.
     """
-    vec = {TRUE: b.s, FALSE: b.n}
+    col = {TRUE: 0, FALSE: 1}  # frame column of each truth value
     mon_inputs = (TRUE, FALSE)
     dyad_inputs = [(u, v) for u in (TRUE, FALSE) for v in (TRUE, FALSE)]
-    mon_k = np.column_stack([vec[w] for w in mon_inputs])
-    dyad_k = np.column_stack([np.kron(vec[u], vec[v]) for u, v in dyad_inputs])
+    dyad_k = np.column_stack([np.kron(b.frame[:, col[u]], b.frame[:, col[v]]) for u, v in dyad_inputs])
     out: dict[str, float] = {}
     for name, table in MONADIC_GATES.items():
-        expected = np.column_stack([vec[mon_eval(table, w)] for w in mon_inputs])
-        out[f"monadic_{name}"] = max_norm(monadic_operator(b, table) @ mon_k - expected)
+        expected = b.frame[:, [col[mon_eval(table, w)] for w in mon_inputs]]
+        out[f"monadic_{name}"] = max_norm(monadic_operator(b, table) @ b.frame - expected)
     for table in ALL_DYADIC_TABLES:
-        expected = np.column_stack([vec[dyad_eval(table, u, v)] for u, v in dyad_inputs])
+        expected = b.frame[:, [col[dyad_eval(table, u, v)] for u, v in dyad_inputs]]
         out[f"dyadic_{table.name}"] = max_norm(dyadic_operator(b, table) @ dyad_k - expected)
     return out
 

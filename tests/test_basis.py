@@ -55,6 +55,10 @@ def test_pseudoinverse_consistency():
     np.testing.assert_allclose(pinv @ m, np.eye(2), atol=TOL)
     # agrees with the normal-equations pseudoinverse
     np.testing.assert_allclose(pinv, np.linalg.solve(m.T @ m, m.T), atol=TOL)
+    # the basis carries the same frame [s n] and duals [y z]^T, read-only
+    np.testing.assert_array_equal(b.frame, m)
+    np.testing.assert_array_equal(b.duals, pinv)
+    assert not (b.frame.flags.writeable or b.duals.flags.writeable)
 
 
 @pytest.mark.parametrize("name,dim", [("SET1", 2), ("SET2", 2), ("DIM4", 4)])

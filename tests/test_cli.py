@@ -103,6 +103,18 @@ def test_diagnose_reports_runner_up(capsys, tmp_path):
     assert payload["runner_up_distance"] >= 0.5
 
 
+def test_diagnose_oblique_basis(capsys, tmp_path):
+    basis_file = tmp_path / "oblique.json"
+    oracle_file = tmp_path / "hidden.json"
+    run(capsys, "basis", "--dim", "4", "--epsilon", "0.35", "--out", str(basis_file))
+    run(capsys, "op", "--basis", str(basis_file), "--gate", "IMPL", "--out", str(oracle_file))
+    code, payload = run_json(
+        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file)
+    )
+    assert code == 0
+    assert payload["verdict"] == "IMPL"
+
+
 def test_diagnose_arity_inferred(capsys, tmp_path):
     basis_file = tmp_path / "set1.json"
     oracle_file = tmp_path / "hidden.json"
@@ -181,7 +193,7 @@ def test_non_finite_oracle_exits_1(capsys, tmp_path):
     assert err.startswith("vlogic: error")
 
 
-@pytest.mark.parametrize("v", ["inf", "nan", "0.5,-inf"])
+@pytest.mark.parametrize("v", ["inf", "nan", "0.5,-inf", "1e308"])
 def test_euler_non_finite_v_exits_1(capsys, tmp_path, v):
     basis_file = tmp_path / "dim4.json"
     run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))

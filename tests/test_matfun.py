@@ -1,6 +1,8 @@
 """Logical exponential, matrix circular functions, and the Euler identity suite."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -321,12 +323,27 @@ def test_de_moivre_zeroth_power_is_logical_identity(ctx):
     assert report.residuals["h_de_moivre"] < SUITE_TOL, report.residuals
 
 
-@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan, 1e308])
 def test_euler_suite_rejects_non_finite_v(ctx, v):
     with pytest.raises(ValueError, match="finite"):
         verify_euler_suite(ctx, [0.5, v])
 
 
+@pytest.mark.parametrize("ks,label", [((2,), "k*v"), ((1,), "va+vb")])
+def test_euler_suite_rejects_overflowing_argument(ctx, ks, label):
+    # Pi v is finite, but Pi (2 v) is not: reached through k v or va + vb
+    v = 0.6 * sys.float_info.max / max_norm(ctx.Pi)
+    with pytest.raises(ValueError, match=re.escape(f"Pi*{label} is not finite")):
+        verify_euler_suite(ctx, [v], ks=ks)
+
+
 def test_euler_suite_rejects_negative_k(ctx):
     with pytest.raises(ValueError, match="non-negative"):
         verify_euler_suite(ctx, [0.5], ks=(2, -1))
+
+
+@pytest.mark.parametrize("k", [2.5, math.inf, math.nan])
+def test_euler_suite_rejects_non_integer_k(ctx, k):
+    # int(k) would truncate the power while C(Pi k v) used the full k
+    with pytest.raises(ValueError, match="non-negative integer"):
+        verify_euler_suite(ctx, [0.5], ks=(2, k))
