@@ -13,11 +13,14 @@ from .diagnosis import (
 )
 from .matfun import (
     C_of,
+    C_series,
     IdentityReport,
     LogicAlgebraContext,
     S_of,
+    S_series,
     SeriesPolicy,
     logical_exp,
+    logical_exp_series,
     make_context,
     pi_matrix,
     verify_euler_suite,
@@ -57,8 +60,9 @@ __all__ = [
     "TruthBasis", "canonical_basis", "make_basis", "random_basis",
     "DiagnosisResult", "GateSignature", "classify_dyadic", "classify_monadic",
     "enumerate_dyadic_signatures", "probe_dyadic", "probe_monadic",
-    "C_of", "IdentityReport", "LogicAlgebraContext", "S_of", "SeriesPolicy",
-    "logical_exp", "make_context", "pi_matrix", "verify_euler_suite",
+    "C_of", "C_series", "IdentityReport", "LogicAlgebraContext", "S_of", "S_series",
+    "SeriesPolicy", "logical_exp", "logical_exp_series", "make_context", "pi_matrix",
+    "verify_euler_suite",
     "apply_dyadic", "apply_monadic", "dyadic_operator", "identity_operator",
     "kron", "max_norm", "monadic_operator", "negation_operator",
     "AND", "CID", "CNOT", "EQUI", "FALSE", "ID", "IMPL", "NAND", "NOR",

@@ -103,7 +103,7 @@ def probe_dyadic(oracle: np.ndarray, basis: TruthBasis) -> GateSignature:
             f"dyadic oracle must be {basis.dim}x{basis.dim ** 2}, got {oracle.shape}"
         )
     a_s = _root_times_true(basis)
-    out = _apply_probe(oracle, np.kron(a_s, a_s))  # = (A(x)A)(s(x)s)
+    out = _apply_probe(oracle, np.outer(a_s, a_s).ravel())  # (As)(x)(As) = (A(x)A)(s(x)s)
     return _signature_of_output(out, basis)
 
 

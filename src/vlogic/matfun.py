@@ -17,14 +17,28 @@ C(Pi v) = cos(pi v) I and S(Pi v) = i sin(pi v) B.
 
 span{I, N} = {S (a I2 + b J) Y^T} with S = [s n], Y = [y z] and J the 2x2
 swap. Every core a I2 + b J is diagonal in the 2x2 Hadamard basis, with
-eigenvalues a + b (J = +1) and a - b (J = -1), so each series is summed term
-by term on those two scalars (N^m becomes 1 and (-1)^m) and lifted back to
-Q x Q once.
+eigenvalues lambda+ = a + b (J = +1, N^m = 1) and lambda- = a - b
+(J = -1, N^m = (-1)^m), and each function is evaluated on those two
+scalars and lifted back to Q x Q once:
+
+- closed forms, complex128: `logical_exp` is (exp lambda+, exp lambda-),
+  `C_of` is (cosh lambda+, cos lambda-), `S_of` is (sinh lambda+,
+  sin lambda-);
+- the paper's truncated series, the platform-independent oracle:
+  `logical_exp_series`, `C_series`, `S_series` and `scalar_exp_series` sum
+  term by term in 40-digit `decimal` arithmetic and stop as `SeriesPolicy`
+  says (`SeriesNotConverged` if they do not).
+
+Every function takes one Q x Q argument or a stack (..., Q, Q) and
+returns the same shape; every slice must lie in span{I, N}.
 """
 
 from __future__ import annotations
 
+import cmath
+import decimal
 from dataclasses import dataclass, field
+from decimal import Decimal
 from math import isfinite, pi
 
 import numpy as np
@@ -39,7 +53,8 @@ COMMUTATOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Truncation control: stop when the added 2x2 core term's max-norm < term_tol."""
+    """Truncation of the series oracles: stop when the added 2x2 core term's
+    max-norm < term_tol. The closed forms do not truncate."""
 
     term_tol: float = 1e-16
     max_terms: int = 64
@@ -67,7 +82,7 @@ class LogicAlgebraContext:
 
 
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
-    """Build the context in complex128; the series never multiply these matrices."""
+    """Build the context in complex128."""
     pair = sqrt_not(basis)
     ident = lift(basis, np.eye(2, dtype=complex))
     neg = lift(basis, np.array([[0, 1], [1, 0]], dtype=complex))
@@ -79,104 +94,138 @@ def pi_matrix(ctx: LogicAlgebraContext) -> np.ndarray:
     return ctx.Pi
 
 
-# Series are accumulated in extended precision: partial sums can exceed the
-# final value by many orders of magnitude (e.g. C(Pi v) at large v), and
-# double-precision terms would cap the achievable residual near 1e-7.
-_ACC_DTYPE = np.clongdouble
+def _core(ctx: LogicAlgebraContext, x):
+    """The entries a, b of the core a*I2 + b*J of each Q x Q slice of X.
 
-
-def _eigenvalues(ctx: LogicAlgebraContext, x):
-    """The eigenvalues a + b and a - b of the core a*I2 + b*J of X in span{I, N}.
-
-    The core comes from Y^T X S symmetrized: the rounding of Y^T X S does not
-    commute with J, and the series would amplify it by its largest term
-    (~1e9 at X = 7.5 Pi). The 2x2 Hadamard matrix diagonalizes every such
-    core, with J = +1 on the first eigenvector and -1 on the second.
+    The core is Y^T X S symmetrized, (c + J c J)/2, the part of c that
+    commutes with J. Only then does the span check see a part of X that
+    does not commute with N: the raw projection c reproduces every X inside
+    span{s, n}, so X = s y^T (core [[1, 0], [0, 0]]) would pass the check
+    and give wrong numbers. Raises NonCommuting if any slice is further
+    than COMMUTATOR_TOL from span{I, N}.
     """
     x = np.asarray(x, dtype=complex)
     c = ctx.basis.duals @ x @ ctx.basis.frame
-    core = (c + c[::-1, ::-1]) / 2  # (c + J c J) / 2 = a I2 + b J
-    resid = max_norm(x - lift(ctx.basis, core))
-    if not resid <= COMMUTATOR_TOL:
-        raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid:.3e})")
-    a, b = _ACC_DTYPE(core[0, 0]), _ACC_DTYPE(core[0, 1])
-    return a + b, a - b
+    core = (c + c[..., ::-1, ::-1]) / 2
+    resid = np.abs(x - lift(ctx.basis, core)).max(axis=(-2, -1))
+    if not np.all(resid <= COMMUTATOR_TOL):
+        raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid.max():.3e})")
+    return core[..., 0, 0], core[..., 0, 1]
 
 
 def _lift_eigen(ctx: LogicAlgebraContext, plus, minus) -> np.ndarray:
-    """S (a I2 + b J) Y^T = a I + b N, the Q x Q matrix whose core has
+    """S (a I2 + b J) Y^T = a I + b N for each slice, the matrix whose core has
     eigenvalues plus = a + b (J = +1) and minus = a - b (J = -1)."""
-    a, b = (plus + minus) / 2, (plus - minus) / 2
-    return lift(ctx.basis, np.array([[a, b], [b, a]], dtype=complex))
+    core = np.empty(np.shape(plus) + (2, 2), dtype=complex)
+    core[..., 0, 0] = core[..., 1, 1] = (plus + minus) / 2
+    core[..., 0, 1] = core[..., 1, 0] = (plus - minus) / 2
+    return lift(ctx.basis, core)
 
 
-def _core_term_norm(plus, minus) -> float:
-    """Max-norm of the 2x2 core term whose eigenvalues are plus and minus."""
-    return max(abs(plus + minus), abs(plus - minus)) / 2
+def logical_exp(ctx: LogicAlgebraContext, g) -> np.ndarray:
+    """e^G with the logical identity as zeroth term: exp on each core eigenvalue."""
+    a, b = _core(ctx, g)
+    return _lift_eigen(ctx, np.exp(a + b), np.exp(a - b))
 
 
-def logical_exp(
-    ctx: LogicAlgebraContext, g: np.ndarray, policy: SeriesPolicy = DEFAULT_POLICY
-) -> np.ndarray:
-    """e^G with the logical identity as zeroth term, truncated per policy."""
-    lam_p, lam_m = _eigenvalues(ctx, g)
-    acc_p = acc_m = _ACC_DTYPE(1.0)
-    term_p, term_m = lam_p, lam_m
-    for k in range(1, policy.max_terms + 1):
-        acc_p += term_p
-        acc_m += term_m
-        if _core_term_norm(term_p, term_m) < policy.term_tol:
-            return _lift_eigen(ctx, acc_p, acc_m)
-        term_p = term_p * lam_p / (k + 1)
-        term_m = term_m * lam_m / (k + 1)
-    raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
+def C_of(ctx: LogicAlgebraContext, x) -> np.ndarray:
+    """C(X) = sum_m N^m X^2m / (2m)!: cosh on lambda+ and cos on lambda-."""
+    a, b = _core(ctx, x)
+    return _lift_eigen(ctx, np.cosh(a + b), np.cos(a - b))
 
 
-def _even_odd_series(ctx, x, policy, odd: bool) -> np.ndarray:
-    """Sum_{m>=0} N^m X^{2m+r} / (2m+r)! with r = 1 for odd, else 0.
+def S_of(ctx: LogicAlgebraContext, x) -> np.ndarray:
+    """S(X) = sum_m N^m X^(2m+1) / (2m+1)!: sinh on lambda+ and sin on lambda-."""
+    a, b = _core(ctx, x)
+    return _lift_eigen(ctx, np.sinh(a + b), np.sin(a - b))
 
-    N^m is 1 on the J = +1 eigenvalue and (-1)^m on the J = -1 one, so the
-    second eigenvalue's powers step by -lambda^2; the m = 0 even term is the
-    logical identity itself.
+
+# The series oracles sum in decimal: partial sums can exceed the result by
+# ~9 orders of magnitude at the suite's largest arguments, which 40 digits
+# absorb on every platform. The exponent range is the widest decimal has,
+# so no term of a finite argument overflows.
+_DIGITS = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_ONE = (Decimal(1), Decimal(0))
+
+
+def _dec(z) -> tuple[Decimal, Decimal]:
+    """A finite complex number as an exact (re, im) pair of Decimals."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"series argument is not finite: {z!r}")
+    return Decimal(z.real), Decimal(z.imag)
+
+
+def _mul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _eigen_series(lam_p, lam_m, kind: str, policy: SeriesPolicy) -> tuple[complex, complex]:
+    """The series of kind "exp", "C" or "S" summed on the two core eigenvalues
+    (Decimal (re, im) pairs, under the caller's 40-digit context).
+
+    Term j is term j-1 times the step over (e+1)...(e+stride), e being the
+    exponent of term j-1. C and S step by lambda^2 on lambda+ and by
+    -lambda^2 on lambda- (N^m is 1 and (-1)^m there). The stop rule
+    measures the 2x2 core term max(|t+ + t-|, |t+ - t-|) / 2 of each added
+    term after the zeroth.
     """
-    lam_p, lam_m = _eigenvalues(ctx, x)
-    step_p, step_m = lam_p * lam_p, -(lam_m * lam_m)
-    # X^{2m+r} N^m on each eigenvalue, built incrementally
-    power_p, power_m = (lam_p, lam_m) if odd else (_ACC_DTYPE(1.0), _ACC_DTYPE(1.0))
-    acc_p, acc_m = power_p, power_m
-    coef = _ACC_DTYPE(1.0)
-    exponent = 1 if odd else 0
+    if kind == "exp":
+        (pr, pi_), (mr, mi), exponent, stride = _ONE, _ONE, 0, 1
+        (spr, spi), (smr, smi) = lam_p, lam_m
+    else:
+        (pr, pi_), (mr, mi), exponent = (lam_p, lam_m, 1) if kind == "S" else (_ONE, _ONE, 0)
+        (spr, spi), (smr, smi), stride = _mul(lam_p, lam_p), _mul(lam_m, lam_m), 2
+        smr, smi = -smr, -smi
+    apr, api, amr, ami = pr, pi_, mr, mi
+    bound = (2 * Decimal(policy.term_tol)) ** 2
     for _ in range(policy.max_terms):
-        power_p = power_p * step_p
-        power_m = power_m * step_m
-        coef /= (exponent + 1) * (exponent + 2)
-        exponent += 2
-        term_p, term_m = coef * power_p, coef * power_m
-        acc_p += term_p
-        acc_m += term_m
-        if _core_term_norm(term_p, term_m) < policy.term_tol:
-            return _lift_eigen(ctx, acc_p, acc_m)
+        d = exponent + 1 if stride == 1 else (exponent + 1) * (exponent + 2)
+        exponent += stride
+        pr, pi_ = (pr * spr - pi_ * spi) / d, (pr * spi + pi_ * spr) / d
+        mr, mi = (mr * smr - mi * smi) / d, (mr * smi + mi * smr) / d
+        apr, api, amr, ami = apr + pr, api + pi_, amr + mr, ami + mi
+        sr, si, dr, di = pr + mr, pi_ + mi, pr - mr, pi_ - mi
+        if sr * sr + si * si < bound and dr * dr + di * di < bound:
+            return complex(float(apr), float(api)), complex(float(amr), float(ami))
     raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
 
 
-def C_of(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
-    return _even_odd_series(ctx, x, policy, odd=False)
+def _series(ctx: LogicAlgebraContext, x, kind: str, policy: SeriesPolicy) -> np.ndarray:
+    a, b = _core(ctx, x)
+    plus, minus = np.empty(a.shape, complex), np.empty(a.shape, complex)
+    with decimal.localcontext(_DIGITS):
+        for i in np.ndindex(a.shape):
+            ad, bd = _dec(a[i]), _dec(b[i])
+            lam_p, lam_m = (ad[0] + bd[0], ad[1] + bd[1]), (ad[0] - bd[0], ad[1] - bd[1])
+            plus[i], minus[i] = _eigen_series(lam_p, lam_m, kind, policy)
+    return _lift_eigen(ctx, plus, minus)
 
 
-def S_of(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
-    return _even_odd_series(ctx, x, policy, odd=True)
+def logical_exp_series(
+    ctx: LogicAlgebraContext, g, policy: SeriesPolicy = DEFAULT_POLICY
+) -> np.ndarray:
+    """e^G as the paper's truncated series, the oracle for `logical_exp`."""
+    return _series(ctx, g, "exp", policy)
+
+
+def C_series(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """C(X) as the paper's truncated series, the oracle for `C_of`."""
+    return _series(ctx, x, "C", policy)
+
+
+def S_series(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """S(X) as the paper's truncated series, the oracle for `S_of`."""
+    return _series(ctx, x, "S", policy)
 
 
 def scalar_exp_series(x: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
-    """The plain scalar exponential series under the same truncation policy."""
-    acc = _ACC_DTYPE(1.0)
-    term = _ACC_DTYPE(x)
-    for k in range(1, policy.max_terms + 1):
-        acc += term
-        if abs(term) < policy.term_tol:
-            return complex(acc)
-        term = term * x / (k + 1)
-    raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
+    """The plain scalar exponential series under the same truncation policy:
+    the exp series on the core x*I2, whose two eigenvalues are both x, so its
+    core term norm is |t|."""
+    with decimal.localcontext(_DIGITS):
+        lam = _dec(x)
+        return _eigen_series(lam, lam, "exp", policy)[0]
 
 
 @dataclass(frozen=True)
@@ -202,7 +251,6 @@ def verify_euler_suite(
     ctx: LogicAlgebraContext,
     v_samples,
     ks=(2, 3, 5),
-    policy: SeriesPolicy = DEFAULT_POLICY,
     tol: float = 1e-8,
 ) -> IdentityReport:
     """Max-norm residuals of the full identity list over the given samples.
@@ -217,8 +265,13 @@ def verify_euler_suite(
     (h) (C(Pi v) + A S(Pi v))^k = C(Pi k v) + A S(Pi k v), integer k >= 0;
         the zeroth power is the logical identity I, as in e^G
 
+    The closed forms run on the stack of all samples at once, and each
+    identity is one stacked product ((e) and (f): one per sample a; (h): one
+    per k).
+
     Raises ValueError for a k that is not a non-negative integer, and for a
-    v whose series argument Pi v, Pi k v or Pi (va + vb) is not finite.
+    v whose argument w = Pi v, Pi k v or Pi (va + vb) is not finite
+    or so large that its rounding error |w| 2^-52 is not below tol.
     """
     v_samples = [float(v) for v in v_samples]
     for k in ks:
@@ -232,40 +285,39 @@ def verify_euler_suite(
     arguments += [("va+vb", va + vb) for va in v_samples for vb in v_samples]
     for label, w in arguments:
         if not isfinite(w * pi_norm):
-            raise ValueError(f"series argument Pi*{label} is not finite at {label} = {w!r}")
-    res = {name: 0.0 for name in "abcdefh"}
+            raise ValueError(f"argument Pi*{label} is not finite at {label} = {w!r}")
+    for label, w in arguments:
+        if not abs(w) * pi_norm * 2.0**-52 < tol:
+            raise ValueError(
+                f"argument Pi*{label} at {label} = {w!r} is too large: "
+                f"its rounding error |Pi*{label}| * 2^-52 is not below tol = {tol!r}"
+            )
 
-    cache = {}
-
-    def csx(v):
-        if v not in cache:
-            x = ctx.Pi * v
-            cache[v] = (C_of(ctx, x, policy), S_of(ctx, x, policy))
-        return cache[v]
-
-    for v in v_samples:
-        x = ctx.Pi * v
-        c, s = csx(v)
-        e_pos = logical_exp(ctx, ctx.A @ x, policy)
-        e_neg = logical_exp(ctx, -(ctx.A @ x), policy)
-        res["a"] = max(res["a"], max_norm(e_pos - (c + ctx.A @ s)))
-        res["b"] = max(res["b"], max_norm(c @ c - ctx.N @ s @ s - ctx.I))
-        res["c"] = max(res["c"], max_norm(c - 0.5 * (e_pos + e_neg)))
-        res["d"] = max(res["d"], max_norm(s - 0.5 * ctx.B @ (e_pos - e_neg)))
-        for k in ks:
-            ck, sk = csx(k * v)
-            power = ctx.I if k == 0 else np.linalg.matrix_power(c + ctx.A @ s, k)
-            res["h"] = max(res["h"], max_norm(power - (ck + ctx.A @ sk)))
-
-    for va in v_samples:
-        for vb in v_samples:
-            ca, sa = csx(va)
-            cb, sb = csx(vb)
-            csum, ssum = csx(va + vb)
-            res["e"] = max(res["e"], max_norm(csum - (ca @ cb + ctx.N @ sa @ sb)))
-            res["f"] = max(res["f"], max_norm(ssum - (sa @ cb + sb @ ca)))
-
-    res["g"] = max_norm(logical_exp(ctx, ctx.A @ ctx.Pi, policy) + ctx.I)
+    v = np.array(v_samples)
+    x = ctx.Pi * v[:, None, None]
+    c, s = C_of(ctx, x), S_of(ctx, x)
+    ax = ctx.A @ x
+    e_pos, e_neg = logical_exp(ctx, ax), logical_exp(ctx, -ax)
+    c_plus_as = c + ctx.A @ s
+    res = {
+        "a": max_norm(e_pos - c_plus_as),
+        "b": max_norm(c @ c - ctx.N @ s @ s - ctx.I),
+        "c": max_norm(c - 0.5 * (e_pos + e_neg)),
+        "d": max_norm(s - 0.5 * ctx.B @ (e_pos - e_neg)),
+        "e": 0.0,
+        "f": 0.0,
+        "h": 0.0,
+    }
+    for k in ks:
+        xk = ctx.Pi * (k * v)[:, None, None]
+        power = ctx.I if k == 0 else np.linalg.matrix_power(c_plus_as, k)
+        res["h"] = max(res["h"], max_norm(power - (C_of(ctx, xk) + ctx.A @ S_of(ctx, xk))))
+    # one sample a at a time, so memory stays O(len(v) Q^2)
+    for i, va in enumerate(v):
+        xs = ctx.Pi * (va + v)[:, None, None]
+        res["e"] = max(res["e"], max_norm(C_of(ctx, xs) - (c[i] @ c + ctx.N @ s[i] @ s)))
+        res["f"] = max(res["f"], max_norm(S_of(ctx, xs) - (s[i] @ c + s @ c[i])))
+    res["g"] = max_norm(logical_exp(ctx, ctx.A @ ctx.Pi) + ctx.I)
 
     named = {
         "a_exp_equals_C_plus_AS": res["a"],

@@ -20,8 +20,8 @@ from .scalar_logic import ID, NOT, TRUE, DyadicTable, MonadicTable
 
 
 def max_norm(m) -> float:
-    """Largest absolute entry; dimension-independent residual norm."""
-    return float(np.max(np.abs(m)))
+    """Largest absolute entry (0 for an empty array); dimension-independent residual norm."""
+    return float(np.max(np.abs(m), initial=0.0))
 
 
 def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -51,9 +51,11 @@ def dyadic_operator(basis: TruthBasis, table: DyadicTable) -> np.ndarray:
 
 def _dyadic_times_kron(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """T (X(x)Y) for a Q x Q^2 gate T and Q x Q matrices X, Y, without the
-    Q^2 x Q^2 Kronecker matrix: T as Q x Q x Q contracted with X and Y."""
+    Q^2 x Q^2 Kronecker matrix: T as Q x Q x Q, contracted with Y over its
+    last index in one product and with X over its middle index in another."""
     q = x.shape[0]
-    return np.einsum("ikm,kj,ml->ijl", t.reshape(q, q, q), x, y, optimize=True).reshape(q, q * q)
+    ty = (t.reshape(q * q, q) @ y).reshape(q, q, q)  # [i, k, l] = sum_m T[i, k, m] Y[m, l]
+    return (x.T @ ty).reshape(q, q * q)  # [i, j, l] = sum_k X[k, j] ty[i, k, l]
 
 
 def identity_operator(basis: TruthBasis) -> np.ndarray:

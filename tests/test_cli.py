@@ -212,3 +212,16 @@ def test_euler_negative_k_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize("v", ["1e100", "0.5,1e300"])
+def test_euler_too_large_v_exits_1(capsys, tmp_path, v):
+    # finite, but |Pi v| 2^-52 is not below the suite tolerance
+    basis_file = tmp_path / "dim4.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "euler", "--basis", str(basis_file), "--v", v)
+    assert code == 1
+    assert out == ""
+    assert "too large" in err

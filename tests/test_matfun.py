@@ -3,16 +3,21 @@
 import math
 import re
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vlogic import (
     C_of,
+    C_series,
     S_of,
+    S_series,
     SeriesPolicy,
     canonical_basis,
     logical_exp,
+    logical_exp_series,
     make_context,
     max_norm,
     pi_matrix,
@@ -21,9 +26,13 @@ from vlogic import (
 )
 from vlogic.errors import NonCommuting, SeriesNotConverged
 from vlogic.matfun import scalar_exp_series
+from vlogic.operators import lift
 from vlogic.verify import EULER_KS, EULER_V_SAMPLES
 
 SUITE_TOL = 1e-8
+
+CLOSED_FORMS = {"exp": logical_exp, "C": C_of, "S": S_of}
+SERIES = {"exp": logical_exp_series, "C": C_series, "S": S_series}
 
 
 @pytest.fixture
@@ -81,25 +90,25 @@ def test_rejects_argument_outside_logic_span(ctx):
     # commutes with N, but acts on the complement of span{s, n}
     g = 0.7 * (np.eye(4) - ctx.I)
     assert max_norm(g @ ctx.N - ctx.N @ g) < 1e-15
-    for series in (logical_exp, C_of, S_of):
+    for series in (logical_exp, C_of, S_of, logical_exp_series, C_series, S_series):
         with pytest.raises(NonCommuting):
             series(ctx, g)
 
 
 def test_series_cap(ctx):
     with pytest.raises(SeriesNotConverged):
-        logical_exp(ctx, ctx.A @ ctx.Pi * 3, SeriesPolicy(term_tol=1e-16, max_terms=8))
+        logical_exp_series(ctx, ctx.A @ ctx.Pi * 3, SeriesPolicy(term_tol=1e-16, max_terms=8))
 
 
 def test_series_converges_within_cap(ctx):
     # max-norm of X up to 8 always converges under the default policy
     x = ctx.Pi * (8.0 / max_norm(ctx.Pi))
     assert max_norm(x) <= 8.0 + 1e-12
-    C_of(ctx, x)
-    S_of(ctx, x)
+    C_series(ctx, x)
+    S_series(ctx, x)
     # exponential arguments across the suite's range converge too
     for v in (0.25, 1.5, 3.0, -3.0):
-        logical_exp(ctx, ctx.A @ ctx.Pi * v)
+        logical_exp_series(ctx, ctx.A @ ctx.Pi * v)
 
 
 def test_c_s_at_zero(ctx):
@@ -132,6 +141,12 @@ def test_pi_matrix(ctx2):
     # Pi A = i pi I and Pi^2 = -pi^2 N
     assert max_norm(p @ ctx2.A - 1j * math.pi * ctx2.I) < 1e-12
     assert max_norm(p @ p + math.pi**2 * ctx2.N) < 1e-10
+
+
+@pytest.mark.parametrize("x", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_scalar_series_rejects_non_finite_argument(x):
+    with pytest.raises(ValueError, match="finite"):
+        scalar_exp_series(x)
 
 
 def test_scalar_series_oracle(ctx):
@@ -215,15 +230,16 @@ def dense_series(ctx, x, kind, terms=40):
 )
 def test_series_match_dense_reference(basis):
     c = make_context(basis)
-    for v in (-0.5, -0.2, 0.1, 0.35, 0.5):
-        x = c.Pi * v
-        assert max_norm(logical_exp(c, c.A @ x) - dense_series(c, c.A @ x, "exp")) < 1e-12
-        assert max_norm(C_of(c, x) - dense_series(c, x, "C")) < 1e-12
-        assert max_norm(S_of(c, x) - dense_series(c, x, "S")) < 1e-12
-    # a core that is no multiple of Pi: X = 0.3 I - 0.2i N
-    x = 0.3 * c.I - 0.2j * c.N
-    for series, kind in ((logical_exp, "exp"), (C_of, "C"), (S_of, "S")):
-        assert max_norm(series(c, x) - dense_series(c, x, kind)) < 1e-12
+    for family in (SERIES, CLOSED_FORMS):
+        for v in (-0.5, -0.2, 0.1, 0.35, 0.5):
+            x = c.Pi * v
+            assert max_norm(family["exp"](c, c.A @ x) - dense_series(c, c.A @ x, "exp")) < 1e-12
+            assert max_norm(family["C"](c, x) - dense_series(c, x, "C")) < 1e-12
+            assert max_norm(family["S"](c, x) - dense_series(c, x, "S")) < 1e-12
+        # a core that is no multiple of Pi: X = 0.3 I - 0.2i N
+        x = 0.3 * c.I - 0.2j * c.N
+        for kind, series in family.items():
+            assert max_norm(series(c, x) - dense_series(c, x, kind)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [4, 16])
@@ -271,17 +287,14 @@ def core_loop_series(ctx, x, kind, policy=SeriesPolicy()):
     raise SeriesNotConverged("reference")
 
 
-SERIES_KINDS = ((logical_exp, "exp"), (C_of, "C"), (S_of, "S"))
-
-
 def series_arguments(c, v):
-    """(series, kind, argument) triples at parameter v: C and S at Pi v, e^G at
-    A Pi v, and all three at the core (0.3 I - 0.2i N) v, no multiple of Pi."""
-    yield logical_exp, "exp", c.A @ c.Pi * v
-    yield C_of, "C", c.Pi * v
-    yield S_of, "S", c.Pi * v
-    for series, kind in SERIES_KINDS:
-        yield series, kind, (0.3 * c.I - 0.2j * c.N) * v
+    """(kind, argument) pairs at parameter v: C and S at Pi v, e^G at A Pi v,
+    and all three at the core (0.3 I - 0.2i N) v, no multiple of Pi."""
+    yield "exp", c.A @ c.Pi * v
+    yield "C", c.Pi * v
+    yield "S", c.Pi * v
+    for kind in ("exp", "C", "S"):
+        yield kind, (0.3 * c.I - 0.2j * c.N) * v
 
 
 @pytest.mark.parametrize("dim", [4, 16])
@@ -289,9 +302,10 @@ def series_arguments(c, v):
 def test_eigenvalue_series_match_core_loop(dim, eps):
     c = make_context(random_basis(dim, eps, 2))
     for v in np.linspace(-3.0, 3.0, 25):
-        for series, kind, x in series_arguments(c, v):
+        for kind, x in series_arguments(c, v):
             ref = core_loop_series(c, x, kind)
-            assert max_norm(series(c, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, v)
+            for family in (SERIES, CLOSED_FORMS):
+                assert max_norm(family[kind](c, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, v)
 
 
 @pytest.mark.parametrize("dim", [4, 16])
@@ -302,7 +316,8 @@ def test_eigenvalue_series_stop_like_core_loop(dim, eps):
     for max_terms in (8, 12, 20, 30, 64):
         policy = SeriesPolicy(max_terms=max_terms)
         for v in np.linspace(-7.5, 7.5, 61):
-            for series, kind, x in series_arguments(c, v):
+            for kind, x in series_arguments(c, v):
+                series = SERIES[kind]
                 try:
                     core_loop_series(c, x, kind, policy)
                     expect_raise = False
@@ -347,3 +362,86 @@ def test_euler_suite_rejects_non_integer_k(ctx, k):
     # int(k) would truncate the power while C(Pi k v) used the full k
     with pytest.raises(ValueError, match="non-negative integer"):
         verify_euler_suite(ctx, [0.5], ks=(2, k))
+
+
+@pytest.mark.parametrize(
+    "basis", [canonical_basis("DIM4"), random_basis(8, 0.35, 3)], ids=["DIM4", "Q8-oblique"]
+)
+def test_rejects_argument_in_frame_that_does_not_commute_with_n(basis):
+    # s y^T lies inside span{s, n}, but its core [[1, 0], [0, 0]] does not
+    # commute with J: only the symmetrized core lets the span check see it
+    c = make_context(basis)
+    x = lift(basis, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    for family in (CLOSED_FORMS, SERIES):
+        for function in family.values():
+            with pytest.raises(NonCommuting):
+                function(c, x)
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+@pytest.mark.parametrize("eps", [0.0, 0.35])
+def test_closed_forms_match_decimal_series(dim, eps):
+    c = make_context(random_basis(dim, eps, 2))
+    policy = SeriesPolicy(max_terms=128)  # e^G at A Pi 7.5 needs about 100 terms
+    for v in np.linspace(-7.5, 7.5, 61):
+        for kind, x in series_arguments(c, v):
+            ref = SERIES[kind](c, x, policy)
+            assert max_norm(CLOSED_FORMS[kind](c, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, v)
+
+
+def test_stacked_argument_matches_per_argument_calls():
+    b = random_basis(8, 0.35, 4)
+    c = make_context(b)
+    args = [x for v in np.linspace(-2.0, 2.0, 4) for _, x in series_arguments(c, v)]
+    stack = np.array(args).reshape(4, 6, 8, 8)
+    for family in (CLOSED_FORMS, SERIES):
+        for function in family.values():
+            out = function(c, stack)
+            assert out.shape == stack.shape
+            for i, j in np.ndindex(4, 6):
+                ref = function(c, stack[i, j])
+                assert max_norm(out[i, j] - ref) <= 1e-14 * max(1.0, max_norm(ref))
+            # one slice outside span{I, N} fails the whole stack
+            bad = stack.copy()
+            bad[3, 5] += lift(b, np.array([[1.0, 0.0], [0.0, 0.0]]))
+            with pytest.raises(NonCommuting):
+                function(c, bad)
+
+
+def test_src_has_no_extended_precision():
+    # results must not depend on the platform's long double
+    src = Path(__file__).resolve().parents[1] / "src"
+    pattern = re.compile(r"longdouble|float96|float128|complex192|complex256")
+    hits = [
+        f"{path.name}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, hits
+
+
+@pytest.mark.parametrize("v", [1e100, 1e300])
+def test_euler_suite_rejects_argument_too_large_for_tol(ctx, v):
+    # finite, but the rounding error |Pi v| 2^-52 of the argument is not below tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("Pi*v at v = ") + ".*too large"):
+            verify_euler_suite(ctx, [0.5, v])
+
+
+def test_euler_suite_argument_bound_follows_tol(ctx):
+    # the largest argument is Pi 2v, with rounding error |Pi 2v| 2^-52 = 1e-9
+    v = 1e-9 * 2.0**52 / (2 * max_norm(ctx.Pi))
+    verify_euler_suite(ctx, [v], ks=(2,), tol=1.1e-9)
+    with pytest.raises(ValueError, match=re.escape("Pi*k*v at k*v = ")):
+        verify_euler_suite(ctx, [v], ks=(2,), tol=0.9e-9)
+
+
+@pytest.mark.parametrize("v", [1e100, 1e300])
+def test_series_at_huge_argument_do_not_converge(ctx, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, x in (("exp", ctx.A @ ctx.Pi * v), ("C", ctx.Pi * v), ("S", ctx.Pi * v)):
+            with pytest.raises(SeriesNotConverged):
+                SERIES[kind](ctx, x)

@@ -203,6 +203,12 @@ def test_tautology_contraction_matches_dense_kron(dim):
         assert max_norm(
             n_op @ _dyadic_times_kron(t, n_op, n_op) - n_op @ t @ np.kron(n_op, n_op)
         ) < 1e-13
+    # I and N are symmetric, so they cannot tell X from X^T: add general factors
+    rng = np.random.default_rng(dim)
+    x, y = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+    for table in sl.ALL_DYADIC_TABLES:
+        t = dyadic_operator(b, table)
+        assert max_norm(_dyadic_times_kron(t, x, y) - t @ np.kron(x, y)) < 1e-13
 
 
 @pytest.mark.parametrize("dim,eps,seed", [(2, 0.35, 1), (5, -0.4, 2), (8, 0.35, 3)])
