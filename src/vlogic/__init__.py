@@ -5,11 +5,9 @@ from .basis import TruthBasis, canonical_basis, make_basis, random_basis
 from .diagnosis import (
     DiagnosisResult,
     GateSignature,
-    classify_dyadic,
-    classify_monadic,
+    classify,
     enumerate_dyadic_signatures,
-    probe_dyadic,
-    probe_monadic,
+    probe,
 )
 from .matfun import (
     C_of,
@@ -25,16 +23,7 @@ from .matfun import (
     pi_matrix,
     verify_euler_suite,
 )
-from .operators import (
-    apply_dyadic,
-    apply_monadic,
-    dyadic_operator,
-    identity_operator,
-    kron,
-    max_norm,
-    monadic_operator,
-    negation_operator,
-)
+from .operators import gate_operator, identity_operator, max_norm, negation_operator
 from .scalar_logic import (
     AND,
     CID,
@@ -49,24 +38,19 @@ from .scalar_logic import (
     OR,
     TRUE,
     XOR,
-    DyadicTable,
-    MonadicTable,
-    dyad_eval,
-    mon_eval,
+    TruthTable,
+    evaluate,
 )
 from .srn import SrnPair, eigenvalues, solve_srn_coefficients, sqrt_not
 
 __all__ = [
     "TruthBasis", "canonical_basis", "make_basis", "random_basis",
-    "DiagnosisResult", "GateSignature", "classify_dyadic", "classify_monadic",
-    "enumerate_dyadic_signatures", "probe_dyadic", "probe_monadic",
+    "DiagnosisResult", "GateSignature", "classify", "enumerate_dyadic_signatures", "probe",
     "C_of", "C_series", "IdentityReport", "LogicAlgebraContext", "S_of", "S_series",
     "SeriesPolicy", "logical_exp", "logical_exp_series", "make_context", "pi_matrix",
     "verify_euler_suite",
-    "apply_dyadic", "apply_monadic", "dyadic_operator", "identity_operator",
-    "kron", "max_norm", "monadic_operator", "negation_operator",
+    "gate_operator", "identity_operator", "max_norm", "negation_operator",
     "AND", "CID", "CNOT", "EQUI", "FALSE", "ID", "IMPL", "NAND", "NOR",
-    "NOT", "OR", "TRUE", "XOR", "DyadicTable", "MonadicTable",
-    "dyad_eval", "mon_eval",
+    "NOT", "OR", "TRUE", "XOR", "TruthTable", "evaluate",
     "SrnPair", "eigenvalues", "solve_srn_coefficients", "sqrt_not",
 ]

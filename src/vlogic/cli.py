@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import count
 
 from . import diagnosis, matfun, scalar_logic, verify
 from .basis import canonical_basis, random_basis
 from .errors import VectorLogicError
-from .operators import dyadic_operator, monadic_operator
+from .operators import gate_operator
 from .serialize import (
     basis_from_dict,
     basis_to_dict,
@@ -60,12 +61,7 @@ def cmd_basis(args) -> int:
 
 def cmd_op(args) -> int:
     b = _load_basis(args.basis, args.tol)
-    table = scalar_logic.gate(args.gate)
-    if isinstance(table, scalar_logic.MonadicTable):
-        m = monadic_operator(b, table)
-    else:
-        m = dyadic_operator(b, table)
-    dump_json(matrix_to_dict(m), args.out)
+    dump_json(matrix_to_dict(gate_operator(b, scalar_logic.gate(args.gate))), args.out)
     return 0
 
 
@@ -86,20 +82,10 @@ def cmd_sqrt_not(args) -> int:
 def cmd_diagnose(args) -> int:
     b = _load_basis(args.basis, 1e-10)
     oracle = matrix_from_dict(load_json(args.oracle))
-    arity = args.arity
-    if arity is None:
-        if oracle.shape == (b.dim, b.dim):
-            arity = 1
-        elif oracle.shape == (b.dim, b.dim * b.dim):
-            arity = 2
-        else:
-            raise VectorLogicError(f"cannot infer arity from oracle shape {oracle.shape}")
-    if arity == 1:
-        sig = diagnosis.probe_monadic(oracle, b)
-        result = diagnosis.classify_monadic(sig, tol=args.tol)
-    else:
-        sig = diagnosis.probe_dyadic(oracle, b)
-        result = diagnosis.classify_dyadic(sig, tol=args.tol)
+    # without --arity, the k of a Q x Q^k oracle; probe rejects any other shape
+    arity = args.arity or next(k for k in count(1) if b.dim**k >= oracle.shape[1])
+    sig = diagnosis.probe(oracle, b, arity)
+    result = diagnosis.classify(sig, arity, tol=args.tol)
     payload = {
         "verdict": result.verdict,
         "distance": result.distance,

@@ -33,6 +33,10 @@ class UnknownGate(UnknownName):
     pass
 
 
+class UnsupportedArity(VectorLogicError):
+    """No reference signatures exist for the requested gate arity."""
+
+
 class NonSquare(VectorLogicError):
     pass
 

@@ -1,9 +1,11 @@
 """Logic gates as matrices over a truth basis.
 
-Monadic gates are Q x Q matrices U = [a b] [y z]^T, so that U s = a and
-U n = b, where a and b are columns of the frame [s n]. Dyadic gates are
-Q x Q^2 matrices acting on Kronecker products of truth vectors,
-T = e (y(x)y)^T + f (y(x)z)^T + g (z(x)y)^T + h (z(x)z)^T.
+A k-ary gate is the Q x Q^k matrix [a_1 ... a_{2^k}] ([y z]^T)^{(x)k}: its
+output columns of the frame [s n] times the k-th Kronecker power of the
+duals. Row j of that power is the product of y (true) and z (false) picked
+by input combination j, so the gate maps the matching product of s and n to
+output column j. For k = 1 this is U = [a b] [y z]^T, with U s = a and
+U n = b; for k = 2, T = e (y(x)y)^T + f (y(x)z)^T + g (z(x)y)^T + h (z(x)z)^T.
 
 For a non-orthogonal basis these constructions give the generalized
 identity sy^T + nz^T and negation ny^T + sz^T automatically. The canonical
@@ -15,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import TruthBasis
-from .errors import DimensionMismatch
-from .scalar_logic import ID, NOT, TRUE, DyadicTable, MonadicTable
+from .scalar_logic import ID, NOT, TRUE, TruthTable
 
 
 def max_norm(m) -> float:
@@ -24,29 +25,24 @@ def max_norm(m) -> float:
     return float(np.max(np.abs(m), initial=0.0))
 
 
-def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.kron(u, v)
-
-
 def lift(basis: TruthBasis, core) -> np.ndarray:
     """[s n] core [y z]^T: the Q x Q matrix whose 2 x 2 core over the frame is core."""
     return basis.frame @ core @ basis.duals
 
 
-def _output_columns(basis: TruthBasis, outputs) -> np.ndarray:
-    """The frame column of each output: s for TRUE, n for FALSE."""
-    return basis.frame[:, [0 if out == TRUE else 1 for out in outputs]]
+def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
+    """m (x) ... (x) m with k >= 1 factors, by broadcasting: row i*p + j,
+    column a*q + b of X (x) M is X[i, a] M[j, b]."""
+    out = m
+    for _ in range(k - 1):
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(out.shape[0] * m.shape[0], -1)
+    return out
 
 
-def monadic_operator(basis: TruthBasis, table: MonadicTable) -> np.ndarray:
-    return _output_columns(basis, (table.out_t, table.out_f)) @ basis.duals
-
-
-def dyadic_operator(basis: TruthBasis, table: DyadicTable) -> np.ndarray:
-    """[e f g h] @ rows(y(x)y, y(x)z, z(x)y, z(x)z): one Q x 4 @ 4 x Q^2 product."""
-    w = basis.duals
-    rows = (w[:, None, :, None] * w[None, :, None, :]).reshape(4, basis.dim * basis.dim)
-    return _output_columns(basis, table.outputs) @ rows
+def gate_operator(basis: TruthBasis, table: TruthTable) -> np.ndarray:
+    """The Q x Q^k matrix of a k-ary gate: one Q x 2^k @ 2^k x Q^k product."""
+    outputs = basis.frame[:, [0 if out == TRUE else 1 for out in table.outputs]]
+    return outputs @ _kron_power(basis.duals, table.arity)
 
 
 def _dyadic_times_kron(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -60,25 +56,20 @@ def _dyadic_times_kron(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
 def identity_operator(basis: TruthBasis) -> np.ndarray:
     """The logical identity: s y^T + n z^T. Not the full identity for Q > 2."""
-    return monadic_operator(basis, ID)
+    return gate_operator(basis, ID)
 
 
 def negation_operator(basis: TruthBasis) -> np.ndarray:
     """The logical negation: n y^T + s z^T."""
-    return monadic_operator(basis, NOT)
+    return gate_operator(basis, NOT)
 
 
-def apply_monadic(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    u = np.asarray(u)
-    x = np.asarray(x)
-    if u.ndim != 2 or x.ndim != 1 or u.shape[1] != x.size:
-        raise DimensionMismatch(f"cannot apply {u.shape} operator to length-{x.size} vector")
-    return u @ x
+# Fixed-arity names, kept for callers written against them.
 
 
-def apply_dyadic(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    t = np.asarray(t)
-    xy = np.asarray(xy)
-    if t.ndim != 2 or xy.ndim != 1 or t.shape[1] != xy.size:
-        raise DimensionMismatch(f"cannot apply {t.shape} operator to length-{xy.size} vector")
-    return t @ xy
+def monadic_operator(basis: TruthBasis, table: TruthTable) -> np.ndarray:
+    return gate_operator(basis, table)
+
+
+def dyadic_operator(basis: TruthBasis, table: TruthTable) -> np.ndarray:
+    return gate_operator(basis, table)

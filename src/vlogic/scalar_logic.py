@@ -1,9 +1,9 @@
 """Logic gates as +1/-1 arithmetic: the scalar ground truth for the matrix operators.
 
 Truth values are integers: true -> +1, false -> -1. Truth tables are the
-canonical gate representation (they cover all 16 dyadic gates); the
-closed-form polynomials exist only for the named gates and are kept as a
-redundant cross-check.
+canonical gate representation, of any arity (they cover all 16 dyadic
+gates); the closed-form polynomials exist only for the named gates and are
+kept as a redundant cross-check.
 """
 
 from __future__ import annotations
@@ -26,87 +26,70 @@ def _check_truth(w: int) -> int:
 
 
 @dataclass(frozen=True)
-class MonadicTable:
-    """One of the four monadic gates, as outputs on inputs t and f."""
+class TruthTable:
+    """A k-ary gate as its 2^k outputs, one per input combination, in the
+    order of itertools.product((TRUE, FALSE), repeat=k): (t, f) for k = 1,
+    (t,t), (t,f), (f,t), (f,f) for k = 2."""
 
     name: str
-    out_t: int
-    out_f: int
+    outputs: tuple[int, ...]
 
     def __post_init__(self):
-        _check_truth(self.out_t)
-        _check_truth(self.out_f)
-
-    @property
-    def pattern(self) -> str:
-        return _SYM[self.out_t] + _SYM[self.out_f]
-
-
-@dataclass(frozen=True)
-class DyadicTable:
-    """A dyadic gate as outputs on inputs (t,t), (t,f), (f,t), (f,f)."""
-
-    name: str
-    out_tt: int
-    out_tf: int
-    out_ft: int
-    out_ff: int
-
-    def __post_init__(self):
+        size = len(self.outputs)
+        if size < 2 or size & (size - 1):
+            raise ValueError(f"a truth table needs 2^k outputs with k >= 1, got {size}")
         for w in self.outputs:
             _check_truth(w)
 
     @property
-    def outputs(self) -> tuple[int, int, int, int]:
-        return (self.out_tt, self.out_tf, self.out_ft, self.out_ff)
+    def arity(self) -> int:
+        return len(self.outputs).bit_length() - 1
 
     @property
     def pattern(self) -> str:
         return "".join(_SYM[w] for w in self.outputs)
 
 
-ID = MonadicTable("ID", TRUE, FALSE)
-NOT = MonadicTable("NOT", FALSE, TRUE)
-CID = MonadicTable("CID", TRUE, TRUE)
-CNOT = MonadicTable("CNOT", FALSE, FALSE)
+ID = TruthTable("ID", (TRUE, FALSE))
+NOT = TruthTable("NOT", (FALSE, TRUE))
+CID = TruthTable("CID", (TRUE, TRUE))
+CNOT = TruthTable("CNOT", (FALSE, FALSE))
 
 MONADIC_GATES = {t.name: t for t in (ID, NOT, CID, CNOT)}
 
-IMPL = DyadicTable("IMPL", TRUE, FALSE, TRUE, TRUE)
-OR = DyadicTable("OR", TRUE, TRUE, TRUE, FALSE)
-AND = DyadicTable("AND", TRUE, FALSE, FALSE, FALSE)
-EQUI = DyadicTable("EQUI", TRUE, FALSE, FALSE, TRUE)
-XOR = DyadicTable("XOR", FALSE, TRUE, TRUE, FALSE)
+IMPL = TruthTable("IMPL", (TRUE, FALSE, TRUE, TRUE))
+OR = TruthTable("OR", (TRUE, TRUE, TRUE, FALSE))
+AND = TruthTable("AND", (TRUE, FALSE, FALSE, FALSE))
+EQUI = TruthTable("EQUI", (TRUE, FALSE, FALSE, TRUE))
+XOR = TruthTable("XOR", (FALSE, TRUE, TRUE, FALSE))
 # NAND and NOR are the entrywise negations of AND and OR.
-NAND = DyadicTable("NAND", *(-w for w in AND.outputs))
-NOR = DyadicTable("NOR", *(-w for w in OR.outputs))
+NAND = TruthTable("NAND", tuple(-w for w in AND.outputs))
+NOR = TruthTable("NOR", tuple(-w for w in OR.outputs))
 
 NAMED_DYADIC_GATES = {t.name: t for t in (IMPL, OR, AND, EQUI, XOR, NAND, NOR)}
 
 _NAMED_BY_PATTERN = {t.pattern: t for t in NAMED_DYADIC_GATES.values()}
 
-ALL_DYADIC_TABLES: tuple[DyadicTable, ...] = tuple(
+ALL_DYADIC_TABLES: tuple[TruthTable, ...] = tuple(
     _NAMED_BY_PATTERN.get(
         "".join(_SYM[w] for w in outs),
-        DyadicTable("".join(_SYM[w] for w in outs), *outs),
+        TruthTable("".join(_SYM[w] for w in outs), outs),
     )
     for outs in product((TRUE, FALSE), repeat=4)
 )
 
 
-def mon_eval(table: MonadicTable, w: int) -> int:
-    _check_truth(w)
-    return table.out_t if w == TRUE else table.out_f
+def evaluate(table: TruthTable, *inputs: int) -> int:
+    """The table's output on one truth value per input."""
+    if len(inputs) != table.arity:
+        raise ValueError(f"{table.name} takes {table.arity} inputs, got {len(inputs)}")
+    index = 0
+    for w in inputs:
+        index = 2 * index + (_check_truth(w) == FALSE)
+    return table.outputs[index]
 
 
-def dyad_eval(table: DyadicTable, u: int, v: int) -> int:
-    _check_truth(u)
-    _check_truth(v)
-    idx = (0 if u == TRUE else 2) + (0 if v == TRUE else 1)
-    return table.outputs[idx]
-
-
-def gate(name: str) -> MonadicTable | DyadicTable:
+def gate(name: str) -> TruthTable:
     """Look up any named gate, case-insensitive."""
     key = name.upper()
     if key in MONADIC_GATES:
@@ -118,14 +101,11 @@ def gate(name: str) -> MonadicTable | DyadicTable:
 
 # Closed-form polynomials over {+1,-1}; redundant checks against the tables.
 
-MONADIC_CLOSED_FORMS = {
+CLOSED_FORMS = {
     "ID": lambda w: w,
     "NOT": lambda w: -w,
     "CID": lambda w: w * w,
     "CNOT": lambda w: -(w * w),
-}
-
-DYADIC_CLOSED_FORMS = {
     "IMPL": lambda u, v: (-u + v) // 2 + (1 - ((-u + v) // 2) ** 2) * u * v,
     "OR": lambda u, v: (u + v) // 2 - (1 - ((u + v) // 2) ** 2) * u * v,
     "AND": lambda u, v: (u + v) // 2 + (1 - ((u + v) // 2) ** 2) * u * v,

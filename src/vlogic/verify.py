@@ -7,6 +7,7 @@ every section does.
 
 from __future__ import annotations
 
+from itertools import product
 from math import pi
 
 import numpy as np
@@ -15,13 +16,13 @@ from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
 from .operators import (
     _dyadic_times_kron,
-    dyadic_operator,
+    _kron_power,
+    gate_operator,
     identity_operator,
     max_norm,
-    monadic_operator,
     negation_operator,
 )
-from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, TRUE, dyad_eval, mon_eval
+from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
 
 IDENTITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
@@ -42,31 +43,28 @@ def basis_residuals(b: TruthBasis) -> dict[str, float]:
 def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
     """Matrix gates vs the scalar +/-1 oracle on every {s,n} input combination.
 
-    Each gate is applied once to all its inputs side by side: [s n] for a
-    monadic gate, K = [s(x)s, s(x)n, n(x)s, n(x)n] for a dyadic one, so the
-    max-norm of the Q x 2 or Q x 4 residual is the worst input's residual.
+    A k-ary gate is applied once to all its inputs side by side, the
+    Q^k x 2^k matrix [s n]^{(x)k} whose column j is the product of frame
+    columns picked by input combination j (for k = 2: s(x)s, s(x)n, n(x)s,
+    n(x)n), so the max-norm of the Q x 2^k residual is the worst input's.
     """
     col = {TRUE: 0, FALSE: 1}  # frame column of each truth value
-    mon_inputs = (TRUE, FALSE)
-    dyad_inputs = [(u, v) for u in (TRUE, FALSE) for v in (TRUE, FALSE)]
-    # column (u, v) of K is frame[:, u] (x) frame[:, v], in the order of dyad_inputs
-    dyad_k = (b.frame[:, None, :, None] * b.frame[None, :, None, :]).reshape(b.dim * b.dim, 4)
     out: dict[str, float] = {}
-    for name, table in MONADIC_GATES.items():
-        expected = b.frame[:, [col[mon_eval(table, w)] for w in mon_inputs]]
-        out[f"monadic_{name}"] = max_norm(monadic_operator(b, table) @ b.frame - expected)
-    for table in ALL_DYADIC_TABLES:
-        expected = b.frame[:, [col[dyad_eval(table, u, v)] for u, v in dyad_inputs]]
-        out[f"dyadic_{table.name}"] = max_norm(dyadic_operator(b, table) @ dyad_k - expected)
+    for prefix, arity, tables in (("monadic", 1, MONADIC_GATES.values()), ("dyadic", 2, ALL_DYADIC_TABLES)):
+        inputs = list(product((TRUE, FALSE), repeat=arity))  # in the column order of [s n]^{(x)k}
+        frames = _kron_power(b.frame, arity)
+        for table in tables:
+            expected = b.frame[:, [col[evaluate(table, *ws)] for ws in inputs]]
+            out[f"{prefix}_{table.name}"] = max_norm(gate_operator(b, table) @ frames - expected)
     return out
 
 
 def tautology_residuals(b: TruthBasis) -> dict[str, float]:
     ident = identity_operator(b)
     neg = negation_operator(b)
-    l = dyadic_operator(b, scalar_logic.IMPL)
-    d = dyadic_operator(b, scalar_logic.OR)
-    c = dyadic_operator(b, scalar_logic.AND)
+    l = gate_operator(b, scalar_logic.IMPL)
+    d = gate_operator(b, scalar_logic.OR)
+    c = gate_operator(b, scalar_logic.AND)
     return {
         "L_minus_D_NxI": max_norm(l - _dyadic_times_kron(d, neg, ident)),
         "D_minus_NC_NxN": max_norm(d - neg @ _dyadic_times_kron(c, neg, neg)),
@@ -76,14 +74,11 @@ def tautology_residuals(b: TruthBasis) -> dict[str, float]:
 def diagnosis_roundtrip_failures(b: TruthBasis, tol: float = 1e-10) -> list[str]:
     """Gates whose single-probe round trip misidentifies or exceeds tol."""
     failures = []
-    for name, table in MONADIC_GATES.items():
-        res = diagnosis.classify_monadic(diagnosis.probe_monadic(monadic_operator(b, table), b))
-        if res.verdict != name or res.distance > tol:
-            failures.append(name)
-    for name, table in scalar_logic.NAMED_DYADIC_GATES.items():
-        res = diagnosis.classify_dyadic(diagnosis.probe_dyadic(dyadic_operator(b, table), b))
-        if res.verdict != name or res.distance > tol:
-            failures.append(name)
+    for table in (*MONADIC_GATES.values(), *NAMED_DYADIC_GATES.values()):
+        sig = diagnosis.probe(gate_operator(b, table), b, table.arity)
+        res = diagnosis.classify(sig, table.arity)
+        if res.verdict != table.name or res.distance > tol:
+            failures.append(table.name)
     return failures
 
 
@@ -132,7 +127,7 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
 
     failures = diagnosis_roundtrip_failures(b0)
     _, classes = diagnosis.enumerate_dyadic_signatures(b0)
-    named = set(scalar_logic.NAMED_DYADIC_GATES)
+    named = set(NAMED_DYADIC_GATES)
     named_distinct = all(len([g for g in cls if g in named]) <= 1 for cls in classes)
     has_collision = any(len(cls) >= 2 for cls in classes)
     diag_ok = not failures and named_distinct and has_collision

@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from vlogic import canonical_basis
+from vlogic import FALSE, TRUE, TruthTable, canonical_basis
 
 
 @pytest.fixture
@@ -16,3 +18,12 @@ def set2():
 @pytest.fixture
 def dim4():
     return canonical_basis("DIM4")
+
+
+@pytest.fixture(scope="session")
+def ternary_tables():
+    """All 256 ternary truth tables, each named by its pattern."""
+    return [
+        TruthTable("".join("T" if w == TRUE else "F" for w in outs), outs)
+        for outs in product((TRUE, FALSE), repeat=8)
+    ]

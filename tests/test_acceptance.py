@@ -16,25 +16,21 @@ from vlogic import (
     C_of,
     S_of,
     canonical_basis,
-    classify_dyadic,
-    classify_monadic,
-    dyadic_operator,
+    classify,
     enumerate_dyadic_signatures,
+    gate_operator,
     identity_operator,
-    kron,
     logical_exp,
     make_context,
     max_norm,
-    monadic_operator,
     negation_operator,
-    probe_dyadic,
-    probe_monadic,
+    probe,
     random_basis,
     sqrt_not,
     verify_euler_suite,
 )
 from vlogic.cli import main
-from vlogic.diagnosis import symbolic_dyadic_signature
+from vlogic.diagnosis import symbolic_signature
 from vlogic.matfun import scalar_exp_series
 from vlogic.srn import eigenvalues, identity_report
 from vlogic.serialize import dump_json, load_json
@@ -62,16 +58,16 @@ def test_criterion_1_worked_example_fidelity():
     set1, set2, dim4 = canonical_basis("SET1"), canonical_basis("SET2"), canonical_basis("DIM4")
     r = 1 / np.sqrt(2)
     checks = [
-        max_norm(monadic_operator(set1, sl.ID) - np.eye(2)),
-        max_norm(monadic_operator(set1, sl.NOT) - np.array([[0, 1], [1, 0]])),
-        max_norm(monadic_operator(set2, sl.ID) - np.eye(2)),
-        max_norm(monadic_operator(set2, sl.NOT) - np.array([[1, 0], [0, -1]])),
-        max_norm(dyadic_operator(set1, sl.IMPL) - np.array([[1, 0, 1, 1], [0, 1, 0, 0]])),
-        max_norm(dyadic_operator(set1, sl.OR) - np.array([[1, 1, 1, 0], [0, 0, 0, 1]])),
-        max_norm(dyadic_operator(set2, sl.IMPL) - r * np.array([[2, 0, 0, 0], [1, 1, -1, 1]])),
-        max_norm(dyadic_operator(set2, sl.OR) - r * np.array([[2, 0, 0, 0], [1, 1, 1, -1]])),
+        max_norm(gate_operator(set1, sl.ID) - np.eye(2)),
+        max_norm(gate_operator(set1, sl.NOT) - np.array([[0, 1], [1, 0]])),
+        max_norm(gate_operator(set2, sl.ID) - np.eye(2)),
+        max_norm(gate_operator(set2, sl.NOT) - np.array([[1, 0], [0, -1]])),
+        max_norm(gate_operator(set1, sl.IMPL) - np.array([[1, 0, 1, 1], [0, 1, 0, 0]])),
+        max_norm(gate_operator(set1, sl.OR) - np.array([[1, 1, 1, 0], [0, 0, 0, 1]])),
+        max_norm(gate_operator(set2, sl.IMPL) - r * np.array([[2, 0, 0, 0], [1, 1, -1, 1]])),
+        max_norm(gate_operator(set2, sl.OR) - r * np.array([[2, 0, 0, 0], [1, 1, 1, -1]])),
         max_norm(
-            kron(np.array([[1, 0], [2, -1]]), np.array([[1, -1, 4], [3, 1, 0]]))
+            np.kron(np.array([[1, 0], [2, -1]]), np.array([[1, -1, 4], [3, 1, 0]]))
             - np.array(
                 [
                     [1, -1, 4, 0, 0, 0],
@@ -127,13 +123,13 @@ def test_criterion_3_tautologies():
     worst = 0.0
     for b in _basis_sweep(200):
         i_op, n_op = identity_operator(b), negation_operator(b)
-        l = dyadic_operator(b, sl.IMPL)
-        d = dyadic_operator(b, sl.OR)
-        c = dyadic_operator(b, sl.AND)
+        l = gate_operator(b, sl.IMPL)
+        d = gate_operator(b, sl.OR)
+        c = gate_operator(b, sl.AND)
         worst = max(
             worst,
-            max_norm(l - d @ kron(n_op, i_op)),
-            max_norm(d - n_op @ c @ kron(n_op, n_op)),
+            max_norm(l - d @ np.kron(n_op, i_op)),
+            max_norm(d - n_op @ c @ np.kron(n_op, n_op)),
         )
     report(3, worst < tol, f"worst residual {worst:.2e}")
 
@@ -148,15 +144,15 @@ def test_criterion_4_truth_table_cross_validation():
     ]:
         vec = {1: b.s, -1: b.n}
         for table in sl.MONADIC_GATES.values():
-            u = monadic_operator(b, table)
+            u = gate_operator(b, table)
             for w in (1, -1):
-                worst = max(worst, max_norm(u @ vec[w] - vec[sl.mon_eval(table, w)]))
+                worst = max(worst, max_norm(u @ vec[w] - vec[sl.evaluate(table, w)]))
         for table in sl.ALL_DYADIC_TABLES:
-            t = dyadic_operator(b, table)
+            t = gate_operator(b, table)
             for u_ in (1, -1):
                 for v_ in (1, -1):
-                    out = t @ kron(vec[u_], vec[v_])
-                    worst = max(worst, max_norm(out - vec[sl.dyad_eval(table, u_, v_)]))
+                    out = t @ np.kron(vec[u_], vec[v_])
+                    worst = max(worst, max_norm(out - vec[sl.evaluate(table, u_, v_)]))
     report(4, worst < tol, f"worst residual {worst:.2e}")
 
 
@@ -168,11 +164,11 @@ def test_criterion_5_diagnosis():
         for seed in range(20):
             b = random_basis(dim, 0.0, seed)
             for name, table in sl.MONADIC_GATES.items():
-                res = classify_monadic(probe_monadic(monadic_operator(b, table), b))
+                res = classify(probe(gate_operator(b, table), b, 1), 1)
                 ok = ok and res.verdict == name
                 worst = max(worst, res.distance)
             for name, table in sl.NAMED_DYADIC_GATES.items():
-                res = classify_dyadic(probe_dyadic(dyadic_operator(b, table), b))
+                res = classify(probe(gate_operator(b, table), b, 2), 2)
                 ok = ok and res.verdict == name
                 worst = max(worst, res.distance)
     signatures, classes = enumerate_dyadic_signatures(canonical_basis("DIM4"))
@@ -183,7 +179,7 @@ def test_criterion_5_diagnosis():
     oracle_ok = all(
         max(
             abs(c - e)
-            for c, e in zip(signatures[t.name].coefficients, symbolic_dyadic_signature(t))
+            for c, e in zip(signatures[t.name].coefficients, symbolic_signature(t))
         )
         < tol
         for t in sl.ALL_DYADIC_TABLES

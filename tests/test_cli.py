@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from vlogic import TruthTable, canonical_basis, gate_operator
 from vlogic.cli import main
-from vlogic.serialize import dump_json, load_json, matrix_from_dict
+from vlogic.serialize import dump_json, load_json, matrix_from_dict, matrix_to_dict
 
 
 def run(capsys, *argv):
@@ -126,6 +127,33 @@ def test_diagnose_arity_inferred(capsys, tmp_path):
     assert code == 0
     assert payload["verdict"] == "NOT"
     assert payload["arity"] == 1
+
+
+def test_diagnose_wrong_arity_exits_1(capsys, tmp_path):
+    basis_file = tmp_path / "set1.json"
+    oracle_file = tmp_path / "hidden.json"
+    run(capsys, "basis", "--canonical", "SET1", "--out", str(basis_file))
+    run(capsys, "op", "--basis", str(basis_file), "--gate", "NOT", "--out", str(oracle_file))
+    code, out, err = run(
+        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("vlogic: error")
+
+
+def test_diagnose_ternary_oracle_exits_1(capsys, tmp_path):
+    # a Q x Q^3 oracle has arity 3, which has no reference signatures
+    basis_file = tmp_path / "set1.json"
+    oracle_file = tmp_path / "hidden.json"
+    run(capsys, "basis", "--canonical", "SET1", "--out", str(basis_file))
+    table = TruthTable("TTTTTTTF", (1, 1, 1, 1, 1, 1, 1, -1))
+    dump_json(matrix_to_dict(gate_operator(canonical_basis("SET1"), table)), str(oracle_file))
+    code, out, err = run(capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("vlogic: error")
+    assert "arity 3" in err
 
 
 def test_diagnose_corrupted_oracle_unknown(capsys, tmp_path):

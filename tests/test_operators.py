@@ -1,5 +1,7 @@
 """Operator matrices: worked 2D/4D cases, Kronecker laws, table fidelity."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,18 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vlogic import scalar_logic as sl
-from vlogic import (
-    apply_dyadic,
-    apply_monadic,
-    dyadic_operator,
-    identity_operator,
-    kron,
-    max_norm,
-    monadic_operator,
-    negation_operator,
-    random_basis,
-)
-from vlogic.errors import DimensionMismatch
+from vlogic import gate_operator, identity_operator, max_norm, negation_operator, random_basis
 from vlogic.operators import _dyadic_times_kron
 
 TOL = 1e-10
@@ -42,45 +33,45 @@ def test_kron_worked_example():
         ],
         dtype=float,
     )
-    np.testing.assert_array_equal(kron(u, v), expected)
+    np.testing.assert_array_equal(np.kron(u, v), expected)
 
 
 def test_kron_scalar_unit():
     v = np.array([[1.5, -2.0], [0.0, 3.0]])
-    np.testing.assert_array_equal(kron(np.array([[1.0]]), v), v)
+    np.testing.assert_array_equal(np.kron(np.array([[1.0]]), v), v)
 
 
 def test_kron_inner_product_factorization():
     rng = np.random.default_rng(5)
     a, b, c, d = (rng.standard_normal(3) for _ in range(4))
-    lhs = kron(a, b) @ kron(c, d)
+    lhs = np.kron(a, b) @ np.kron(c, d)
     assert lhs == pytest.approx((a @ c) * (b @ d))
 
 
 @settings(max_examples=25, deadline=None)
 @given(u=small_matrix(2, 3), v=small_matrix(3, 2), up=small_matrix(3, 2), vp=small_matrix(2, 3))
 def test_kron_mixed_product_law(u, v, up, vp):
-    lhs = kron(u, v) @ kron(up, vp)
-    rhs = kron(u @ up, v @ vp)
+    lhs = np.kron(u, v) @ np.kron(up, vp)
+    rhs = np.kron(u @ up, v @ vp)
     np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
 @given(u=small_matrix(2, 3), v=small_matrix(4, 2))
 def test_kron_transpose_law(u, v):
-    np.testing.assert_array_equal(kron(u, v).T, kron(u.T, v.T))
+    np.testing.assert_array_equal(np.kron(u, v).T, np.kron(u.T, v.T))
 
 
 def test_set1_identity_and_negation(set1):
-    np.testing.assert_allclose(monadic_operator(set1, sl.ID), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(gate_operator(set1, sl.ID), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(
-        monadic_operator(set1, sl.NOT), [[0, 1], [1, 0]], atol=1e-15
+        gate_operator(set1, sl.NOT), [[0, 1], [1, 0]], atol=1e-15
     )
 
 
 def test_set2_negation(set2):
     np.testing.assert_allclose(
-        monadic_operator(set2, sl.NOT), [[1, 0], [0, -1]], atol=1e-15
+        gate_operator(set2, sl.NOT), [[1, 0], [0, -1]], atol=1e-15
     )
 
 
@@ -88,7 +79,7 @@ def test_dim4_negation(dim4):
     expected = 0.5 * np.array(
         [[1, 0, 0, 1], [0, -1, -1, 0], [0, -1, -1, 0], [1, 0, 0, 1]]
     )
-    np.testing.assert_allclose(monadic_operator(dim4, sl.NOT), expected, atol=1e-15)
+    np.testing.assert_allclose(gate_operator(dim4, sl.NOT), expected, atol=1e-15)
 
 
 def test_orthonormal_closed_forms(dim4):
@@ -97,56 +88,49 @@ def test_orthonormal_closed_forms(dim4):
         identity_operator(dim4), np.outer(s, s) + np.outer(n, n), atol=1e-15
     )
     np.testing.assert_allclose(
-        monadic_operator(dim4, sl.CID), np.outer(s, s) + np.outer(s, n), atol=1e-15
+        gate_operator(dim4, sl.CID), np.outer(s, s) + np.outer(s, n), atol=1e-15
     )
     np.testing.assert_allclose(
-        monadic_operator(dim4, sl.CNOT), np.outer(n, s) + np.outer(n, n), atol=1e-15
+        gate_operator(dim4, sl.CNOT), np.outer(n, s) + np.outer(n, n), atol=1e-15
     )
 
 
 def test_set1_impl(set1):
     np.testing.assert_allclose(
-        dyadic_operator(set1, sl.IMPL), [[1, 0, 1, 1], [0, 1, 0, 0]], atol=1e-15
+        gate_operator(set1, sl.IMPL), [[1, 0, 1, 1], [0, 1, 0, 0]], atol=1e-15
     )
 
 
 def test_set1_or(set1):
     np.testing.assert_allclose(
-        dyadic_operator(set1, sl.OR), [[1, 1, 1, 0], [0, 0, 0, 1]], atol=1e-15
+        gate_operator(set1, sl.OR), [[1, 1, 1, 0], [0, 0, 0, 1]], atol=1e-15
     )
 
 
 def test_set2_impl_and_or(set2):
     r = 1 / np.sqrt(2)
     np.testing.assert_allclose(
-        dyadic_operator(set2, sl.IMPL), r * np.array([[2, 0, 0, 0], [1, 1, -1, 1]]), atol=1e-14
+        gate_operator(set2, sl.IMPL), r * np.array([[2, 0, 0, 0], [1, 1, -1, 1]]), atol=1e-14
     )
     np.testing.assert_allclose(
-        dyadic_operator(set2, sl.OR), r * np.array([[2, 0, 0, 0], [1, 1, 1, -1]]), atol=1e-14
+        gate_operator(set2, sl.OR), r * np.array([[2, 0, 0, 0], [1, 1, 1, -1]]), atol=1e-14
     )
 
 
 def test_impl_on_false_false_gives_true(set1):
-    l = dyadic_operator(set1, sl.IMPL)
-    np.testing.assert_allclose(apply_dyadic(l, kron(set1.n, set1.n)), set1.s, atol=1e-14)
+    l = gate_operator(set1, sl.IMPL)
+    np.testing.assert_allclose(l @ np.kron(set1.n, set1.n), set1.s, atol=1e-14)
 
 
 def test_equi_on_false_false_gives_true(dim4):
-    e = dyadic_operator(dim4, sl.EQUI)
-    np.testing.assert_allclose(apply_dyadic(e, kron(dim4.n, dim4.n)), dim4.s, atol=1e-14)
+    e = gate_operator(dim4, sl.EQUI)
+    np.testing.assert_allclose(e @ np.kron(dim4.n, dim4.n), dim4.s, atol=1e-14)
 
 
 def test_negation_is_linear(dim4):
     n_op = negation_operator(dim4)
     mix = 0.3 * dim4.s + 0.7 * dim4.n
-    np.testing.assert_allclose(apply_monadic(n_op, mix), 0.3 * dim4.n + 0.7 * dim4.s, atol=1e-14)
-
-
-def test_apply_dimension_checks(set1):
-    with pytest.raises(DimensionMismatch):
-        apply_monadic(monadic_operator(set1, sl.ID), np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        apply_dyadic(dyadic_operator(set1, sl.AND), np.ones(3))
+    np.testing.assert_allclose(n_op @ mix, 0.3 * dim4.n + 0.7 * dim4.s, atol=1e-14)
 
 
 @pytest.mark.parametrize("dim,eps,seed", [(2, 0.0, 0), (5, 0.0, 1), (8, 0.3, 2), (16, -0.4, 3)])
@@ -155,16 +139,30 @@ def test_truth_table_fidelity(dim, eps, seed):
     b = random_basis(dim, eps, seed)
     vec = {1: b.s, -1: b.n}
     for table in sl.MONADIC_GATES.values():
-        u = monadic_operator(b, table)
+        u = gate_operator(b, table)
         for w in (1, -1):
-            assert max_norm(u @ vec[w] - vec[sl.mon_eval(table, w)]) < TOL
+            assert max_norm(u @ vec[w] - vec[sl.evaluate(table, w)]) < TOL
     for table in sl.ALL_DYADIC_TABLES:
-        t = dyadic_operator(b, table)
+        t = gate_operator(b, table)
         assert t.shape == (dim, dim * dim)
         for u_ in (1, -1):
             for v_ in (1, -1):
-                out = t @ kron(vec[u_], vec[v_])
-                assert max_norm(out - vec[sl.dyad_eval(table, u_, v_)]) < TOL
+                out = t @ np.kron(vec[u_], vec[v_])
+                assert max_norm(out - vec[sl.evaluate(table, u_, v_)]) < TOL
+
+
+def test_ternary_truth_table_fidelity(ternary_tables):
+    # the arity-generic gate at k = 3: every table, every product of three
+    # frame columns, against the scalar oracle
+    b = random_basis(3, 0.35, seed=3)
+    for table in ternary_tables:
+        t = gate_operator(b, table)
+        assert t.shape == (3, 27)
+        for ws in itertools.product((sl.TRUE, sl.FALSE), repeat=3):
+            cols = [b.frame[:, 0 if w == sl.TRUE else 1] for w in ws]
+            out = t @ np.kron(np.kron(cols[0], cols[1]), cols[2])
+            expected = b.frame[:, 0 if sl.evaluate(table, *ws) == sl.TRUE else 1]
+            assert max_norm(out - expected) < TOL
 
 
 @pytest.mark.parametrize("dim,eps,seed", [(2, 0.0, 4), (6, 0.5, 5), (16, 0.0, 6)])
@@ -172,11 +170,11 @@ def test_tautologies(dim, eps, seed):
     b = random_basis(dim, eps, seed)
     i_op = identity_operator(b)
     n_op = negation_operator(b)
-    l = dyadic_operator(b, sl.IMPL)
-    d = dyadic_operator(b, sl.OR)
-    c = dyadic_operator(b, sl.AND)
-    assert max_norm(l - d @ kron(n_op, i_op)) < TOL
-    assert max_norm(d - n_op @ c @ kron(n_op, n_op)) < TOL
+    l = gate_operator(b, sl.IMPL)
+    d = gate_operator(b, sl.OR)
+    c = gate_operator(b, sl.AND)
+    assert max_norm(l - d @ np.kron(n_op, i_op)) < TOL
+    assert max_norm(d - n_op @ c @ np.kron(n_op, n_op)) < TOL
 
 
 def test_generalized_identity_negation_nonorthogonal():
@@ -198,7 +196,7 @@ def test_tautology_contraction_matches_dense_kron(dim):
     i_op = identity_operator(b)
     n_op = negation_operator(b)
     for table in sl.ALL_DYADIC_TABLES:
-        t = dyadic_operator(b, table)
+        t = gate_operator(b, table)
         assert max_norm(_dyadic_times_kron(t, n_op, i_op) - t @ np.kron(n_op, i_op)) < 1e-13
         assert max_norm(
             n_op @ _dyadic_times_kron(t, n_op, n_op) - n_op @ t @ np.kron(n_op, n_op)
@@ -207,7 +205,7 @@ def test_tautology_contraction_matches_dense_kron(dim):
     rng = np.random.default_rng(dim)
     x, y = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
     for table in sl.ALL_DYADIC_TABLES:
-        t = dyadic_operator(b, table)
+        t = gate_operator(b, table)
         assert max_norm(_dyadic_times_kron(t, x, y) - t @ np.kron(x, y)) < 1e-13
 
 
@@ -220,4 +218,4 @@ def test_dyadic_operator_matches_outer_product_sum(dim, eps, seed):
             np.outer(b.s if out == sl.TRUE else b.n, np.kron(d1, d2))
             for out, (d1, d2) in zip(table.outputs, duals)
         )
-        assert max_norm(dyadic_operator(b, table) - expected) < 1e-13
+        assert max_norm(gate_operator(b, table) - expected) < 1e-13

@@ -20,7 +20,7 @@ truth = st.sampled_from([sl.TRUE, sl.FALSE])
     ],
 )
 def test_mon_eval(table, w, expected):
-    assert sl.mon_eval(table, w) == expected
+    assert sl.evaluate(table, w) == expected
 
 
 @pytest.mark.parametrize(
@@ -35,58 +35,70 @@ def test_mon_eval(table, w, expected):
     ],
 )
 def test_dyad_eval(table, u, v, expected):
-    assert sl.dyad_eval(table, u, v) == expected
+    assert sl.evaluate(table, u, v) == expected
 
 
 def test_truth_value_validation():
     with pytest.raises(ValueError):
-        sl.mon_eval(sl.ID, 0)
+        sl.evaluate(sl.ID, 0)
     with pytest.raises(ValueError):
-        sl.dyad_eval(sl.AND, 1, 2)
+        sl.evaluate(sl.AND, 1, 2)
+    # one truth value per input
+    with pytest.raises(ValueError):
+        sl.evaluate(sl.AND, 1)
+    with pytest.raises(ValueError):
+        sl.evaluate(sl.ID, 1, 1)
+    # a table needs 2^k outputs, each +1 or -1
+    with pytest.raises(ValueError):
+        sl.TruthTable("BAD", (1, -1, 1))
+    with pytest.raises(ValueError):
+        sl.TruthTable("BAD", (1, 0))
 
 
-@pytest.mark.parametrize("name", sl.MONADIC_CLOSED_FORMS)
+@pytest.mark.parametrize("name", [name for name in sl.CLOSED_FORMS if name in sl.MONADIC_GATES])
 @pytest.mark.parametrize("w", [1, -1])
 def test_monadic_closed_forms_match_tables(name, w):
-    assert sl.MONADIC_CLOSED_FORMS[name](w) == sl.mon_eval(sl.MONADIC_GATES[name], w)
+    assert sl.CLOSED_FORMS[name](w) == sl.evaluate(sl.MONADIC_GATES[name], w)
 
 
-@pytest.mark.parametrize("name", sl.DYADIC_CLOSED_FORMS)
+@pytest.mark.parametrize("name", [name for name in sl.CLOSED_FORMS if name in sl.NAMED_DYADIC_GATES])
 @pytest.mark.parametrize("u", [1, -1])
 @pytest.mark.parametrize("v", [1, -1])
 def test_dyadic_closed_forms_match_tables(name, u, v):
-    assert sl.DYADIC_CLOSED_FORMS[name](u, v) == sl.dyad_eval(sl.NAMED_DYADIC_GATES[name], u, v)
+    assert sl.CLOSED_FORMS[name](u, v) == sl.evaluate(sl.NAMED_DYADIC_GATES[name], u, v)
 
 
 @given(u=truth, v=truth)
 def test_impl_is_or_of_negated_antecedent(u, v):
-    assert sl.dyad_eval(sl.IMPL, u, v) == sl.dyad_eval(sl.OR, sl.mon_eval(sl.NOT, u), v)
+    assert sl.evaluate(sl.IMPL, u, v) == sl.evaluate(sl.OR, sl.evaluate(sl.NOT, u), v)
 
 
 @given(u=truth, v=truth)
 def test_de_morgan(u, v):
-    lhs = sl.dyad_eval(sl.OR, u, v)
-    rhs = sl.mon_eval(
-        sl.NOT, sl.dyad_eval(sl.AND, sl.mon_eval(sl.NOT, u), sl.mon_eval(sl.NOT, v))
+    lhs = sl.evaluate(sl.OR, u, v)
+    rhs = sl.evaluate(
+        sl.NOT, sl.evaluate(sl.AND, sl.evaluate(sl.NOT, u), sl.evaluate(sl.NOT, v))
     )
     assert lhs == rhs
 
 
 @given(w=truth)
 def test_constants_are_constant(w):
-    assert sl.mon_eval(sl.CID, w) == 1
-    assert sl.mon_eval(sl.CNOT, w) == -1
+    assert sl.evaluate(sl.CID, w) == 1
+    assert sl.evaluate(sl.CNOT, w) == -1
 
 
 def test_nand_nor_are_negated_and_or():
     for u in (1, -1):
         for v in (1, -1):
-            assert sl.dyad_eval(sl.NAND, u, v) == -sl.dyad_eval(sl.AND, u, v)
-            assert sl.dyad_eval(sl.NOR, u, v) == -sl.dyad_eval(sl.OR, u, v)
+            assert sl.evaluate(sl.NAND, u, v) == -sl.evaluate(sl.AND, u, v)
+            assert sl.evaluate(sl.NOR, u, v) == -sl.evaluate(sl.OR, u, v)
 
 
 def test_sixteen_distinct_tables():
     assert len(sl.ALL_DYADIC_TABLES) == 16
+    assert {t.arity for t in sl.ALL_DYADIC_TABLES} == {2}
+    assert {t.arity for t in sl.MONADIC_GATES.values()} == {1}
     assert len({t.pattern for t in sl.ALL_DYADIC_TABLES}) == 16
     # the named gates appear under their names
     names = {t.name for t in sl.ALL_DYADIC_TABLES}

@@ -1,7 +1,7 @@
 """Aggregated verification sections."""
 
 import vlogic.verify
-from vlogic import DyadicTable, canonical_basis, dyadic_operator
+from vlogic import TruthTable, canonical_basis, gate_operator
 from vlogic.verify import RESIDUAL_TOL, truth_table_residuals
 
 
@@ -10,10 +10,11 @@ def test_wrong_gate_fails_truth_table(monkeypatch):
     # so the order of the applied inputs matches the order of the expected outputs
     def swapped_impl(basis, table):
         if table.name == "IMPL":
-            table = DyadicTable("IMPL", table.out_tt, table.out_ft, table.out_tf, table.out_ff)
-        return dyadic_operator(basis, table)
+            tt, tf, ft, ff = table.outputs
+            table = TruthTable("IMPL", (tt, ft, tf, ff))
+        return gate_operator(basis, table)
 
-    monkeypatch.setattr(vlogic.verify, "dyadic_operator", swapped_impl)
+    monkeypatch.setattr(vlogic.verify, "gate_operator", swapped_impl)
     residuals = truth_table_residuals(canonical_basis("DIM4"))
     assert len(residuals) == 4 + 16
     assert residuals["dyadic_IMPL"] >= 0.5
