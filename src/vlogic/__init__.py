@@ -20,7 +20,6 @@ from .matfun import (
     logical_exp,
     logical_exp_series,
     make_context,
-    pi_matrix,
     verify_euler_suite,
 )
 from .operators import gate_operator, identity_operator, max_norm, negation_operator
@@ -47,8 +46,7 @@ __all__ = [
     "TruthBasis", "canonical_basis", "make_basis", "random_basis",
     "DiagnosisResult", "GateSignature", "classify", "enumerate_dyadic_signatures", "probe",
     "C_of", "C_series", "IdentityReport", "LogicAlgebraContext", "S_of", "S_series",
-    "SeriesPolicy", "logical_exp", "logical_exp_series", "make_context", "pi_matrix",
-    "verify_euler_suite",
+    "SeriesPolicy", "logical_exp", "logical_exp_series", "make_context", "verify_euler_suite",
     "gate_operator", "identity_operator", "max_norm", "negation_operator",
     "AND", "CID", "CNOT", "EQUI", "FALSE", "ID", "IMPL", "NAND", "NOR",
     "NOT", "OR", "TRUE", "XOR", "TruthTable", "evaluate",

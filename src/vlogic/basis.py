@@ -52,7 +52,7 @@ class TruthBasis:
     duals: np.ndarray  # [y z]^T, 2 x Q
 
 
-def make_basis(s, n, tol: float = DEFAULT_TOL) -> TruthBasis:
+def make_basis(s, n) -> TruthBasis:
     """Build a TruthBasis from unit vectors s, n, computing the duals."""
     s = np.asarray(s, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -61,7 +61,7 @@ def make_basis(s, n, tol: float = DEFAULT_TOL) -> TruthBasis:
     if s.size < 2:
         raise QTooSmall("truth vectors need dimension >= 2")
     for name, v in (("s", s), ("n", n)):
-        if not abs(np.linalg.norm(v) - 1.0) <= tol:
+        if not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_TOL:
             raise NotUnitNorm(f"|{name}| = {np.linalg.norm(v)!r}; pre-normalize to unit length")
     eps = float(s @ n)
     if abs(eps) > DEPENDENCE_THRESHOLD:

@@ -36,8 +36,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_basis(path: str, tol: float):
-    return basis_from_dict(load_json(path), tol=tol)
+def _load_basis(path: str):
+    return basis_from_dict(load_json(path))
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -60,13 +60,13 @@ def cmd_basis(args) -> int:
 
 
 def cmd_op(args) -> int:
-    b = _load_basis(args.basis, args.tol)
+    b = _load_basis(args.basis)
     dump_json(matrix_to_dict(gate_operator(b, scalar_logic.gate(args.gate))), args.out)
     return 0
 
 
 def cmd_sqrt_not(args) -> int:
-    b = _load_basis(args.basis, args.tol)
+    b = _load_basis(args.basis)
     pair = sqrt_not(b)
     report = identity_report(pair, b)
     payload = {
@@ -80,7 +80,7 @@ def cmd_sqrt_not(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    b = _load_basis(args.basis, 1e-10)
+    b = _load_basis(args.basis)
     oracle = matrix_from_dict(load_json(args.oracle))
     # without --arity, the k of a Q x Q^k oracle; probe rejects any other shape
     arity = args.arity or next(k for k in count(1) if b.dim**k >= oracle.shape[1])
@@ -105,7 +105,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    b = _load_basis(args.basis, 1e-10)
+    b = _load_basis(args.basis)
     ctx = matfun.make_context(b)
     report = matfun.verify_euler_suite(
         ctx, _csv_floats(args.v), ks=_csv_ints(args.k), tol=args.tol
@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vlogic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default):
-        p.add_argument("--tol", type=float, default=tol_default)
+    def common(p, tol_default=None):
+        if tol_default is not None:
+            p.add_argument("--tol", type=float, default=tol_default)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("basis", help="create a canonical or seeded random basis")
@@ -134,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    common(p, 1e-10)
+    common(p)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("op", help="emit a named gate's operator matrix")
     p.add_argument("--basis", required=True)
     p.add_argument("--gate", required=True)
-    common(p, 1e-10)
+    common(p)
     p.set_defaults(func=cmd_op)
 
     p = sub.add_parser("sqrt-not", help="emit both square roots of NOT plus residuals")

@@ -78,7 +78,7 @@ class LogicAlgebraContext:
     N: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    Pi: np.ndarray
+    Pi: np.ndarray  # B * i * pi, the matrix stand-in for pi
 
 
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
@@ -89,11 +89,6 @@ def make_context(basis: TruthBasis) -> LogicAlgebraContext:
     return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=pair.A, B=pair.B, Pi=1j * pi * pair.B)
 
 
-def pi_matrix(ctx: LogicAlgebraContext) -> np.ndarray:
-    """Pi = B * i * pi, the matrix stand-in for pi."""
-    return ctx.Pi
-
-
 def _core(ctx: LogicAlgebraContext, x):
     """The entries a, b of the core a*I2 + b*J of each Q x Q slice of X.
 
@@ -102,13 +97,14 @@ def _core(ctx: LogicAlgebraContext, x):
     does not commute with N: the raw projection c reproduces every X inside
     span{s, n}, so X = s y^T (core [[1, 0], [0, 0]]) would pass the check
     and give wrong numbers. Raises NonCommuting if any slice is further
-    than COMMUTATOR_TOL from span{I, N}.
+    than COMMUTATOR_TOL * max(1, max-norm of the slice) from span{I, N}:
+    the rounding error of the projection grows with |X|.
     """
     x = np.asarray(x, dtype=complex)
     c = ctx.basis.duals @ x @ ctx.basis.frame
     core = (c + c[..., ::-1, ::-1]) / 2
     resid = np.abs(x - lift(ctx.basis, core)).max(axis=(-2, -1))
-    if not np.all(resid <= COMMUTATOR_TOL):
+    if not np.all(resid <= COMMUTATOR_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))):
         raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid.max():.3e})")
     return core[..., 0, 0], core[..., 0, 1]
 

@@ -30,12 +30,16 @@ def lift(basis: TruthBasis, core) -> np.ndarray:
     return basis.frame @ core @ basis.duals
 
 
+def _kron(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x (x) m by broadcasting: row i*p + j, column a*q + b is x[i, a] m[j, b]."""
+    return (x[:, None, :, None] * m[None, :, None, :]).reshape(x.shape[0] * m.shape[0], -1)
+
+
 def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
-    """m (x) ... (x) m with k >= 1 factors, by broadcasting: row i*p + j,
-    column a*q + b of X (x) M is X[i, a] M[j, b]."""
+    """m (x) ... (x) m with k >= 1 factors."""
     out = m
     for _ in range(k - 1):
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(out.shape[0] * m.shape[0], -1)
+        out = _kron(out, m)
     return out
 
 
@@ -45,13 +49,11 @@ def gate_operator(basis: TruthBasis, table: TruthTable) -> np.ndarray:
     return outputs @ _kron_power(basis.duals, table.arity)
 
 
-def _dyadic_times_kron(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """T (X(x)Y) for a Q x Q^2 gate T and Q x Q matrices X, Y, without the
-    Q^2 x Q^2 Kronecker matrix: T as Q x Q x Q, contracted with Y over its
-    last index in one product and with X over its middle index in another."""
-    q = x.shape[0]
-    ty = (t.reshape(q * q, q) @ y).reshape(q, q, q)  # [i, k, l] = sum_m T[i, k, m] Y[m, l]
-    return (x.T @ ty).reshape(q, q * q)  # [i, j, l] = sum_k X[k, j] ty[i, k, l]
+def _times_kron_cores(basis: TruthBasis, t: np.ndarray, core_x, core_y) -> np.ndarray:
+    """T (X(x)Y) for a Q x Q^2 gate T and X, Y with 2 x 2 cores core_x, core_y
+    over the frame: by the mixed-product rule X(x)Y = [s n]^{(x)2} (core_x (x)
+    core_y) ([y z]^T)^{(x)2}, so T is read only through T [s n]^{(x)2}. O(Q^3)."""
+    return (t @ _kron_power(basis.frame, 2)) @ _kron(core_x, core_y) @ _kron_power(basis.duals, 2)
 
 
 def identity_operator(basis: TruthBasis) -> np.ndarray:

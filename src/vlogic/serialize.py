@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .basis import DEFAULT_TOL, TruthBasis, make_basis
+from .basis import TruthBasis, make_basis
 from .errors import VectorLogicError
 
 
@@ -55,12 +55,12 @@ def basis_to_dict(b: TruthBasis, include_duals: bool = False) -> dict:
     return out
 
 
-def basis_from_dict(d: dict, tol: float = DEFAULT_TOL) -> TruthBasis:
+def basis_from_dict(d: dict) -> TruthBasis:
     try:
         s, n = d["s"], d["n"]
     except (KeyError, TypeError) as exc:
         raise VectorLogicError(f"bad basis JSON: {exc}") from exc
-    return make_basis(s, n, tol=tol)
+    return make_basis(s, n)
 
 
 def _reject_constant(token: str):

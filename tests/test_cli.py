@@ -78,6 +78,25 @@ def test_sqrt_not_payload(capsys, tmp_path):
     assert all(r < 1e-10 for r in payload["report"].values())
 
 
+def test_sqrt_not_tol_is_only_the_pass_threshold(capsys, tmp_path):
+    # every command loads its basis at basis.DEFAULT_TOL, whatever --tol says
+    basis_file = tmp_path / "long_s.json"
+    dump_json({"dim": 2, "s": [1.0 + 1e-6, 0.0], "n": [0.0, 1.0]}, str(basis_file))
+    code, out, err = run(capsys, "sqrt-not", "--basis", str(basis_file), "--tol", "1e-3")
+    assert code == 1
+    assert out == ""
+    assert "|s|" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["basis", "--canonical", "SET1"], ["op", "--basis", "b.json", "--gate", "OR"]]
+)
+def test_basis_and_op_take_no_tol(command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tol", "1e-3"])
+    assert exc.value.code == 1
+
+
 def test_diagnose_hidden_xor(capsys, tmp_path):
     basis_file = tmp_path / "set1.json"
     oracle_file = tmp_path / "hidden.json"

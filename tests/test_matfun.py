@@ -20,12 +20,11 @@ from vlogic import (
     logical_exp_series,
     make_context,
     max_norm,
-    pi_matrix,
     random_basis,
     verify_euler_suite,
 )
 from vlogic.errors import NonCommuting, SeriesNotConverged
-from vlogic.matfun import scalar_exp_series
+from vlogic.matfun import COMMUTATOR_TOL, scalar_exp_series
 from vlogic.operators import lift
 from vlogic.verify import EULER_KS, EULER_V_SAMPLES
 
@@ -135,7 +134,7 @@ def test_closed_forms_on_random_bases():
 
 
 def test_pi_matrix(ctx2):
-    p = pi_matrix(ctx2)
+    p = ctx2.Pi
     expected_b = 0.5 * np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]])
     np.testing.assert_allclose(p, 1j * math.pi * expected_b, atol=1e-12)
     # Pi A = i pi I and Pi^2 = -pi^2 N
@@ -372,6 +371,36 @@ def test_rejects_argument_in_frame_that_does_not_commute_with_n(basis):
     # commute with J: only the symmetrized core lets the span check see it
     c = make_context(basis)
     x = lift(basis, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    for family in (CLOSED_FORMS, SERIES):
+        for function in family.values():
+            with pytest.raises(NonCommuting):
+                function(c, x)
+
+
+def test_span_check_scales_with_the_argument():
+    # the projection's rounding error grows with |X|: at v = 1e5 the distance
+    # of Pi v from span{I, N} is ~2e-10, above the absolute COMMUTATOR_TOL
+    report = verify_euler_suite(make_context(random_basis(16, 0.35, 1)), [0.5, 1e5])
+    assert report.passed, report.residuals
+
+
+def test_span_check_is_absolute_below_unit_norm(ctx):
+    # |X| < 1, so the bound is COMMUTATOR_TOL itself; on DIM4 the part of
+    # s y^T outside span{I, N} has max-norm 1/4
+    x = 0.01 * ctx.Pi
+    s_yt = lift(ctx.basis, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    logical_exp(ctx, x + 2 * COMMUTATOR_TOL * s_yt)
+    with pytest.raises(NonCommuting):
+        logical_exp(ctx, x + 8 * COMMUTATOR_TOL * s_yt)
+
+
+@pytest.mark.parametrize("outside", ["s_yT", "complement"])
+def test_large_argument_outside_logic_span_still_rejected(outside):
+    c = make_context(random_basis(16, 0.35, 1))
+    if outside == "s_yT":
+        x = 1e5 * lift(c.basis, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    else:
+        x = 1e5 * (np.eye(16) - c.I)
     for family in (CLOSED_FORMS, SERIES):
         for function in family.values():
             with pytest.raises(NonCommuting):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from vlogic import scalar_logic as sl
 from vlogic import gate_operator, identity_operator, max_norm, negation_operator, random_basis
-from vlogic.operators import _dyadic_times_kron
+from vlogic.operators import _times_kron_cores, lift
 
 TOL = 1e-10
 
@@ -189,24 +189,18 @@ def test_generalized_identity_negation_nonorthogonal():
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_tautology_contraction_matches_dense_kron(dim):
-    # every table, so gates that are not symmetric in their two inputs
-    # (IMPL) pin the order of the Kronecker factors; OR and AND give the
-    # tautology products d (N(x)I) and N c (N(x)N)
+    # every table, so gates that are not symmetric in their two inputs (IMPL)
+    # pin the order of the Kronecker factors; the cores of N and I are
+    # symmetric, so non-symmetric complex cores pin X against X^T as well
     b = random_basis(dim, 0.35, seed=dim)
-    i_op = identity_operator(b)
-    n_op = negation_operator(b)
-    for table in sl.ALL_DYADIC_TABLES:
-        t = gate_operator(b, table)
-        assert max_norm(_dyadic_times_kron(t, n_op, i_op) - t @ np.kron(n_op, i_op)) < 1e-13
-        assert max_norm(
-            n_op @ _dyadic_times_kron(t, n_op, n_op) - n_op @ t @ np.kron(n_op, n_op)
-        ) < 1e-13
-    # I and N are symmetric, so they cannot tell X from X^T: add general factors
     rng = np.random.default_rng(dim)
-    x, y = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+    i2, j = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    cx, cy = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     for table in sl.ALL_DYADIC_TABLES:
         t = gate_operator(b, table)
-        assert max_norm(_dyadic_times_kron(t, x, y) - t @ np.kron(x, y)) < 1e-13
+        for core_x, core_y in ((j, i2), (j, j), (cx, cy)):
+            dense = t @ np.kron(lift(b, core_x), lift(b, core_y))
+            assert max_norm(_times_kron_cores(b, t, core_x, core_y) - dense) < 1e-13
 
 
 @pytest.mark.parametrize("dim,eps,seed", [(2, 0.35, 1), (5, -0.4, 2), (8, 0.35, 3)])
