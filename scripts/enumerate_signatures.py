@@ -1,35 +1,51 @@
 #!/usr/bin/env python3
-"""Print the one-probe signatures of all 16 dyadic gates and their collisions.
+"""Probe every gate of one arity and print its one-probe signature classes.
 
-Usage: python scripts/enumerate_signatures.py [--dim Q] [--seed S] [--canonical NAME]
+Each class is one signature (re_s, re_n, im_s, im_n) with the gates that
+share it: one probe tells the classes apart, never the gates inside one.
+Named gates are marked with *; the others are named by their truth-table
+pattern in input order (TT, TF, FT, FF for arity 2).
+
+Usage: python scripts/enumerate_signatures.py [--arity K] [--dim Q] [--seed S] [--canonical NAME]
 """
 
 import argparse
+from itertools import product
 
-from vlogic import canonical_basis, enumerate_dyadic_signatures, random_basis
-from vlogic.scalar_logic import NAMED_DYADIC_GATES
+from vlogic import FALSE, TRUE, TruthTable, canonical_basis, random_basis
+from vlogic.diagnosis import enumerate_signatures
+from vlogic.scalar_logic import MONADIC_GATES, NAMED_DYADIC_GATES
+
+NAMED = {t.pattern: t for t in (*MONADIC_GATES.values(), *NAMED_DYADIC_GATES.values())}
+
+
+def all_tables(arity):
+    """The 2^(2^k) tables of arity k, named gates by name, the rest by pattern."""
+    for outs in product((TRUE, FALSE), repeat=2**arity):
+        pattern = "".join("T" if w == TRUE else "F" for w in outs)
+        yield NAMED.get(pattern, TruthTable(pattern, outs))
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--arity", type=int, choices=(1, 2, 3), default=2)
     parser.add_argument("--dim", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--canonical", default=None)
     args = parser.parse_args()
 
     b = canonical_basis(args.canonical) if args.canonical else random_basis(args.dim, 0.0, args.seed)
-    signatures, classes = enumerate_dyadic_signatures(b)
+    signatures, classes = enumerate_signatures(b, all_tables(args.arity))
 
-    print(f"{'gate':>6}  {'re_s':>7} {'re_n':>7} {'im_s':>7} {'im_n':>7}  residual")
-    for name, sig in sorted(signatures.items(), key=lambda kv: (kv[0] not in NAMED_DYADIC_GATES, kv[0])):
-        tag = "*" if name in NAMED_DYADIC_GATES else " "
-        print(
-            f"{name:>6}{tag} {sig.re_s:7.3f} {sig.re_n:7.3f} {sig.im_s:7.3f} {sig.im_n:7.3f}  {sig.residual:.1e}"
-        )
-    print("\ncollision classes (size >= 2):")
+    print(
+        f"arity {args.arity}, Q={b.dim}: {len(signatures)} gates, {len(classes)} signature classes, "
+        f"largest {len(classes[0])}, worst residual {max(s.residual for s in signatures.values()):.1e}"
+    )
+    print(f"{'re_s':>7} {'re_n':>7} {'im_s':>7} {'im_n':>7}  {'size':>4}  gates")
     for cls in classes:
-        if len(cls) >= 2:
-            print("  " + ", ".join(cls))
+        coefficients = " ".join(f"{round(c, 3) + 0.0:7.3f}" for c in signatures[cls[0]].coefficients)
+        names = ", ".join(name + ("*" if name in MONADIC_GATES or name in NAMED_DYADIC_GATES else "") for name in cls)
+        print(f"{coefficients}  {len(cls):4d}  {names}")
 
 
 if __name__ == "__main__":

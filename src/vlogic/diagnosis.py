@@ -8,7 +8,8 @@ vector and never the Q^k x Q^k matrix A^{(x)k}. The output's real and
 imaginary coefficients along s and n form a four-number signature that
 distinguishes all four monadic gates and the seven named dyadic gates; a
 diagnosis also reports the runner-up reference and its distance. The
-oracle is received as an opaque matrix, never as a gate name. Any basis
+oracle is received as an opaque operator (a matrix-free Gate or a dense
+matrix), never as a gate name, and is only ever applied with @. Any basis
 will do, orthonormal or oblique: A s = alpha*s + beta*n holds in every
 basis, and the duals read the output's coefficients along s and n exactly.
 """
@@ -16,6 +17,7 @@ basis, and the duals read the output's coefficients along s and n exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 
@@ -63,9 +65,14 @@ def _signature_of_output(out: np.ndarray, basis: TruthBasis) -> GateSignature:
     )
 
 
-def probe(oracle: np.ndarray, basis: TruthBasis, arity: int) -> GateSignature:
-    """Signature of oracle @ (As)^{(x)k} for a hidden Q x Q^k gate of arity k."""
-    oracle = np.asarray(oracle)
+def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
+    """Signature of oracle @ (As)^{(x)k} for a hidden Q x Q^k gate of arity k.
+
+    The oracle is anything with .shape and @ (a matrix-free Gate, a dense
+    array); anything else goes through np.asarray.
+    """
+    if not (hasattr(oracle, "shape") and hasattr(oracle, "__matmul__")):
+        oracle = np.asarray(oracle)
     shape = (basis.dim, basis.dim**arity)
     if oracle.shape != shape:
         raise DimensionMismatch(f"arity-{arity} oracle must be {shape[0]}x{shape[1]}, got {oracle.shape}")
@@ -73,9 +80,10 @@ def probe(oracle: np.ndarray, basis: TruthBasis, arity: int) -> GateSignature:
     # cost more memory than the whole probe vector
     a_s = basis.frame @ np.array((ALPHA, BETA))
     v = _kron_power(a_s[None, :], arity)[0]
-    # real and imaginary parts apart, so a real oracle is never cast to a
-    # complex copy
-    return _signature_of_output(oracle @ v.real + 1j * (oracle @ v.imag), basis)
+    # one product with the real and imaginary parts of v side by side (a
+    # Q^k x 2 view), so a real oracle is read once and never cast to complex
+    out = oracle @ v.view(np.float64).reshape(-1, 2)
+    return _signature_of_output(out[:, 0] + 1j * out[:, 1], basis)
 
 
 def symbolic_signature(table: TruthTable) -> tuple[float, float, float, float]:
@@ -125,24 +133,32 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
     return DiagnosisResult(verdict, sig, best, second_name, second)
 
 
-def enumerate_dyadic_signatures(
-    basis: TruthBasis,
+def enumerate_signatures(
+    basis: TruthBasis, tables: Iterable[TruthTable]
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
-    """Probe signatures of all 16 dyadic gates, grouped into collision classes.
+    """Probe signatures of the given gates (any arity), grouped into collision classes.
 
     Returns (name -> signature, collision classes); each class lists the
-    gates sharing one signature, classes of size >= 2 being genuine
-    one-probe ambiguities (e.g. the constant-true gate collides with XOR).
+    gates sharing one signature, largest first, classes of size >= 2 being
+    genuine one-probe ambiguities (e.g. the constant-true gate collides with
+    XOR).
     """
     signatures: dict[str, GateSignature] = {}
     groups: dict[tuple, list[str]] = {}
-    for table in ALL_DYADIC_TABLES:
-        sig = probe(gate_operator(basis, table), basis, 2)
+    for table in tables:
+        sig = probe(gate_operator(basis, table), basis, table.arity)
         signatures[table.name] = sig
         key = tuple(round(c, 9) for c in sig.coefficients)
         groups.setdefault(key, []).append(table.name)
     classes = sorted(groups.values(), key=lambda names: (-len(names), names))
     return signatures, classes
+
+
+def enumerate_dyadic_signatures(
+    basis: TruthBasis,
+) -> tuple[dict[str, GateSignature], list[list[str]]]:
+    """Probe signatures and collision classes of all 16 dyadic gates."""
+    return enumerate_signatures(basis, ALL_DYADIC_TABLES)
 
 
 # Fixed-arity names, kept for callers written against them.

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
-from .operators import _kron_power, _times_kron_cores, gate_operator, max_norm, negation_operator
+from .operators import I2, J, _kron_power, _times_kron_cores, gate_operator, max_norm, negation_operator
 from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
 
 IDENTITY_TOL = 1e-8
@@ -22,10 +22,6 @@ RESIDUAL_TOL = 1e-10
 
 EULER_V_SAMPLES = (0.0, 0.25, 0.5, 1.0, 1.5, -0.75)
 EULER_KS = (2, 3, 5)
-
-# the 2 x 2 cores of I and N over the frame [s n]
-I2 = np.eye(2)
-J = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def basis_residuals(b: TruthBasis) -> dict[str, float]:
@@ -57,15 +53,16 @@ def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
 
 
 def tautology_residuals(b: TruthBasis) -> dict[str, float]:
-    """L = D (N(x)I) and D = N C (N(x)N), the products taken on the cores of
-    I and N; the dense L and D are compared entry by entry."""
+    """L = D (N(x)I) and D = N C (N(x)N), the right-hand sides taken on the
+    cores of I and N, with N applied to C's Q x 4 output columns before the
+    expansion; the dense L and D are compared entry by entry."""
     neg = negation_operator(b)
     l = gate_operator(b, scalar_logic.IMPL)
     d = gate_operator(b, scalar_logic.OR)
     c = gate_operator(b, scalar_logic.AND)
     return {
-        "L_minus_D_NxI": max_norm(l - _times_kron_cores(b, d, J, I2)),
-        "D_minus_NC_NxN": max_norm(d - neg @ _times_kron_cores(b, c, J, J)),
+        "L_minus_D_NxI": max_norm(np.asarray(l) - _times_kron_cores(b, d, J, I2)),
+        "D_minus_NC_NxN": max_norm(np.asarray(d) - _times_kron_cores(b, neg @ c, J, J)),
     }
 
 

@@ -58,14 +58,14 @@ def test_criterion_1_worked_example_fidelity():
     set1, set2, dim4 = canonical_basis("SET1"), canonical_basis("SET2"), canonical_basis("DIM4")
     r = 1 / np.sqrt(2)
     checks = [
-        max_norm(gate_operator(set1, sl.ID) - np.eye(2)),
-        max_norm(gate_operator(set1, sl.NOT) - np.array([[0, 1], [1, 0]])),
-        max_norm(gate_operator(set2, sl.ID) - np.eye(2)),
-        max_norm(gate_operator(set2, sl.NOT) - np.array([[1, 0], [0, -1]])),
-        max_norm(gate_operator(set1, sl.IMPL) - np.array([[1, 0, 1, 1], [0, 1, 0, 0]])),
-        max_norm(gate_operator(set1, sl.OR) - np.array([[1, 1, 1, 0], [0, 0, 0, 1]])),
-        max_norm(gate_operator(set2, sl.IMPL) - r * np.array([[2, 0, 0, 0], [1, 1, -1, 1]])),
-        max_norm(gate_operator(set2, sl.OR) - r * np.array([[2, 0, 0, 0], [1, 1, 1, -1]])),
+        max_norm(np.asarray(gate_operator(set1, sl.ID)) - np.eye(2)),
+        max_norm(np.asarray(gate_operator(set1, sl.NOT)) - np.array([[0, 1], [1, 0]])),
+        max_norm(np.asarray(gate_operator(set2, sl.ID)) - np.eye(2)),
+        max_norm(np.asarray(gate_operator(set2, sl.NOT)) - np.array([[1, 0], [0, -1]])),
+        max_norm(np.asarray(gate_operator(set1, sl.IMPL)) - np.array([[1, 0, 1, 1], [0, 1, 0, 0]])),
+        max_norm(np.asarray(gate_operator(set1, sl.OR)) - np.array([[1, 1, 1, 0], [0, 0, 0, 1]])),
+        max_norm(np.asarray(gate_operator(set2, sl.IMPL)) - r * np.array([[2, 0, 0, 0], [1, 1, -1, 1]])),
+        max_norm(np.asarray(gate_operator(set2, sl.OR)) - r * np.array([[2, 0, 0, 0], [1, 1, 1, -1]])),
         max_norm(
             np.kron(np.array([[1, 0], [2, -1]]), np.array([[1, -1, 4], [3, 1, 0]]))
             - np.array(
@@ -123,9 +123,9 @@ def test_criterion_3_tautologies():
     worst = 0.0
     for b in _basis_sweep(200):
         i_op, n_op = identity_operator(b), negation_operator(b)
-        l = gate_operator(b, sl.IMPL)
-        d = gate_operator(b, sl.OR)
-        c = gate_operator(b, sl.AND)
+        l = np.asarray(gate_operator(b, sl.IMPL))
+        d = np.asarray(gate_operator(b, sl.OR))
+        c = np.asarray(gate_operator(b, sl.AND))
         worst = max(
             worst,
             max_norm(l - d @ np.kron(n_op, i_op)),

@@ -1,7 +1,10 @@
 """One-probe gate identification: signatures, classification, collisions."""
 
 import itertools
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -256,7 +259,7 @@ def test_probe_dyadic_matches_dense_kron_probe(dim):
     a = sqrt_not(b).A
     probe_input = np.kron(a, a) @ np.kron(b.s, b.s)
     for table in sl.ALL_DYADIC_TABLES:
-        real = gate_operator(b, table)
+        real = np.asarray(gate_operator(b, table))
         for oracle in (real, (0.6 - 0.8j) * real):
             out = oracle @ probe_input
             expected = (b.y @ out.real, b.z @ out.real, b.y @ out.imag, b.z @ out.imag)
@@ -278,3 +281,51 @@ def test_probe_and_classify_at_dim128():
             tracemalloc.stop()
         assert peak < 2**20
         assert classify(sig, 2).verdict == name
+
+
+@pytest.mark.parametrize("dim,eps", [(2, 0.0), (4, 0.35), (8, 0.0), (8, 0.35)])
+def test_probe_gate_matches_probe_of_dense_matrix(dim, eps):
+    b = random_basis(dim, eps, seed=dim)
+    for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES):
+        gate = gate_operator(b, table)
+        sig, dense_sig = probe(gate, b, table.arity), probe(np.asarray(gate), b, table.arity)
+        assert max(abs(c - e) for c, e in zip(sig.coefficients, dense_sig.coefficients)) < 1e-13
+        assert abs(sig.residual - dense_sig.residual) < 1e-13
+        if table.arity == 1 or table.name in sl.NAMED_DYADIC_GATES:
+            assert classify(sig, table.arity).verdict == classify(dense_sig, table.arity).verdict == table.name
+
+
+def test_probe_accepts_nested_lists(set1):
+    sig = probe(np.asarray(gate_operator(set1, sl.OR)).tolist(), set1, 2)
+    assert classify(sig, 2).verdict == "OR"
+
+
+def test_probe_of_structured_gate_at_dim512_stays_small():
+    # the dense Q x Q^2 gate would take 1 GiB; the probe vector is 4 MiB
+    b = random_basis(512, 0.0, seed=5)
+    gate = gate_operator(b, sl.IMPL)
+    tracemalloc.start()
+    try:
+        sig = probe(gate, b, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert classify(sig, 2).verdict == "IMPL"
+
+
+def test_named_dyadic_gates_classify_at_dim1024():
+    b = random_basis(1024, 0.0, seed=11)
+    for name, table in sl.NAMED_DYADIC_GATES.items():
+        res = classify(probe(gate_operator(b, table), b, 2), 2)
+        assert res.verdict == name and res.distance < TOL
+
+
+@pytest.mark.parametrize("arity,gates,classes,largest", [(1, 4, 4, 1), (2, 16, 9, 4), (3, 256, 25, 36)])
+def test_enumerate_signatures_script(arity, gates, classes, largest, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "enumerate_signatures.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--arity", str(arity), "--dim", "5", "--seed", "2"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{gates} gates, {classes} signature classes, largest {largest}," in lines[0]
+    assert len(lines) == 2 + classes  # header, column names, one line per class

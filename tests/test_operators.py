@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vlogic import scalar_logic as sl
-from vlogic import gate_operator, identity_operator, max_norm, negation_operator, random_basis
-from vlogic.operators import _times_kron_cores, lift
+from vlogic import Gate, gate_operator, identity_operator, max_norm, negation_operator, random_basis
+from vlogic.errors import DimensionMismatch
+from vlogic.operators import _kron_power, _times_kron_cores, lift
 
 TOL = 1e-10
 
@@ -170,9 +171,9 @@ def test_tautologies(dim, eps, seed):
     b = random_basis(dim, eps, seed)
     i_op = identity_operator(b)
     n_op = negation_operator(b)
-    l = gate_operator(b, sl.IMPL)
-    d = gate_operator(b, sl.OR)
-    c = gate_operator(b, sl.AND)
+    l = np.asarray(gate_operator(b, sl.IMPL))
+    d = np.asarray(gate_operator(b, sl.OR))
+    c = np.asarray(gate_operator(b, sl.AND))
     assert max_norm(l - d @ np.kron(n_op, i_op)) < TOL
     assert max_norm(d - n_op @ c @ np.kron(n_op, n_op)) < TOL
 
@@ -199,7 +200,7 @@ def test_tautology_contraction_matches_dense_kron(dim):
     for table in sl.ALL_DYADIC_TABLES:
         t = gate_operator(b, table)
         for core_x, core_y in ((j, i2), (j, j), (cx, cy)):
-            dense = t @ np.kron(lift(b, core_x), lift(b, core_y))
+            dense = np.asarray(t) @ np.kron(lift(b, core_x), lift(b, core_y))
             assert max_norm(_times_kron_cores(b, t, core_x, core_y) - dense) < 1e-13
 
 
@@ -212,4 +213,65 @@ def test_dyadic_operator_matches_outer_product_sum(dim, eps, seed):
             np.outer(b.s if out == sl.TRUE else b.n, np.kron(d1, d2))
             for out, (d1, d2) in zip(table.outputs, duals)
         )
-        assert max_norm(gate_operator(b, table) - expected) < 1e-13
+        assert max_norm(np.asarray(gate_operator(b, table)) - expected) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("eps", [0.0, 0.35])
+def test_gate_apply_matches_dense(dim, eps, ternary_tables):
+    # every table of arity 1, 2 and 3: the structured gate @ v against its
+    # dense matrix, for vector, matrix and complex right operands
+    b = random_basis(dim, eps, seed=dim)
+    rng = np.random.default_rng(dim)
+    for tables in (sl.MONADIC_GATES.values(), sl.ALL_DYADIC_TABLES, ternary_tables):
+        for table in tables:
+            gate = gate_operator(b, table)
+            dense = np.asarray(gate)
+            cols = dim**table.arity
+            assert isinstance(gate, Gate) and gate.shape == dense.shape == (dim, cols)
+            for v in (
+                rng.standard_normal(cols),
+                rng.standard_normal((cols, 3)),
+                rng.standard_normal(cols) + 1j * rng.standard_normal(cols),
+                rng.standard_normal((cols, 2)) + 1j * rng.standard_normal((cols, 2)),
+            ):
+                out = gate @ v
+                assert out.shape == (dense @ v).shape
+                assert max_norm(out - dense @ v) < 1e-13
+
+
+def test_gate_dense_matrix_is_outputs_times_kron_power(dim4):
+    # np.asarray(gate) is the matrix the library has always serialized
+    for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES):
+        gate = gate_operator(dim4, table)
+        expected = gate.outputs @ _kron_power(dim4.duals, table.arity)
+        np.testing.assert_array_equal(np.asarray(gate), expected)
+        assert np.asarray(gate, dtype=complex).dtype == complex
+
+
+def test_gate_never_densifies_silently(dim4):
+    gate = gate_operator(dim4, sl.AND)
+    dense = np.asarray(gate)
+    for combine in (lambda: dense - gate, lambda: gate - dense, lambda: dense + gate, lambda: np.abs(gate)):
+        with pytest.raises(TypeError):
+            combine()
+    with pytest.raises(ValueError):
+        np.asarray(gate, copy=False)
+
+
+def test_matrix_times_gate_is_a_gate(dim4):
+    # N C keeps the structure: N acts on C's Q x 2^k output columns
+    neg = negation_operator(dim4)
+    c = gate_operator(dim4, sl.AND)
+    nc = neg @ c
+    assert isinstance(nc, Gate) and nc.shape == c.shape
+    assert max_norm(np.asarray(nc) - neg @ np.asarray(c)) < 1e-14
+
+
+def test_gate_apply_rejects_wrong_shapes(dim4):
+    gate = gate_operator(dim4, sl.AND)
+    for bad in (np.ones(4), np.ones((16, 2, 2)), np.ones((4, 16))):
+        with pytest.raises(DimensionMismatch):
+            gate @ bad
+    with pytest.raises(DimensionMismatch):
+        np.ones((4, 3)) @ gate
