@@ -4,7 +4,8 @@
 Each class is one signature (re_s, re_n, im_s, im_n) with the gates that
 share it: one probe tells the classes apart, never the gates inside one.
 Named gates are marked with *; the others are named by their truth-table
-pattern in input order (TT, TF, FT, FF for arity 2).
+pattern in input order (TT, TF, FT, FF for arity 2). Each gate is followed
+by the residual of its probe output off span{s, n}.
 
 Usage: python scripts/enumerate_signatures.py [--arity K] [--dim Q] [--seed S] [--canonical NAME]
 """
@@ -44,7 +45,10 @@ def main():
     print(f"{'re_s':>7} {'re_n':>7} {'im_s':>7} {'im_n':>7}  {'size':>4}  gates")
     for cls in classes:
         coefficients = " ".join(f"{round(c, 3) + 0.0:7.3f}" for c in signatures[cls[0]].coefficients)
-        names = ", ".join(name + ("*" if name in MONADIC_GATES or name in NAMED_DYADIC_GATES else "") for name in cls)
+        names = ", ".join(
+            f"{name}{'*' if name in MONADIC_GATES or name in NAMED_DYADIC_GATES else ''}({signatures[name].residual:.1e})"
+            for name in cls
+        )
         print(f"{coefficients}  {len(cls):4d}  {names}")
 
 

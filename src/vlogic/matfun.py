@@ -217,20 +217,11 @@ def S_series(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY)
 
 def scalar_exp_series(x: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
     """The plain scalar exponential series under the same truncation policy:
-    the exp series on the core x*I2, whose two eigenvalues are both x, so it
-    is summed once and stops when the added term's |t| < term_tol."""
+    the exp series on the core x*I2, whose two eigenvalues are both x, so its
+    core term norm is |t|."""
     with decimal.localcontext(_DIGITS):
-        xr, xi = _dec(x)
-        (tr, ti), exponent = _ONE, 0
-        sr, si = tr, ti
-        bound = Decimal(policy.term_tol) ** 2
-        for _ in range(policy.max_terms):
-            exponent += 1
-            tr, ti = (tr * xr - ti * xi) / exponent, (tr * xi + ti * xr) / exponent
-            sr, si = sr + tr, si + ti
-            if tr * tr + ti * ti < bound:
-                return complex(float(sr), float(si))
-    raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
+        lam = _dec(x)
+        return _eigen_series(lam, lam, "exp", policy)[0]
 
 
 @dataclass(frozen=True)

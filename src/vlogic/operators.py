@@ -58,9 +58,11 @@ class Gate:
     `gate @ v` takes v of shape (Q^k,) or (Q^k, m), real or complex, and
     contracts the duals with each Kronecker factor of v in turn (mixed-product
     rule, Van Loan 2000): O(Q^k m) time and no array larger than v.
-    `m @ gate` is again a Gate, with output columns m outputs.
-    `np.asarray(gate)` builds the dense matrix; any other numpy arithmetic on
-    a gate raises TypeError rather than densifying it unasked.
+    `m @ gate` is again a Gate, with output columns m outputs; `gate @ gate`
+    raises TypeError. `np.asarray(gate)` builds the dense matrix, and so does
+    any numpy function that converts its arguments (np.kron, np.allclose);
+    numpy ufunc arithmetic on a gate raises TypeError rather than densifying
+    it unasked.
     """
 
     __array_ufunc__ = None
@@ -70,15 +72,17 @@ class Gate:
         self.shape = (outputs.shape[0], duals.shape[1] ** arity)
 
     def __matmul__(self, v):
+        if isinstance(v, Gate):
+            raise TypeError("gate @ gate is not supported; apply np.asarray to one side to densify it")
         v = np.asarray(v)
         if v.ndim not in (1, 2) or v.shape[0] != self.shape[1]:
             raise DimensionMismatch(f"cannot apply a {self.shape[0]}x{self.shape[1]} gate to shape {v.shape}")
         q = self.duals.shape[1]
         # axis 0 collects the dual rows (y or z) picked so far, axis 1 is
         # the next Kronecker factor, axis 2 the rest of v
-        x = v.reshape(1, q, -1)
+        x = v.reshape(1, q, v.size // q)
         for _ in range(self.arity - 1):
-            x = (self.duals @ x).reshape(-1, q, x.shape[2] // q)
+            x = (self.duals @ x).reshape(2 * x.shape[0], q, x.shape[2] // q)
         return self.outputs @ (self.duals @ x).reshape(2**self.arity, *v.shape[1:])
 
     def __rmatmul__(self, m):

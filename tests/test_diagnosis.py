@@ -272,7 +272,7 @@ def test_probe_and_classify_at_dim128():
     for name, table in sl.MONADIC_GATES.items():
         assert classify(probe(gate_operator(b, table), b, 1), 1).verdict == name
     for name, table in sl.NAMED_DYADIC_GATES.items():
-        oracle = gate_operator(b, table)  # 16 MiB, built before tracing
+        oracle = np.asarray(gate_operator(b, table))  # dense, 16 MiB, built before tracing
         tracemalloc.start()
         try:
             sig = probe(oracle, b, 2)

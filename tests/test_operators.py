@@ -252,7 +252,7 @@ def test_gate_dense_matrix_is_outputs_times_kron_power(dim4):
 def test_gate_never_densifies_silently(dim4):
     gate = gate_operator(dim4, sl.AND)
     dense = np.asarray(gate)
-    for combine in (lambda: dense - gate, lambda: gate - dense, lambda: dense + gate, lambda: np.abs(gate)):
+    for combine in (lambda: dense - gate, lambda: gate - dense, lambda: dense + gate, lambda: np.abs(gate), lambda: gate @ gate):
         with pytest.raises(TypeError):
             combine()
     with pytest.raises(ValueError):
@@ -266,6 +266,12 @@ def test_matrix_times_gate_is_a_gate(dim4):
     nc = neg @ c
     assert isinstance(nc, Gate) and nc.shape == c.shape
     assert max_norm(np.asarray(nc) - neg @ np.asarray(c)) < 1e-14
+
+
+def test_gate_apply_to_zero_columns(dim4):
+    for table in (sl.NOT, sl.AND):
+        gate = gate_operator(dim4, table)
+        assert (gate @ np.ones((gate.shape[1], 0))).shape == (4, 0)
 
 
 def test_gate_apply_rejects_wrong_shapes(dim4):
