@@ -177,13 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VectorLogicError as exc:
-        print(f"vlogic: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"vlogic: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (VectorLogicError, OSError, ValueError) as exc:
         print(f"vlogic: error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,11 +58,10 @@ class Gate:
     `gate @ v` takes v of shape (Q^k,) or (Q^k, m), real or complex, and
     contracts the duals with each Kronecker factor of v in turn (mixed-product
     rule, Van Loan 2000): O(Q^k m) time and no array larger than v.
-    `m @ gate` is again a Gate, with output columns m outputs; `gate @ gate`
-    raises TypeError. `np.asarray(gate)` builds the dense matrix, and so does
-    any numpy function that converts its arguments (np.kron, np.allclose);
-    numpy ufunc arithmetic on a gate raises TypeError rather than densifying
-    it unasked.
+    `gate @ gate`, `m @ gate` and numpy ufunc arithmetic on a gate raise
+    TypeError rather than densifying it unasked. `np.asarray(gate)` builds the
+    dense matrix, and so does any numpy function that converts its arguments
+    (np.kron, np.allclose).
     """
 
     __array_ufunc__ = None
@@ -85,13 +84,6 @@ class Gate:
             x = (self.duals @ x).reshape(2 * x.shape[0], q, x.shape[2] // q)
         return self.outputs @ (self.duals @ x).reshape(2**self.arity, *v.shape[1:])
 
-    def __rmatmul__(self, m):
-        """M @ gate for a P x Q matrix M: the gate with output columns M outputs."""
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[1] != self.shape[0]:
-            raise DimensionMismatch(f"cannot apply shape {m.shape} to a {self.shape[0]}x{self.shape[1]} gate")
-        return Gate(m @ self.outputs, self.duals, self.arity)
-
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a Gate stores no dense matrix to share")
@@ -103,14 +95,6 @@ def gate_operator(basis: TruthBasis, table: TruthTable) -> Gate:
     """The k-ary gate of a truth table: the frame column of each output."""
     outputs = basis.frame[:, [0 if out == TRUE else 1 for out in table.outputs]]
     return Gate(outputs, basis.duals, table.arity)
-
-
-def _times_kron_cores(basis: TruthBasis, t, core_x, core_y) -> np.ndarray:
-    """T (X(x)Y) for a Q x Q^2 gate T and X, Y with 2 x 2 cores core_x, core_y
-    over the frame: by the mixed-product rule X(x)Y = [s n]^{(x)2} (core_x (x)
-    core_y) ([y z]^T)^{(x)2}, so T is read only through T [s n]^{(x)2}; for a
-    Gate T the Q x Q^2 result is the only dense array. O(Q^3)."""
-    return (t @ _kron_power(basis.frame, 2)) @ _kron(core_x, core_y) @ _kron_power(basis.duals, 2)
 
 
 def identity_operator(basis: TruthBasis) -> np.ndarray:

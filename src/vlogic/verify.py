@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
-from .operators import I2, J, _kron_power, _times_kron_cores, gate_operator, max_norm, negation_operator
+from .operators import _kron, _kron_power, gate_operator, max_norm, negation_operator
 from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
 
 IDENTITY_TOL = 1e-8
@@ -53,16 +53,19 @@ def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
 
 
 def tautology_residuals(b: TruthBasis) -> dict[str, float]:
-    """L = D (N(x)I) and D = N C (N(x)N), the right-hand sides taken on the
-    cores of I and N, with N applied to C's Q x 4 output columns before the
-    expansion; the dense L and D are compared entry by entry."""
+    """L = D (N(x)I) and D = N C (N(x)N). Each side is Q x 4 output columns
+    times ([y z]^T)^{(x)2} (mixed-product rule, Van Loan 2000), so the two
+    agree exactly when they agree on [s n]^{(x)2} = s(x)s, s(x)n, n(x)s,
+    n(x)n; both sides are applied there through `@`, in O(Q^2) memory."""
     neg = negation_operator(b)
     l = gate_operator(b, scalar_logic.IMPL)
     d = gate_operator(b, scalar_logic.OR)
     c = gate_operator(b, scalar_logic.AND)
+    frames = _kron_power(b.frame, 2)
+    negated = neg @ b.frame  # N s, N n
     return {
-        "L_minus_D_NxI": max_norm(np.asarray(l) - _times_kron_cores(b, d, J, I2)),
-        "D_minus_NC_NxN": max_norm(np.asarray(d) - _times_kron_cores(b, neg @ c, J, J)),
+        "L_minus_D_NxI": max_norm(l @ frames - d @ _kron(negated, b.frame)),
+        "D_minus_NC_NxN": max_norm(d @ frames - neg @ (c @ _kron(negated, negated))),
     }
 
 
