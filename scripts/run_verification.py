@@ -3,8 +3,9 @@
 
 Usage: python scripts/run_verification.py [--dims 2,4,8,16] [--seeds 3]
 
-Each line gives the wall-clock seconds of that (dim, seed) run, so a sweep
-shows how the cost grows with the dimension.
+Each line gives the worst residual of that (dim, seed) run, the section
+that holds it, and the wall-clock seconds, so a sweep shows how the cost
+grows with the dimension.
 """
 
 import argparse
@@ -27,12 +28,12 @@ def main():
             report = run_full_verification(dim=dim, seed=seed)
             elapsed = time.perf_counter() - start
             status = "PASS" if report["pass"] else "FAIL"
-            worst = max(
-                max(sec.get("residuals", {"": 0.0}).values())
-                for sec in report["sections"].values()
+            worst, section = max(
+                (max(sec["residuals"].values(), default=0.0), name)
+                for name, sec in report["sections"].items()
                 if "residuals" in sec
             )
-            print(f"[{status}] dim={dim} seed={seed} worst residual {worst:.2e} {elapsed:.3f} s")
+            print(f"[{status}] dim={dim} seed={seed} worst residual {worst:.2e} ({section}) {elapsed:.3f} s")
             all_ok = all_ok and report["pass"]
     return 0 if all_ok else 2
 

@@ -203,6 +203,19 @@ def test_euler_suite_passes(capsys, tmp_path):
     assert all(e["pass"] for e in payload["identities"])
 
 
+def test_euler_names_the_worst_argument(capsys, tmp_path):
+    basis_file = tmp_path / "dim4.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    code, payload = run_json(capsys, "euler", "--basis", str(basis_file), "--v", "0.25,1.5", "--k", "2,3")
+    assert code == 0
+    worst = payload["worst_argument"]
+    assert worst.keys() == {e["identity"] for e in payload["identities"]}
+    assert worst["a_exp_equals_C_plus_AS"]["v"] in (0.25, 1.5)
+    assert worst["e_cosine_addition"].keys() == {"va", "vb"}
+    assert worst["h_de_moivre"]["k"] in (2, 3)
+    assert worst["g_great_euler"] == {"v": 1.0}
+
+
 def test_verify_exits_0(capsys):
     code, payload = run_json(capsys, "verify", "--dim", "4", "--seed", "1")
     assert code == 0

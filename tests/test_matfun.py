@@ -1,14 +1,18 @@
 """Logical exponential, matrix circular functions, and the Euler identity suite."""
 
+import decimal
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vlogic.operators
+from vlogic import matfun
 from vlogic import (
     C_of,
     C_series,
@@ -26,7 +30,7 @@ from vlogic import (
 from vlogic.errors import NonCommuting, SeriesNotConverged
 from vlogic.matfun import COMMUTATOR_TOL, scalar_exp_series
 from vlogic.operators import lift
-from vlogic.verify import EULER_KS, EULER_V_SAMPLES
+from vlogic.verify import EULER_KS, EULER_V_SAMPLES, RESIDUAL_TOL, scalar_oracle_residual
 
 SUITE_TOL = 1e-8
 
@@ -378,10 +382,20 @@ def test_rejects_argument_in_frame_that_does_not_commute_with_n(basis):
 
 
 def test_span_check_scales_with_the_argument():
-    # the projection's rounding error grows with |X|: at v = 1e5 the distance
-    # of Pi v from span{I, N} is ~2e-10, above the absolute COMMUTATOR_TOL
-    report = verify_euler_suite(make_context(random_basis(16, 0.35, 1)), [0.5, 1e5])
-    assert report.passed, report.residuals
+    # the projection's rounding error grows with |X|: the arguments Pi v,
+    # Pi 2v, Pi 3v, Pi 5v the Euler suite reaches at v = 1e5 lie up to ~2e-10
+    # from span{I, N}, above the absolute COMMUTATOR_TOL, and still pass
+    c = make_context(random_basis(16, 0.35, 1))
+    distances = []
+    for w in (0.5, 1e5, 2e5, 3e5, 5e5):
+        x = c.Pi * w
+        for y in (x, c.A @ x):
+            core = c.basis.duals @ y @ c.basis.frame
+            distances.append(max_norm(y - lift(c.basis, (core + core[::-1, ::-1]) / 2)))
+        assert max_norm(C_of(c, x) - math.cos(math.pi * w) * c.I) < SUITE_TOL, w
+        assert max_norm(S_of(c, x) - 1j * math.sin(math.pi * w) * c.B) < SUITE_TOL, w
+        assert max_norm(logical_exp(c, c.A @ x) - np.exp(1j * math.pi * w) * c.I) < SUITE_TOL, w
+    assert max(distances) > COMMUTATOR_TOL, distances
 
 
 def test_span_check_is_absolute_below_unit_norm(ctx):
@@ -474,3 +488,124 @@ def test_series_at_huge_argument_do_not_converge(ctx, v):
         for kind, x in (("exp", ctx.A @ ctx.Pi * v), ("C", ctx.Pi * v), ("S", ctx.Pi * v)):
             with pytest.raises(SeriesNotConverged):
                 SERIES[kind](ctx, x)
+
+
+def test_scalar_series_matches_two_eigenvalue_sum():
+    # one eigenvalue x gives the same sum, and stops after the same term, as
+    # the exp series on the core x I2 (both eigenvalues x)
+    for v in EULER_V_SAMPLES:
+        x = 1j * math.pi * v
+        lam = matfun._dec(x)
+
+        def one(policy):
+            return scalar_exp_series(x, policy)
+
+        def two(policy):
+            with decimal.localcontext(matfun._DIGITS):
+                return matfun._eigen_series(lam, lam, "exp", policy)[0]
+
+        assert one(SeriesPolicy()) == two(SeriesPolicy()), v
+        assert _fewest_terms(one) == _fewest_terms(two), v
+
+
+def _fewest_terms(series):
+    """The smallest max_terms at which the series converges."""
+    for max_terms in range(8, 65):
+        try:
+            series(SeriesPolicy(max_terms=max_terms))
+            return max_terms
+        except SeriesNotConverged:
+            pass
+    return None
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64])
+@pytest.mark.parametrize("eps", [-0.5, 0.0, 0.35, 0.9])
+def test_pair_residual_bounds_lifted_max_norm(dim, eps):
+    b = random_basis(dim, eps, 3)
+    bound = matfun._lift_bound(b)
+    rng = np.random.default_rng(dim)
+    for a, c in rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2)):
+        exact = max_norm(lift(b, np.array([[a, c], [c, a]])))
+        assert matfun._pair_residual(bound, np.array([a + c, a - c])) >= exact, (a, c)
+
+
+def dense_euler_residuals(c, v_samples, ks):
+    """The eight identities on dense Q x Q matrices, from the public closed
+    forms and the context's I, N, A, B, Pi: the suite's independent oracle."""
+    res = dict.fromkeys("abcdefgh", 0.0)
+    for v in v_samples:
+        x = c.Pi * v
+        cv, sv = C_of(c, x), S_of(c, x)
+        e_pos, e_neg = logical_exp(c, c.A @ x), logical_exp(c, -c.A @ x)
+        cas = cv + c.A @ sv
+        res["a"] = max(res["a"], max_norm(e_pos - cas))
+        res["b"] = max(res["b"], max_norm(cv @ cv - c.N @ sv @ sv - c.I))
+        res["c"] = max(res["c"], max_norm(cv - 0.5 * (e_pos + e_neg)))
+        res["d"] = max(res["d"], max_norm(sv - 0.5 * c.B @ (e_pos - e_neg)))
+        for k in ks:
+            power = c.I if k == 0 else np.linalg.matrix_power(cas, k)
+            xk = c.Pi * (k * v)
+            res["h"] = max(res["h"], max_norm(power - (C_of(c, xk) + c.A @ S_of(c, xk))))
+        for w in v_samples:
+            y, cw, sw = c.Pi * w, C_of(c, c.Pi * w), S_of(c, c.Pi * w)
+            res["e"] = max(res["e"], max_norm(C_of(c, x + y) - (cv @ cw + c.N @ sv @ sw)))
+            res["f"] = max(res["f"], max_norm(S_of(c, x + y) - (sv @ cw + sw @ cv)))
+    res["g"] = max_norm(logical_exp(c, c.A @ c.Pi) + c.I)
+    return res
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+@pytest.mark.parametrize("eps", [0.0, 0.35])
+def test_euler_identities_hold_on_dense_matrices(dim, eps):
+    c = make_context(random_basis(dim, eps, 5))
+    dense = dense_euler_residuals(c, EULER_V_SAMPLES, (0, *EULER_KS))
+    assert all(r < SUITE_TOL for r in dense.values()), dense
+    report = verify_euler_suite(c, EULER_V_SAMPLES, ks=(0, *EULER_KS))
+    assert [name[0] for name in report.residuals] == sorted(dense)
+    assert report.passed, report.residuals
+
+
+def test_euler_suite_builds_no_matrix(monkeypatch):
+    c = make_context(random_basis(8, 0.35, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite built a Q x Q matrix")
+
+    monkeypatch.setattr(vlogic.operators, "lift", refuse)
+    monkeypatch.setattr(matfun, "lift", refuse)
+    monkeypatch.setattr(matfun, "_lift_eigen", refuse)
+    assert verify_euler_suite(c, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
+    assert scalar_oracle_residual(c) < RESIDUAL_TOL
+    with pytest.raises(AssertionError, match="built a Q x Q matrix"):
+        logical_exp(c, c.Pi)
+
+
+def test_euler_suite_memory_at_dim1024():
+    c = make_context(random_basis(1024, 0.35, 1))
+    tracemalloc.start()
+    try:
+        report = verify_euler_suite(c, EULER_V_SAMPLES, ks=EULER_KS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 16  # one Q x Q complex128 array
+    assert report.passed, report.residuals
+
+
+def test_worst_argument_reproduces_the_worst_residual():
+    c = make_context(random_basis(8, 0.35, 4))
+    report = verify_euler_suite(c, EULER_V_SAMPLES, ks=(0, *EULER_KS))
+    worst = report.metadata["worst_argument"]
+    assert worst.keys() == report.residuals.keys()
+    assert worst["g_great_euler"] == {"v": 1.0}
+    for name, arg in worst.items():
+        if set(arg) == {"va", "vb"}:
+            again = verify_euler_suite(c, [arg["va"], arg["vb"]], ks=())
+        elif set(arg) == {"k", "v"}:
+            again = verify_euler_suite(c, [arg["v"]], ks=(arg["k"],))
+        else:
+            assert set(arg) == {"v"}, arg
+            again = verify_euler_suite(c, [arg["v"]], ks=())
+        assert again.residuals[name] == report.residuals[name], (name, arg)
+    assert {tuple(arg) for arg in worst.values()} == {("v",), ("k", "v"), ("va", "vb")}

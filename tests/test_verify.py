@@ -20,6 +20,11 @@ from vlogic import (
 from vlogic import scalar_logic as sl
 from vlogic.verify import RESIDUAL_TOL, run_full_verification, tautology_residuals, truth_table_residuals
 
+EULER_IDENTITIES = (
+    "a_exp_equals_C_plus_AS", "b_C2_minus_NS2_is_I", "c_C_from_exponentials", "d_S_from_exponentials",
+    "e_cosine_addition", "f_sine_addition", "g_great_euler", "h_de_moivre",
+)
+
 TAUTOLOGY_BASES = {
     "DIM4": canonical_basis("DIM4"),
     "Q5_eps-0.6": random_basis(5, -0.6, 3),
@@ -101,3 +106,24 @@ def test_verification_never_densifies_a_gate(monkeypatch, dim):
 
     monkeypatch.setattr(Gate, "__array__", refuse)
     assert run_full_verification(dim=dim)["pass"]
+
+
+SECTIONS = [
+    "basis_orthonormal", "basis_nonorthogonal", "truth_tables", "truth_tables_nonorthogonal",
+    "tautologies", "tautologies_nonorthogonal", "srn", "srn_nonorthogonal", "scalar_oracle",
+    "euler", "diagnosis",
+]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_verification_sections_pass(dim, seed):
+    report = run_full_verification(dim=dim, seed=seed)
+    assert list(report["sections"]) == SECTIONS
+    assert list(report["sections"]["euler"]["residuals"]) == list(EULER_IDENTITIES)
+    assert list(report["sections"]["scalar_oracle"]["residuals"]) == ["exp_vs_scalar_series"]
+    for name, section in report["sections"].items():
+        assert section["pass"], name
+        for key, r in section.get("residuals", {}).items():
+            assert r < section["tolerance"], (name, key, r)
+    assert report["pass"]
