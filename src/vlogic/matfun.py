@@ -55,16 +55,9 @@ import numpy as np
 from .basis import TruthBasis
 from .errors import NonCommuting, SeriesNotConverged
 from .operators import lift, max_norm
-from .srn import ALPHA, BETA, sqrt_not
+from .srn import sqrt_not
 
 COMMUTATOR_TOL = 1e-10
-
-# eigenvalue pairs (lambda+, lambda-) of the cores of I, N, A, B and Pi
-_I = np.array([1, 1], dtype=complex)
-_N = np.array([1, -1], dtype=complex)
-_A = np.array([ALPHA + BETA, ALPHA - BETA])
-_B = np.array([BETA + ALPHA, BETA - ALPHA])
-_PI = 1j * pi * _B
 
 
 @dataclass(frozen=True)
@@ -105,20 +98,27 @@ def make_context(basis: TruthBasis) -> LogicAlgebraContext:
     return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=pair.A, B=pair.B, Pi=1j * pi * pair.B)
 
 
-def _core(ctx: LogicAlgebraContext, x):
-    """The entries a, b of the core a*I2 + b*J of each Q x Q slice of X.
+def _symmetric_core(ctx: LogicAlgebraContext, x) -> np.ndarray:
+    """The core Y^T X S of each Q x Q slice of X, symmetrized to
+    (c + J c J)/2, the part of c that commutes with J: a I2 + b J.
+    O(Q^2) per slice, with no Q x Q temporary."""
+    c = ctx.basis.duals @ x @ ctx.basis.frame
+    return (c + c[..., ::-1, ::-1]) / 2
 
-    The core is Y^T X S symmetrized, (c + J c J)/2, the part of c that
-    commutes with J. Only then does the span check see a part of X that
-    does not commute with N: the raw projection c reproduces every X inside
-    span{s, n}, so X = s y^T (core [[1, 0], [0, 0]]) would pass the check
-    and give wrong numbers. Raises NonCommuting if any slice is further
-    than COMMUTATOR_TOL * max(1, max-norm of the slice) from span{I, N}:
-    the rounding error of the projection grows with |X|.
+
+def _core(ctx: LogicAlgebraContext, x):
+    """The entries a, b of the symmetrized core a*I2 + b*J of each Q x Q
+    slice of X.
+
+    Only the symmetrization lets the span check see a part of X that does
+    not commute with N: the raw projection c = Y^T X S reproduces every X
+    inside span{s, n}, so X = s y^T (core [[1, 0], [0, 0]]) would pass the
+    check and give wrong numbers. Raises NonCommuting if any slice is
+    further than COMMUTATOR_TOL * max(1, max-norm of the slice) from
+    span{I, N}: the rounding error of the projection grows with |X|.
     """
     x = np.asarray(x, dtype=complex)
-    c = ctx.basis.duals @ x @ ctx.basis.frame
-    core = (c + c[..., ::-1, ::-1]) / 2
+    core = _symmetric_core(ctx, x)
     resid = np.abs(x - lift(ctx.basis, core)).max(axis=(-2, -1))
     if not np.all(resid <= COMMUTATOR_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))):
         raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid.max():.3e})")
@@ -128,6 +128,16 @@ def _core(ctx: LogicAlgebraContext, x):
 def _pairs(ctx: LogicAlgebraContext, x) -> np.ndarray:
     """The eigenvalue pairs (a + b, a - b) of the cores of X, shape (..., 2)."""
     a, b = _core(ctx, x)
+    return np.stack([a + b, a - b], axis=-1)
+
+
+def _context_pairs(ctx: LogicAlgebraContext) -> np.ndarray:
+    """The eigenvalue pairs of the context's I, N, A, B and Pi, shape (5, 2),
+    read from their dense fields through the symmetrized core, so a wrong
+    context shows in every residual computed from them. No span check: it
+    would need the Q x Q lift; the dense public functions make it."""
+    core = np.stack([_symmetric_core(ctx, m) for m in (ctx.I, ctx.N, ctx.A, ctx.B, ctx.Pi)])
+    a, b = core[:, 0, 0], core[:, 0, 1]
     return np.stack([a + b, a - b], axis=-1)
 
 
@@ -262,18 +272,11 @@ def S_series(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY)
 
 def scalar_exp_series(x: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
     """The plain scalar exponential series under the same truncation policy:
-    the exp series on the one eigenvalue x, stopped when the added term's
-    |t| < term_tol, as on the core x*I2, whose core term norm is |t|."""
+    the exp series on the core x*I2, whose two eigenvalues are both x, so its
+    core term norm is |t|."""
     with decimal.localcontext(_DIGITS):
-        (xr, xi), (tr, ti) = _dec(x), _ONE
-        accr, acci = tr, ti
-        bound = Decimal(policy.term_tol) ** 2
-        for j in range(1, policy.max_terms + 1):
-            tr, ti = (tr * xr - ti * xi) / j, (tr * xi + ti * xr) / j
-            accr, acci = accr + tr, acci + ti
-            if tr * tr + ti * ti < bound:
-                return complex(float(accr), float(acci))
-    raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
+        lam = _dec(x)
+        return _eigen_series(lam, lam, "exp", policy)[0]
 
 
 @dataclass(frozen=True)
@@ -349,28 +352,30 @@ def verify_euler_suite(
             )
 
     bound = _lift_bound(ctx.basis)
+    I, N, A, B, Pi = _context_pairs(ctx)
     v = np.array(v_samples)
-    x = _PI * v[:, None]
+    x = Pi * v[:, None]
     c, s = _C_pair(x), _S_pair(x)
-    e_pos, e_neg = _exp_pair(_A * x), _exp_pair(-_A * x)
-    c_plus_as = c + _A * s
-    # k along axis 0, v along axis 1; (e), (f): va along axis 0, vb along axis 1
+    e_pos, e_neg = _exp_pair(A * x), _exp_pair(-A * x)
+    c_plus_as = c + A * s
+    # k along axis 0, v along axis 1, and I X^k is I at k = 0;
+    # (e), (f): va along axis 0, vb along axis 1
     k = np.array(ks)[:, None, None]
-    xk = _PI * (k * v[:, None])
-    xs = _PI * (v[:, None] + v[None, :])[..., None]
+    xk = Pi * (k * v[:, None])
+    xs = Pi * (v[:, None] + v[None, :])[..., None]
     ca, cb, sa, sb = c[:, None], c[None, :], s[:, None], s[None, :]
     by_v = {"v": v_samples}
     by_kv = {"k": ks, "v": v_samples}
     by_ab = {"va": v_samples, "vb": v_samples}
     residuals = {
         "a_exp_equals_C_plus_AS": (e_pos - c_plus_as, by_v),
-        "b_C2_minus_NS2_is_I": (c * c - _N * s * s - _I, by_v),
+        "b_C2_minus_NS2_is_I": (c * c - N * s * s - I, by_v),
         "c_C_from_exponentials": (c - 0.5 * (e_pos + e_neg), by_v),
-        "d_S_from_exponentials": (s - 0.5 * _B * (e_pos - e_neg), by_v),
-        "e_cosine_addition": (_C_pair(xs) - (ca * cb + _N * sa * sb), by_ab),
+        "d_S_from_exponentials": (s - 0.5 * B * (e_pos - e_neg), by_v),
+        "e_cosine_addition": (_C_pair(xs) - (ca * cb + N * sa * sb), by_ab),
         "f_sine_addition": (_S_pair(xs) - (sa * cb + sb * ca), by_ab),
-        "g_great_euler": (_exp_pair(_A * _PI)[None] + _I, {"v": [1.0]}),
-        "h_de_moivre": (c_plus_as**k - (_C_pair(xk) + _A * _S_pair(xk)), by_kv),
+        "g_great_euler": (_exp_pair(A * Pi)[None] + I, {"v": [1.0]}),
+        "h_de_moivre": (c_plus_as**k * I - (_C_pair(xk) + A * _S_pair(xk)), by_kv),
     }
     named, worst = {}, {}
     for name, (d, axes) in residuals.items():
@@ -385,3 +390,13 @@ def verify_euler_suite(
         tolerance=tol,
         metadata={"v_samples": v_samples, "ks": ks, "dim": ctx.basis.dim, "worst_argument": worst},
     )
+
+
+def scalar_exp_residual(ctx: LogicAlgebraContext, v_samples, scalars) -> float:
+    """The largest residual of logical_exp(A Pi v) = scalar I over the pairs
+    (v, scalar) of v_samples and scalars, with the suite's bound and on its
+    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix."""
+    I, _, A, _, Pi = _context_pairs(ctx)
+    v = np.array(v_samples, dtype=float)
+    d = _exp_pair(A * Pi * v[:, None]) - np.array(scalars, dtype=complex)[:, None] * I
+    return float(_pair_residual(_lift_bound(ctx.basis), d).max())

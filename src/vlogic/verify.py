@@ -10,8 +10,6 @@ from __future__ import annotations
 from itertools import product
 from math import pi
 
-import numpy as np
-
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
 from .operators import _kron, _kron_power, gate_operator, max_norm, negation_operator
@@ -81,13 +79,11 @@ def diagnosis_roundtrip_failures(b: TruthBasis) -> list[str]:
 
 
 def scalar_oracle_residual(ctx: matfun.LogicAlgebraContext, v_samples=EULER_V_SAMPLES) -> float:
-    """logical_exp(A Pi v) vs e^{i pi v} I from the scalar series, on the
-    eigenvalue pairs of the cores: the bound on the max-norm of the lifted
-    residual that `verify_euler_suite` reports, with no Q x Q matrix built."""
-    v = np.array(v_samples, dtype=float)
-    pairs = matfun._exp_pair(matfun._A * matfun._PI * v[:, None])
-    scalars = np.array([matfun.scalar_exp_series(1j * pi * w) for w in v], dtype=complex)
-    return max_norm(matfun._pair_residual(matfun._lift_bound(ctx.basis), pairs - scalars[:, None]))
+    """The closed-form logical_exp(A Pi v) against e^{i pi v} I from the
+    scalar series, on eigenvalue pairs with the Euler suite's bound
+    (`matfun.scalar_exp_residual`)."""
+    scalars = [matfun.scalar_exp_series(1j * pi * float(v)) for v in v_samples]
+    return matfun.scalar_exp_residual(ctx, v_samples, scalars)
 
 
 def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL) -> dict:

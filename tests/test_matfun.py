@@ -1,11 +1,11 @@
 """Logical exponential, matrix circular functions, and the Euler identity suite."""
 
-import decimal
 import math
 import re
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -490,33 +490,25 @@ def test_series_at_huge_argument_do_not_converge(ctx, v):
                 SERIES[kind](ctx, x)
 
 
-def test_scalar_series_matches_two_eigenvalue_sum():
-    # one eigenvalue x gives the same sum, and stops after the same term, as
-    # the exp series on the core x I2 (both eigenvalues x)
-    for v in EULER_V_SAMPLES:
-        x = 1j * math.pi * v
-        lam = matfun._dec(x)
-
-        def one(policy):
-            return scalar_exp_series(x, policy)
-
-        def two(policy):
-            with decimal.localcontext(matfun._DIGITS):
-                return matfun._eigen_series(lam, lam, "exp", policy)[0]
-
-        assert one(SeriesPolicy()) == two(SeriesPolicy()), v
-        assert _fewest_terms(one) == _fewest_terms(two), v
-
-
-def _fewest_terms(series):
-    """The smallest max_terms at which the series converges."""
-    for max_terms in range(8, 65):
-        try:
-            series(SeriesPolicy(max_terms=max_terms))
-            return max_terms
-        except SeriesNotConverged:
-            pass
-    return None
+def test_pair_checks_read_the_context():
+    # the pair suite and the scalar oracle take I, N, A, B and Pi from the
+    # context's dense fields, so a wrong context fails them
+    c = make_context(random_basis(8, 0.35, 2))
+    assert verify_euler_suite(c, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
+    assert scalar_oracle_residual(c) < RESIDUAL_TOL
+    for wrong, failing in (
+        (replace(c, Pi=2 * c.Pi), "g_great_euler"),
+        (replace(c, A=c.A.conj()), "d_S_from_exponentials"),
+        (replace(c, N=c.I), "b_C2_minus_NS2_is_I"),
+        (replace(c, I=1.001 * c.I), "h_de_moivre"),
+        (replace(c, B=-c.B), "d_S_from_exponentials"),
+    ):
+        assert verify_euler_suite(wrong, EULER_V_SAMPLES, ks=(0, *EULER_KS)).residuals[failing] > 1e-4
+    # the identities cannot tell i from -i; the scalar oracle can
+    swapped = replace(c, A=c.B, B=c.A)
+    assert verify_euler_suite(swapped, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
+    for wrong in (swapped, replace(c, Pi=2 * c.Pi), replace(c, I=1.001 * c.I)):
+        assert scalar_oracle_residual(wrong) > 1e-4
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16, 64])
