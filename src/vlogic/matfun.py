@@ -33,10 +33,12 @@ Every function takes one Q x Q argument or a stack (..., Q, Q) and
 returns the same shape; every slice must lie in span{I, N}.
 
 A product in span{I, N} is the elementwise product of eigenvalue pairs, so
-`verify_euler_suite` checks its identities on (..., 2) pair arrays with the
-pair functions the closed forms use (`_exp_pair`, `_C_pair`, `_S_pair`) and
-builds no Q x Q matrix; dense stacks come only from the public functions.
-For a residual core a I2 + b J it reports K max(|a|, |b|), with
+`verify_euler_suite` and `scalar_exp_residual` check their identities on
+(..., 2) pair arrays with the pair functions the closed forms use
+(`_exp_pair`, `_C_pair`, `_S_pair`). They read I, N, A, B and Pi from the
+context through the cores Y^T M S of its dense fields and build no Q x Q
+matrix; dense stacks come only from the public functions. For a residual
+core a I2 + b J they report K max(|a|, |b|), with
 K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|): never below the max-norm of
 the lifted residual a I + b N, though no bound on the residual of dense
 Q x Q products, which round on their own.
@@ -99,23 +101,22 @@ def make_context(basis: TruthBasis) -> LogicAlgebraContext:
 
 
 def _symmetric_core(ctx: LogicAlgebraContext, x) -> np.ndarray:
-    """The core Y^T X S of each Q x Q slice of X, symmetrized to
-    (c + J c J)/2, the part of c that commutes with J: a I2 + b J.
-    O(Q^2) per slice, with no Q x Q temporary."""
+    """The symmetrized core (c + J c J)/2, c = Y^T X S, of each Q x Q slice
+    of X (see `_core`), in O(Q^2) per slice with no Q x Q temporary."""
     c = ctx.basis.duals @ x @ ctx.basis.frame
     return (c + c[..., ::-1, ::-1]) / 2
 
 
 def _core(ctx: LogicAlgebraContext, x):
-    """The entries a, b of the symmetrized core a*I2 + b*J of each Q x Q
-    slice of X.
+    """The entries a, b of the core a*I2 + b*J of each Q x Q slice of X.
 
-    Only the symmetrization lets the span check see a part of X that does
-    not commute with N: the raw projection c = Y^T X S reproduces every X
-    inside span{s, n}, so X = s y^T (core [[1, 0], [0, 0]]) would pass the
-    check and give wrong numbers. Raises NonCommuting if any slice is
-    further than COMMUTATOR_TOL * max(1, max-norm of the slice) from
-    span{I, N}: the rounding error of the projection grows with |X|.
+    The core is Y^T X S symmetrized, (c + J c J)/2, the part of c that
+    commutes with J. Only then does the span check see a part of X that
+    does not commute with N: the raw projection c reproduces every X inside
+    span{s, n}, so X = s y^T (core [[1, 0], [0, 0]]) would pass the check
+    and give wrong numbers. Raises NonCommuting if any slice is further
+    than COMMUTATOR_TOL * max(1, max-norm of the slice) from span{I, N}:
+    the rounding error of the projection grows with |X|.
     """
     x = np.asarray(x, dtype=complex)
     core = _symmetric_core(ctx, x)
@@ -317,9 +318,10 @@ def verify_euler_suite(
         the zeroth power is the logical identity I, as in e^G
 
     Every value lies in span{I, N}, so the suite runs on eigenvalue pairs
-    (lambda+, lambda-), where products are elementwise: the pair functions
-    of `logical_exp`, `C_of` and `S_of` evaluate all samples at once, and
-    no Q x Q matrix is built. Each residual is the bound K max(|a|, |b|)
+    (lambda+, lambda-), where products are elementwise: I, N, A, B and Pi
+    are the pairs of the cores of the context's dense fields, the pair
+    functions of `logical_exp`, `C_of` and `S_of` evaluate all samples at
+    once, and no Q x Q matrix is built. Each residual is the bound K max(|a|, |b|)
     on the max-norm of the lifted residual a I + b N (K from the basis, see
     `_lift_bound`). The bound is never below the exact max-norm of the
     lifted residual, so no check is looser; it is no bound on the residual
