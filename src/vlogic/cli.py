@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import count
+from math import isfinite
 
 from . import diagnosis, matfun, scalar_logic, verify
 from .basis import canonical_basis, random_basis
@@ -42,6 +43,13 @@ def _load_basis(path: str):
 
 def _csv_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -127,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol_default=None):
         if tol_default is not None:
-            p.add_argument("--tol", type=float, default=tol_default)
+            p.add_argument("--tol", type=_tolerance, default=tol_default)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("basis", help="create a canonical or seeded random basis")

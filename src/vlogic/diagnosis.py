@@ -17,7 +17,7 @@ basis, and the duals read the output's coefficients along s and n exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import product
 
@@ -134,19 +134,21 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
 
 
 def enumerate_signatures(
-    basis: TruthBasis, tables: Iterable[TruthTable]
+    basis: TruthBasis, tables: Iterable[TruthTable], build: Callable | None = None
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
     """Probe signatures of the given gates (any arity), grouped into collision classes.
 
     Returns (name -> signature, collision classes); each class lists the
     gates sharing one signature, largest first, classes of size >= 2 being
     genuine one-probe ambiguities (e.g. the constant-true gate collides with
-    XOR).
+    XOR). build(basis, table) makes each probed oracle, `gate_operator` by
+    default, so a caller can probe gates of its own construction.
     """
+    build = build or gate_operator
     signatures: dict[str, GateSignature] = {}
     groups: dict[tuple, list[str]] = {}
     for table in tables:
-        sig = probe(gate_operator(basis, table), basis, table.arity)
+        sig = probe(build(basis, table), basis, table.arity)
         signatures[table.name] = sig
         key = tuple(round(c, 9) for c in sig.coefficients)
         groups.setdefault(key, []).append(table.name)
@@ -155,10 +157,10 @@ def enumerate_signatures(
 
 
 def enumerate_dyadic_signatures(
-    basis: TruthBasis,
+    basis: TruthBasis, build: Callable | None = None
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
     """Probe signatures and collision classes of all 16 dyadic gates."""
-    return enumerate_signatures(basis, ALL_DYADIC_TABLES)
+    return enumerate_signatures(basis, ALL_DYADIC_TABLES, build)
 
 
 # Fixed-arity names, kept for callers written against them.

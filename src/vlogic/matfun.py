@@ -329,10 +329,13 @@ def verify_euler_suite(
     metadata["worst_argument"] names the argument of each identity's worst
     residual: {"v": v}, {"k": k, "v": v} or {"va": va, "vb": vb}.
 
-    Raises ValueError for a k that is not a non-negative integer, and for a
-    v whose argument w = Pi v, Pi k v or Pi (va + vb) is not finite
-    or so large that its rounding error |w| 2^-52 is not below tol.
+    Raises ValueError for a tol that is not finite and positive, for a k
+    that is not a non-negative integer, and for a v whose argument
+    w = Pi v, Pi k v or Pi (va + vb) is not finite or so large that its
+    rounding error |w| 2^-52 is not below tol.
     """
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     v_samples = [float(v) for v in v_samples]
     for k in ks:
         if not (k >= 0 and float(k).is_integer()):

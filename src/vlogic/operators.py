@@ -7,7 +7,9 @@ by input combination j, so the gate maps the matching product of s and n to
 output column j. For k = 1 this is U = [a b] [y z]^T, with U s = a and
 U n = b; for k = 2, T = e (y(x)y)^T + f (y(x)z)^T + g (z(x)y)^T + h (z(x)z)^T.
 `gate_operator` keeps a gate in this factored form, a `Gate`, and applies
-it without forming the matrix.
+it without forming the matrix. Given a sequence of G tables of one arity it
+returns them as one stacked `Gate` of shape (G, Q, Q^k), the (..., Q, Q)
+stack idiom of `matfun`, so one `@` applies every gate of the stack.
 
 For a non-orthogonal basis these constructions give the generalized
 identity sy^T + nz^T and negation ny^T + sz^T automatically. The canonical
@@ -15,6 +17,8 @@ residual norm everywhere is the max-norm (largest absolute entry).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -53,11 +57,13 @@ def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
 class Gate:
     """A k-ary gate held matrix-free: its Q x 2^k output columns of the frame
     and the 2 x Q duals, standing for the Q x Q^k matrix outputs
-    ([y z]^T)^{(x)k}.
+    ([y z]^T)^{(x)k}. A stack of G gates has outputs (G, Q, 2^k) and shape
+    (G, Q, Q^k).
 
     `gate @ v` takes v of shape (Q^k,) or (Q^k, m), real or complex, and
     contracts the duals with each Kronecker factor of v in turn (mixed-product
-    rule, Van Loan 2000): O(Q^k m) time and no array larger than v.
+    rule, Van Loan 2000): O(Q^k m) time and no array larger than v. A stack
+    applies all its gates to the same v, giving (G, Q) or (G, Q, m).
     `gate @ gate`, `m @ gate` and numpy ufunc arithmetic on a gate raise
     TypeError rather than densifying it unasked. `np.asarray(gate)` builds the
     dense matrix, and so does any numpy function that converts its arguments
@@ -68,14 +74,15 @@ class Gate:
 
     def __init__(self, outputs: np.ndarray, duals: np.ndarray, arity: int):
         self.outputs, self.duals, self.arity = outputs, duals, arity
-        self.shape = (outputs.shape[0], duals.shape[1] ** arity)
+        self.shape = (*outputs.shape[:-1], duals.shape[1] ** arity)
 
     def __matmul__(self, v):
         if isinstance(v, Gate):
             raise TypeError("gate @ gate is not supported; apply np.asarray to one side to densify it")
         v = np.asarray(v)
-        if v.ndim not in (1, 2) or v.shape[0] != self.shape[1]:
-            raise DimensionMismatch(f"cannot apply a {self.shape[0]}x{self.shape[1]} gate to shape {v.shape}")
+        if v.ndim not in (1, 2) or v.shape[0] != self.shape[-1]:
+            shape = "x".join(map(str, self.shape))
+            raise DimensionMismatch(f"cannot apply a {shape} gate to shape {v.shape}")
         q = self.duals.shape[1]
         # axis 0 collects the dual rows (y or z) picked so far, axis 1 is
         # the next Kronecker factor, axis 2 the rest of v
@@ -91,10 +98,25 @@ class Gate:
         return self.outputs @ _kron_power(self.duals, self.arity)
 
 
-def gate_operator(basis: TruthBasis, table: TruthTable) -> Gate:
-    """The k-ary gate of a truth table: the frame column of each output."""
-    outputs = basis.frame[:, [0 if out == TRUE else 1 for out in table.outputs]]
-    return Gate(outputs, basis.duals, table.arity)
+def gate_operator(basis: TruthBasis, tables: TruthTable | Iterable[TruthTable]) -> Gate:
+    """The k-ary gate of a truth table: the frame column of each output.
+
+    A sequence of tables of one arity gives their gates as one stack, in
+    order; an empty sequence or mixed arities raise ValueError.
+    """
+    if isinstance(tables, TruthTable):
+        return Gate(basis.frame[:, _frame_columns(tables)], basis.duals, tables.arity)
+    tables = list(tables)
+    arities = {t.arity for t in tables}
+    if len(arities) != 1:
+        raise ValueError(f"a gate stack needs tables of one arity, got arities {sorted(arities)}")
+    # (Q, G, 2^k) -> (G, Q, 2^k)
+    outputs = basis.frame[:, [_frame_columns(t) for t in tables]].swapaxes(0, 1)
+    return Gate(outputs, basis.duals, arities.pop())
+
+
+def _frame_columns(table: TruthTable) -> list[int]:
+    return [0 if out == TRUE else 1 for out in table.outputs]
 
 
 def identity_operator(basis: TruthBasis) -> np.ndarray:

@@ -2,13 +2,19 @@
 
 Backs the `vlogic verify` subcommand. Each section reports named max-norm
 residuals (or booleans for structural checks) and the run passes only if
-every section does.
+every section does. A run repeats no work: the gates of each arity are
+checked as one stacked `Gate`, each gate is probed once for the diagnosis
+section, and the scalar oracle's series, which depend on no basis, are
+summed once per process.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import pi
+
+import numpy as np
 
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
@@ -34,19 +40,21 @@ def basis_residuals(b: TruthBasis) -> dict[str, float]:
 def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
     """Matrix gates vs the scalar +/-1 oracle on every {s,n} input combination.
 
-    A k-ary gate is applied once to all its inputs side by side, the
-    Q^k x 2^k matrix [s n]^{(x)k} whose column j is the product of frame
-    columns picked by input combination j (for k = 2: s(x)s, s(x)n, n(x)s,
-    n(x)n), so the max-norm of the Q x 2^k residual is the worst input's.
+    The gates of each arity k form one stack, applied once to all their
+    inputs side by side: the Q^k x 2^k matrix [s n]^{(x)k} whose column j is
+    the product of frame columns picked by input combination j (for k = 2:
+    s(x)s, s(x)n, n(x)s, n(x)n). The max-norm of each gate's Q x 2^k
+    residual is its worst input's.
     """
     col = {TRUE: 0, FALSE: 1}  # frame column of each truth value
     out: dict[str, float] = {}
     for prefix, arity, tables in (("monadic", 1, MONADIC_GATES.values()), ("dyadic", 2, ALL_DYADIC_TABLES)):
         inputs = list(product((TRUE, FALSE), repeat=arity))  # in the column order of [s n]^{(x)k}
-        frames = _kron_power(b.frame, arity)
-        for table in tables:
-            expected = b.frame[:, [col[evaluate(table, *ws)] for ws in inputs]]
-            out[f"{prefix}_{table.name}"] = max_norm(gate_operator(b, table) @ frames - expected)
+        # (Q, G, 2^k) -> (G, Q, 2^k), the shape of the stack's output
+        expected = b.frame[:, [[col[evaluate(t, *ws)] for ws in inputs] for t in tables]].swapaxes(0, 1)
+        residual = gate_operator(b, tables) @ _kron_power(b.frame, arity) - expected
+        for table, r in zip(tables, np.abs(residual).max(axis=(1, 2)).tolist()):
+            out[f"{prefix}_{table.name}"] = r
     return out
 
 
@@ -67,23 +75,49 @@ def tautology_residuals(b: TruthBasis) -> dict[str, float]:
     }
 
 
-def diagnosis_roundtrip_failures(b: TruthBasis) -> list[str]:
-    """Gates whose single-probe round trip misidentifies or exceeds RESIDUAL_TOL."""
+def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature]) -> list[str]:
+    """Monadic and named dyadic gates whose probe signature, given by gate
+    name, misidentifies or lies farther than RESIDUAL_TOL from its reference."""
     failures = []
     for table in (*MONADIC_GATES.values(), *NAMED_DYADIC_GATES.values()):
-        sig = diagnosis.probe(gate_operator(b, table), b, table.arity)
-        res = diagnosis.classify(sig, table.arity)
+        res = diagnosis.classify(signatures[table.name], table.arity)
         if res.verdict != table.name or res.distance > RESIDUAL_TOL:
             failures.append(table.name)
     return failures
 
 
+def diagnosis_section(b: TruthBasis) -> dict:
+    """One probe of each monadic and dyadic gate, built by this module's
+    `gate_operator`. Passes when the monadic and named dyadic gates round-trip
+    through `classify`, no two named dyadic gates share a signature, and some
+    dyadic gates do (the one-probe ambiguities)."""
+    monadic, _ = diagnosis.enumerate_signatures(b, MONADIC_GATES.values(), gate_operator)
+    dyadic, classes = diagnosis.enumerate_dyadic_signatures(b, gate_operator)
+    failures = diagnosis_roundtrip_failures({**monadic, **dyadic})  # gate names are unique
+    named = set(NAMED_DYADIC_GATES)
+    named_distinct = all(len([g for g in cls if g in named]) <= 1 for cls in classes)
+    collisions = [cls for cls in classes if len(cls) >= 2]
+    return {
+        "roundtrip_failures": failures,
+        "named_gates_distinct": named_distinct,
+        "collision_classes": collisions,
+        "pass": not failures and named_distinct and bool(collisions),
+    }
+
+
+@cache
+def _scalar_exp_sums(v_samples: tuple[float, ...]) -> tuple[complex, ...]:
+    # depends on v alone, never on a basis or context, so it is summed once
+    return tuple(matfun.scalar_exp_series(1j * pi * v) for v in v_samples)
+
+
 def scalar_oracle_residual(ctx: matfun.LogicAlgebraContext, v_samples=EULER_V_SAMPLES) -> float:
     """The closed-form logical_exp(A Pi v) against e^{i pi v} I from the
     scalar series, on eigenvalue pairs with the Euler suite's bound
-    (`matfun.scalar_exp_residual`)."""
-    scalars = [matfun.scalar_exp_series(1j * pi * float(v)) for v in v_samples]
-    return matfun.scalar_exp_residual(ctx, v_samples, scalars)
+    (`matfun.scalar_exp_residual`). The scalar sums are kept per distinct
+    v_samples; the context is read on every call."""
+    v_samples = tuple(float(v) for v in v_samples)
+    return matfun.scalar_exp_residual(ctx, v_samples, _scalar_exp_sums(v_samples))
 
 
 def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL) -> dict:
@@ -121,17 +155,7 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
         }
         report["pass"] = report["pass"] and ok
 
-    failures = diagnosis_roundtrip_failures(b0)
-    _, classes = diagnosis.enumerate_dyadic_signatures(b0)
-    named = set(NAMED_DYADIC_GATES)
-    named_distinct = all(len([g for g in cls if g in named]) <= 1 for cls in classes)
-    has_collision = any(len(cls) >= 2 for cls in classes)
-    diag_ok = not failures and named_distinct and has_collision
-    report["sections"]["diagnosis"] = {
-        "roundtrip_failures": failures,
-        "named_gates_distinct": named_distinct,
-        "collision_classes": [cls for cls in classes if len(cls) >= 2],
-        "pass": diag_ok,
-    }
-    report["pass"] = report["pass"] and diag_ok
+    diag = diagnosis_section(b0)
+    report["sections"]["diagnosis"] = diag
+    report["pass"] = report["pass"] and diag["pass"]
     return report

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vlogic import TruthTable, canonical_basis, gate_operator
+from vlogic import AND, TruthTable, canonical_basis, gate_operator
 from vlogic.cli import main
-from vlogic.serialize import dump_json, load_json, matrix_from_dict, matrix_to_dict
+from vlogic.serialize import basis_to_dict, dump_json, load_json, matrix_from_dict, matrix_to_dict
 
 
 def run(capsys, *argv):
@@ -285,3 +285,26 @@ def test_euler_too_large_v_exits_1(capsys, tmp_path, v):
     assert code == 1
     assert out == ""
     assert "too large" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "-inf"])
+@pytest.mark.parametrize("command", ["verify", "euler", "sqrt-not", "diagnose"])
+def test_tol_must_be_finite_and_positive(capsys, tmp_path, command, tol):
+    # a usage error, not a vacuous pass, a verified failure or a blamed argument
+    basis_file = tmp_path / "dim4.json"
+    oracle_file = tmp_path / "and.json"
+    dump_json(basis_to_dict(canonical_basis("DIM4")), str(basis_file))
+    dump_json(matrix_to_dict(gate_operator(canonical_basis("DIM4"), AND)), str(oracle_file))
+    inputs = {
+        "verify": [],
+        "euler": ["--basis", str(basis_file)],
+        "sqrt-not": ["--basis", str(basis_file)],
+        "diagnose": ["--basis", str(basis_file), "--oracle", str(oracle_file)],
+    }[command]
+    assert run(capsys, command, *inputs)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert "argument --tol" in captured.err and "finite positive" in captured.err

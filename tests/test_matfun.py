@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vlogic.operators
+import vlogic.verify
 from vlogic import matfun
 from vlogic import (
     C_of,
@@ -481,6 +482,12 @@ def test_euler_suite_argument_bound_follows_tol(ctx):
         verify_euler_suite(ctx, [v], ks=(2,), tol=0.9e-9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+def test_euler_suite_rejects_a_tolerance_that_is_not_finite_and_positive(ctx, tol):
+    with pytest.raises(ValueError, match=re.escape("tol must be a finite positive number")):
+        verify_euler_suite(ctx, EULER_V_SAMPLES, tol=tol)
+
+
 @pytest.mark.parametrize("v", [1e100, 1e300])
 def test_series_at_huge_argument_do_not_converge(ctx, v):
     with warnings.catch_warnings():
@@ -509,6 +516,27 @@ def test_pair_checks_read_the_context():
     assert verify_euler_suite(swapped, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
     for wrong in (swapped, replace(c, Pi=2 * c.Pi), replace(c, I=1.001 * c.I)):
         assert scalar_oracle_residual(wrong) > 1e-4
+
+
+def test_scalar_oracle_sums_once_and_still_reads_the_context(monkeypatch):
+    # the kept sums equal fresh ones bit for bit
+    fresh = [scalar_exp_series(1j * math.pi * v) for v in EULER_V_SAMPLES]
+    kept = vlogic.verify._scalar_exp_sums(EULER_V_SAMPLES)
+    assert np.array(kept).view(np.uint64).tolist() == np.array(fresh).view(np.uint64).tolist()
+
+    # once warm, no call sums a series, and a wrong context still fails
+    def refuse(x, policy=None):
+        raise AssertionError("scalar series summed again")
+
+    monkeypatch.setattr(matfun, "scalar_exp_series", refuse)
+    c = make_context(random_basis(8, 0.35, 2))
+    assert scalar_oracle_residual(c) < RESIDUAL_TOL
+    for wrong in (replace(c, A=c.B, B=c.A), replace(c, Pi=2 * c.Pi), replace(c, I=1.001 * c.I)):
+        assert scalar_oracle_residual(wrong) > 1e-4
+    assert scalar_oracle_residual(c, [float(v) for v in EULER_V_SAMPLES]) < RESIDUAL_TOL
+    # new samples are summed afresh
+    with pytest.raises(AssertionError, match="summed again"):
+        scalar_oracle_residual(c, (0.125,))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16, 64])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vlogic import scalar_logic as sl
-from vlogic import Gate, gate_operator, identity_operator, max_norm, negation_operator, random_basis
-from vlogic.errors import DimensionMismatch
+from vlogic import Gate, gate_operator, identity_operator, max_norm, negation_operator, probe, random_basis
+from vlogic.errors import DimensionMismatch, VectorLogicError
+from vlogic.serialize import matrix_to_dict
 from vlogic.operators import _kron_power
 
 TOL = 1e-10
@@ -262,3 +263,47 @@ def test_gate_apply_rejects_wrong_shapes(dim4):
     for bad in (np.ones(4), np.ones((16, 2, 2)), np.ones((4, 16))):
         with pytest.raises(DimensionMismatch):
             gate @ bad
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("arity", [1, 2])
+def test_stacked_gate_matches_its_gates(dim, arity):
+    # a stack of G tables is its G gates along axis 0, under @ and np.asarray
+    b = random_basis(dim, 0.35, seed=dim)
+    rng = np.random.default_rng(dim)
+    tables = list(sl.MONADIC_GATES.values()) if arity == 1 else list(sl.ALL_DYADIC_TABLES)
+    cols = dim**arity
+    for stacked in (tables, tables[::-1], tables[:1]):
+        stack = gate_operator(b, stacked)
+        gates = [gate_operator(b, t) for t in stacked]
+        assert isinstance(stack, Gate) and stack.shape == (len(stacked), dim, cols)
+        np.testing.assert_array_equal(np.asarray(stack), np.stack([np.asarray(g) for g in gates]))
+        for v in (
+            rng.standard_normal(cols),
+            rng.standard_normal((cols, 3)),
+            rng.standard_normal(cols) + 1j * rng.standard_normal(cols),
+            rng.standard_normal((cols, 2)) + 1j * rng.standard_normal((cols, 2)),
+        ):
+            out = stack @ v
+            assert out.shape == (len(stacked), dim, *v.shape[1:])
+            assert max_norm(out - np.stack([g @ v for g in gates])) < 1e-13
+
+
+def test_stacked_gate_needs_tables_of_one_arity(dim4):
+    for tables in ([sl.NOT, sl.AND], [], iter(())):
+        with pytest.raises(ValueError):
+            gate_operator(dim4, tables)
+    # any iterable of tables will do
+    assert gate_operator(dim4, (t for t in (sl.AND, sl.OR))).shape == (2, 4, 16)
+
+
+def test_stacked_gate_is_no_single_gate(dim4):
+    # probe takes one oracle, serialization one matrix, @ one shape of v
+    stack = gate_operator(dim4, [sl.AND, sl.OR])
+    with pytest.raises(DimensionMismatch):
+        probe(stack, dim4, 2)
+    with pytest.raises(VectorLogicError, match="ndim 3"):
+        matrix_to_dict(stack)
+    for bad in (np.ones(4), np.ones((16, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            stack @ bad

@@ -6,19 +6,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vlogic.diagnosis
 import vlogic.verify
 from vlogic import (
     Gate,
     TruthTable,
     canonical_basis,
+    classify,
     gate_operator,
     identity_operator,
     max_norm,
     negation_operator,
+    probe,
     random_basis,
 )
 from vlogic import scalar_logic as sl
-from vlogic.verify import RESIDUAL_TOL, run_full_verification, tautology_residuals, truth_table_residuals
+from vlogic.verify import (
+    RESIDUAL_TOL,
+    diagnosis_section,
+    run_full_verification,
+    tautology_residuals,
+    truth_table_residuals,
+)
 
 EULER_IDENTITIES = (
     "a_exp_equals_C_plus_AS", "b_C2_minus_NS2_is_I", "c_C_from_exponentials", "d_S_from_exponentials",
@@ -32,12 +41,25 @@ TAUTOLOGY_BASES = {
 }
 
 
-def swapped_impl(basis, table):
-    """IMPL built with its (t,f) and (f,t) outputs swapped; every other gate intact."""
-    if table.name == "IMPL":
-        tt, tf, ft, ff = table.outputs
-        table = TruthTable("IMPL", (tt, ft, tf, ff))
-    return gate_operator(basis, table)
+def substituting(name, outputs):
+    """A gate_operator that builds gate `name` from the given outputs and
+    every other gate intact. Takes one table or a sequence of them, as
+    gate_operator does."""
+
+    def substitute(table):
+        return TruthTable(name, outputs) if table.name == name else table
+
+    def build(basis, tables):
+        if isinstance(tables, TruthTable):
+            return gate_operator(basis, substitute(tables))
+        return gate_operator(basis, [substitute(t) for t in tables])
+
+    return build
+
+
+# IMPL built with its (t,f) and (f,t) outputs swapped
+_tt, _tf, _ft, _ff = sl.IMPL.outputs
+swapped_impl = substituting("IMPL", (_tt, _ft, _tf, _ff))
 
 
 def test_wrong_gate_fails_truth_table(monkeypatch):
@@ -50,6 +72,62 @@ def test_wrong_gate_fails_truth_table(monkeypatch):
     assert all(r < RESIDUAL_TOL for name, r in residuals.items() if name != "dyadic_IMPL"), residuals
 
 
+def test_truth_tables_apply_one_stack_per_arity(monkeypatch):
+    calls = []
+
+    def counted(basis, tables):
+        calls.append(tables)
+        return gate_operator(basis, tables)
+
+    monkeypatch.setattr(vlogic.verify, "gate_operator", counted)
+    residuals = truth_table_residuals(random_basis(8, 0.35, 1))
+    assert [len(list(tables)) for tables in calls] == [4, 16]
+    assert all(r < RESIDUAL_TOL for r in residuals.values()), residuals
+
+
+@pytest.mark.parametrize("basis", [canonical_basis("DIM4"), random_basis(8, 0.35, 2)], ids=["DIM4", "Q8_eps0.35"])
+@pytest.mark.parametrize(
+    "build, failing",
+    [
+        (gate_operator, []),
+        # the probe weighs the inputs (t,f) and (f,t) alike, so it cannot see the swap
+        (swapped_impl, []),
+        (substituting("IMPL", sl.OR.outputs), ["IMPL"]),
+    ],
+    ids=["intact", "swapped_impl", "impl_as_or"],
+)
+def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build, failing):
+    # the section probes the gates verify builds, each once, and agrees with
+    # a direct probe + classify of each gate
+    probes = []
+
+    def counted(oracle, b, arity):
+        probes.append(arity)
+        return probe(oracle, b, arity)
+
+    monkeypatch.setattr(vlogic.verify, "gate_operator", build)
+    monkeypatch.setattr(vlogic.diagnosis, "probe", counted)
+    section = diagnosis_section(basis)
+    assert sorted(probes) == [1] * 4 + [2] * 16
+
+    sigs = {t.name: probe(build(basis, t), basis, t.arity) for t in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES)}
+    failures = []
+    for table in (*sl.MONADIC_GATES.values(), *sl.NAMED_DYADIC_GATES.values()):
+        res = classify(sigs[table.name], table.arity)
+        if res.verdict != table.name or res.distance > RESIDUAL_TOL:
+            failures.append(table.name)
+    groups = {}
+    for table in sl.ALL_DYADIC_TABLES:
+        groups.setdefault(tuple(round(c, 9) for c in sigs[table.name].coefficients), []).append(table.name)
+    classes = [sorted(names) for names in groups.values()]
+    named_distinct = all(len(set(names) & set(sl.NAMED_DYADIC_GATES)) <= 1 for names in classes)
+
+    assert section["roundtrip_failures"] == failures == failing
+    assert section["named_gates_distinct"] == named_distinct
+    assert sorted(map(sorted, section["collision_classes"])) == sorted(c for c in classes if len(c) >= 2)
+    assert section["pass"] == (not failures and named_distinct)
+
+
 def test_wrong_gate_fails_tautology(monkeypatch):
     # each of the 16 tables in the slot of L, D or C: the check through `@`
     # fails exactly when the dense oracle does, and by a clear margin
@@ -57,9 +135,7 @@ def test_wrong_gate_fails_tautology(monkeypatch):
         TAUTOLOGY_BASES.items(), ("IMPL", "OR", "AND"), sl.ALL_DYADIC_TABLES
     ):
 
-        def substituted(b, t):
-            return gate_operator(b, TruthTable(slot, table.outputs) if t.name == slot else t)
-
+        substituted = substituting(slot, table.outputs)
         monkeypatch.setattr(vlogic.verify, "gate_operator", substituted)
         residuals = tautology_residuals(basis)
         n, i = negation_operator(basis), identity_operator(basis)
