@@ -17,7 +17,7 @@ basis, and the duals read the output's coefficients along s and n exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 
@@ -134,21 +134,19 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
 
 
 def enumerate_signatures(
-    basis: TruthBasis, tables: Iterable[TruthTable], build: Callable | None = None
+    basis: TruthBasis, tables: Iterable[TruthTable]
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
     """Probe signatures of the given gates (any arity), grouped into collision classes.
 
     Returns (name -> signature, collision classes); each class lists the
     gates sharing one signature, largest first, classes of size >= 2 being
     genuine one-probe ambiguities (e.g. the constant-true gate collides with
-    XOR). build(basis, table) makes each probed oracle, `gate_operator` by
-    default, so a caller can probe gates of its own construction.
+    XOR).
     """
-    build = build or gate_operator
     signatures: dict[str, GateSignature] = {}
     groups: dict[tuple, list[str]] = {}
     for table in tables:
-        sig = probe(build(basis, table), basis, table.arity)
+        sig = probe(gate_operator(basis, table), basis, table.arity)
         signatures[table.name] = sig
         key = tuple(round(c, 9) for c in sig.coefficients)
         groups.setdefault(key, []).append(table.name)
@@ -157,10 +155,10 @@ def enumerate_signatures(
 
 
 def enumerate_dyadic_signatures(
-    basis: TruthBasis, build: Callable | None = None
+    basis: TruthBasis,
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
     """Probe signatures and collision classes of all 16 dyadic gates."""
-    return enumerate_signatures(basis, ALL_DYADIC_TABLES, build)
+    return enumerate_signatures(basis, ALL_DYADIC_TABLES)
 
 
 # Fixed-arity names, kept for callers written against them.

@@ -5,12 +5,12 @@ residuals (or booleans for structural checks) and the run passes only if
 every section does. A run repeats no work: the gates of each arity are
 checked as one stacked `Gate`, each gate is probed once for the diagnosis
 section, and the scalar oracle's series, which depend on no basis, are
-summed once per process.
+kept across calls.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import product
 from math import pi
 
@@ -87,12 +87,12 @@ def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature])
 
 
 def diagnosis_section(b: TruthBasis) -> dict:
-    """One probe of each monadic and dyadic gate, built by this module's
-    `gate_operator`. Passes when the monadic and named dyadic gates round-trip
+    """One probe of each monadic and dyadic gate (`diagnosis.enumerate_signatures`).
+    Passes when the monadic and named dyadic gates round-trip
     through `classify`, no two named dyadic gates share a signature, and some
     dyadic gates do (the one-probe ambiguities)."""
-    monadic, _ = diagnosis.enumerate_signatures(b, MONADIC_GATES.values(), gate_operator)
-    dyadic, classes = diagnosis.enumerate_dyadic_signatures(b, gate_operator)
+    monadic, _ = diagnosis.enumerate_signatures(b, MONADIC_GATES.values())
+    dyadic, classes = diagnosis.enumerate_dyadic_signatures(b)
     failures = diagnosis_roundtrip_failures({**monadic, **dyadic})  # gate names are unique
     named = set(NAMED_DYADIC_GATES)
     named_distinct = all(len([g for g in cls if g in named]) <= 1 for cls in classes)
@@ -105,17 +105,17 @@ def diagnosis_section(b: TruthBasis) -> dict:
     }
 
 
-@cache
+@lru_cache(maxsize=4)
 def _scalar_exp_sums(v_samples: tuple[float, ...]) -> tuple[complex, ...]:
-    # depends on v alone, never on a basis or context, so it is summed once
+    # depends on v alone, never on a basis or context, so it is kept across calls
     return tuple(matfun.scalar_exp_series(1j * pi * v) for v in v_samples)
 
 
 def scalar_oracle_residual(ctx: matfun.LogicAlgebraContext, v_samples=EULER_V_SAMPLES) -> float:
     """The closed-form logical_exp(A Pi v) against e^{i pi v} I from the
     scalar series, on eigenvalue pairs with the Euler suite's bound
-    (`matfun.scalar_exp_residual`). The scalar sums are kept per distinct
-    v_samples; the context is read on every call."""
+    (`matfun.scalar_exp_residual`). The scalar sums of the last few distinct
+    v_samples are kept; the context is read on every call."""
     v_samples = tuple(float(v) for v in v_samples)
     return matfun.scalar_exp_residual(ctx, v_samples, _scalar_exp_sums(v_samples))
 

@@ -97,8 +97,9 @@ def test_truth_tables_apply_one_stack_per_arity(monkeypatch):
     ids=["intact", "swapped_impl", "impl_as_or"],
 )
 def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build, failing):
-    # the section probes the gates verify builds, each once, and agrees with
-    # a direct probe + classify of each gate
+    # the section probes each gate once, and agrees with a direct probe +
+    # classify of each gate; the substitute goes into both modules that
+    # build gates, so the section's probes see it
     probes = []
 
     def counted(oracle, b, arity):
@@ -106,6 +107,7 @@ def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build,
         return probe(oracle, b, arity)
 
     monkeypatch.setattr(vlogic.verify, "gate_operator", build)
+    monkeypatch.setattr(vlogic.diagnosis, "gate_operator", build)
     monkeypatch.setattr(vlogic.diagnosis, "probe", counted)
     section = diagnosis_section(basis)
     assert sorted(probes) == [1] * 4 + [2] * 16
