@@ -11,20 +11,10 @@ Usage: python scripts/enumerate_signatures.py [--arity K] [--dim Q] [--seed S] [
 """
 
 import argparse
-from itertools import product
 
-from vlogic import FALSE, TRUE, TruthTable, canonical_basis, random_basis
+from vlogic import canonical_basis, random_basis
 from vlogic.diagnosis import enumerate_signatures
-from vlogic.scalar_logic import MONADIC_GATES, NAMED_DYADIC_GATES
-
-NAMED = {t.pattern: t for t in (*MONADIC_GATES.values(), *NAMED_DYADIC_GATES.values())}
-
-
-def all_tables(arity):
-    """The 2^(2^k) tables of arity k, named gates by name, the rest by pattern."""
-    for outs in product((TRUE, FALSE), repeat=2**arity):
-        pattern = "".join("T" if w == TRUE else "F" for w in outs)
-        yield NAMED.get(pattern, TruthTable(pattern, outs))
+from vlogic.scalar_logic import NAMED_GATES, all_tables
 
 
 def main():
@@ -46,7 +36,7 @@ def main():
     for cls in classes:
         coefficients = " ".join(f"{round(c, 3) + 0.0:7.3f}" for c in signatures[cls[0]].coefficients)
         names = ", ".join(
-            f"{name}{'*' if name in MONADIC_GATES or name in NAMED_DYADIC_GATES else ''}({signatures[name].residual:.1e})"
+            f"{name}{'*' if name in NAMED_GATES else ''}({signatures[name].residual:.1e})"
             for name in cls
         )
         print(f"{coefficients}  {len(cls):4d}  {names}")

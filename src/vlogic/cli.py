@@ -9,6 +9,7 @@ UNKNOWN verdict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from itertools import count
 from math import isfinite
@@ -41,8 +42,19 @@ def _load_basis(path: str):
     return basis_from_dict(load_json(path))
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _csv(text: str, convert) -> tuple:
+    values = tuple(convert(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return values
+
+
+def _csv_floats(text: str) -> tuple[float, ...]:
+    return _csv(text, float)
+
+
+def _csv_ints(text: str) -> tuple[int, ...]:
+    return _csv(text, int)
 
 
 def _tolerance(text: str) -> float:
@@ -52,18 +64,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
 def cmd_basis(args) -> int:
     if args.canonical:
+        if args.epsilon is not None or args.seed is not None:
+            raise VectorLogicError("--epsilon and --seed apply to a random basis (--dim) only")
         b = canonical_basis(args.canonical)
     else:
-        if args.dim is None:
-            raise VectorLogicError("either --canonical or --dim is required")
-        b = random_basis(args.dim, args.epsilon, args.seed)
-    dump_json(basis_to_dict(b, include_duals=True), args.out)
+        b = random_basis(args.dim, args.epsilon or 0.0, args.seed or 0)
+    dump_json(basis_to_dict(b), args.out)
     return 0
 
 
@@ -99,13 +107,7 @@ def cmd_diagnose(args) -> int:
         "distance": result.distance,
         "runner_up": result.runner_up,
         "runner_up_distance": result.runner_up_distance,
-        "signature": {
-            "re_s": sig.re_s,
-            "re_n": sig.re_n,
-            "im_s": sig.im_s,
-            "im_n": sig.im_n,
-            "residual": sig.residual,
-        },
+        "signature": dataclasses.asdict(sig),
         "arity": arity,
     }
     dump_json(payload, args.out)
@@ -113,11 +115,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    b = _load_basis(args.basis)
-    ctx = matfun.make_context(b)
-    report = matfun.verify_euler_suite(
-        ctx, _csv_floats(args.v), ks=_csv_ints(args.k), tol=args.tol
-    )
+    ctx = matfun.make_context(_load_basis(args.basis))
+    report = matfun.verify_euler_suite(ctx, args.v, ks=args.k, tol=args.tol)
     payload = {"identities": report.entries(), "pass": report.passed, **report.metadata}
     dump_json(payload, args.out)
     return 0 if report.passed else 2
@@ -139,10 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("basis", help="create a canonical or seeded random basis")
-    p.add_argument("--canonical", choices=["SET1", "SET2", "DIM4"], type=str.upper)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--canonical", choices=["SET1", "SET2", "DIM4"], type=str.upper)
+    which.add_argument("--dim", type=int)
+    p.add_argument("--epsilon", type=float, help="overlap <s,n> of a random basis (default 0)")
+    p.add_argument("--seed", type=int, help="seed of a random basis (default 0)")
     common(p)
     p.set_defaults(func=cmd_basis)
 
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sqrt-not", help="emit both square roots of NOT plus residuals")
     p.add_argument("--basis", required=True)
-    common(p, 1e-10)
+    common(p, verify.RESIDUAL_TOL)
     p.set_defaults(func=cmd_sqrt_not)
 
     p = sub.add_parser("diagnose", help="identify a hidden gate from one probe")
@@ -166,15 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler", help="run the matrix Euler identity suite")
     p.add_argument("--basis", required=True)
-    p.add_argument("--v", default="0,0.25,0.5,1,1.5,-0.75", help="comma-separated scalar parameters")
-    p.add_argument("--k", default="2,3,5", help="comma-separated integer powers")
-    common(p, 1e-8)
+    p.add_argument(
+        "--v", type=_csv_floats, default=matfun.EULER_V_SAMPLES, help="comma-separated scalar parameters"
+    )
+    p.add_argument("--k", type=_csv_ints, default=matfun.EULER_KS, help="comma-separated integer powers")
+    common(p, matfun.IDENTITY_TOL)
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("verify", help="run every invariant suite and aggregate")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--seed", type=int, default=1)
-    common(p, 1e-8)
+    common(p, matfun.IDENTITY_TOL)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -56,10 +56,16 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import NonCommuting, SeriesNotConverged
-from .operators import lift, max_norm
+from .operators import identity_operator, lift, max_norm, negation_operator
 from .srn import sqrt_not
 
 COMMUTATOR_TOL = 1e-10
+
+# The Euler suite's samples of the scalar parameter v, its integer powers k
+# for (h), and its pass threshold.
+EULER_V_SAMPLES = (0.0, 0.25, 0.5, 1.0, 1.5, -0.75)
+EULER_KS = (2, 3, 5)
+IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,8 @@ class LogicAlgebraContext:
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
     """Build the context in complex128."""
     pair = sqrt_not(basis)
-    ident = lift(basis, np.eye(2, dtype=complex))
-    neg = lift(basis, np.array([[0, 1], [1, 0]], dtype=complex))
+    ident = identity_operator(basis).astype(complex)
+    neg = negation_operator(basis).astype(complex)
     return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=pair.A, B=pair.B, Pi=1j * pi * pair.B)
 
 
@@ -300,10 +306,7 @@ class IdentityReport:
 
 
 def verify_euler_suite(
-    ctx: LogicAlgebraContext,
-    v_samples,
-    ks=(2, 3, 5),
-    tol: float = 1e-8,
+    ctx: LogicAlgebraContext, v_samples, ks=EULER_KS, tol: float = IDENTITY_TOL
 ) -> IdentityReport:
     """Max-norm residuals of the full identity list over the given samples.
 
@@ -317,15 +320,9 @@ def verify_euler_suite(
     (h) (C(Pi v) + A S(Pi v))^k = C(Pi k v) + A S(Pi k v), integer k >= 0;
         the zeroth power is the logical identity I, as in e^G
 
-    Every value lies in span{I, N}, so the suite runs on eigenvalue pairs
-    (lambda+, lambda-), where products are elementwise: I, N, A, B and Pi
-    are the pairs of the cores of the context's dense fields, the pair
-    functions of `logical_exp`, `C_of` and `S_of` evaluate all samples at
-    once, and no Q x Q matrix is built. Each residual is the bound K max(|a|, |b|)
-    on the max-norm of the lifted residual a I + b N (K from the basis, see
-    `_lift_bound`). The bound is never below the exact max-norm of the
-    lifted residual, so no check is looser; it is no bound on the residual
-    of dense Q x Q products, which carry rounding of their own.
+    All samples are evaluated at once on eigenvalue pairs, and each residual
+    is the bound K max(|a|, |b|) on the lifted residual (see the module
+    docstring and `_lift_bound`); no Q x Q matrix is built.
     metadata["worst_argument"] names the argument of each identity's worst
     residual: {"v": v}, {"k": k, "v": v} or {"va": va, "vb": vb}.
 

@@ -8,6 +8,7 @@ kept as a redundant cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -68,15 +69,19 @@ NOR = TruthTable("NOR", tuple(-w for w in OR.outputs))
 
 NAMED_DYADIC_GATES = {t.name: t for t in (IMPL, OR, AND, EQUI, XOR, NAND, NOR)}
 
-_NAMED_BY_PATTERN = {t.pattern: t for t in NAMED_DYADIC_GATES.values()}
+NAMED_GATES = {**MONADIC_GATES, **NAMED_DYADIC_GATES}
 
-ALL_DYADIC_TABLES: tuple[TruthTable, ...] = tuple(
-    _NAMED_BY_PATTERN.get(
-        "".join(_SYM[w] for w in outs),
-        TruthTable("".join(_SYM[w] for w in outs), outs),
-    )
-    for outs in product((TRUE, FALSE), repeat=4)
-)
+_NAMED_BY_PATTERN = {t.pattern: t for t in NAMED_GATES.values()}
+
+
+def all_tables(arity: int) -> Iterator[TruthTable]:
+    """All 2^(2^k) tables of arity k in order: named gates by name, the others by pattern."""
+    for outs in product((TRUE, FALSE), repeat=2**arity):
+        pattern = "".join(_SYM[w] for w in outs)
+        yield _NAMED_BY_PATTERN.get(pattern) or TruthTable(pattern, outs)
+
+
+ALL_DYADIC_TABLES: tuple[TruthTable, ...] = tuple(all_tables(2))
 
 
 def evaluate(table: TruthTable, *inputs: int) -> int:
@@ -91,12 +96,10 @@ def evaluate(table: TruthTable, *inputs: int) -> int:
 
 def gate(name: str) -> TruthTable:
     """Look up any named gate, case-insensitive."""
-    key = name.upper()
-    if key in MONADIC_GATES:
-        return MONADIC_GATES[key]
-    if key in NAMED_DYADIC_GATES:
-        return NAMED_DYADIC_GATES[key]
-    raise UnknownGate(f"unknown gate {name!r}")
+    try:
+        return NAMED_GATES[name.upper()]
+    except KeyError:
+        raise UnknownGate(f"unknown gate {name!r}") from None
 
 
 # Closed-form polynomials over {+1,-1}; redundant checks against the tables.

@@ -3,13 +3,15 @@
 Matrix: {"rows": r, "cols": c, "re": [[..]], "im": [[..]]} row-major;
 "im" is omitted when identically zero. Complex numbers are never strings.
 
-Basis: {"dim": Q, "s": [..], "n": [..]}; the duals are recomputed on load
-and never trusted from the file.
+Basis: {"dim": Q, "s": [..], "n": [..], "epsilon": eps, "y": [..], "z": [..]};
+only s and n are read on load, the rest is recomputed, never trusted from
+the file. A loaded number must be a finite float64: no NaN, Infinity or 1e999.
 """
 
 from __future__ import annotations
 
 import json
+from math import isfinite
 
 import numpy as np
 
@@ -48,11 +50,11 @@ def matrix_from_dict(d: dict) -> np.ndarray:
     return re
 
 
-def basis_to_dict(b: TruthBasis, include_duals: bool = False) -> dict:
-    out = {"dim": b.dim, "s": b.s.tolist(), "n": b.n.tolist()}
-    if include_duals:
-        out.update({"epsilon": b.epsilon, "y": b.y.tolist(), "z": b.z.tolist()})
-    return out
+def basis_to_dict(b: TruthBasis) -> dict:
+    return {
+        "dim": b.dim, "s": b.s.tolist(), "n": b.n.tolist(),
+        "epsilon": b.epsilon, "y": b.y.tolist(), "z": b.z.tolist(),
+    }
 
 
 def basis_from_dict(d: dict) -> TruthBasis:
@@ -63,13 +65,17 @@ def basis_from_dict(d: dict) -> TruthBasis:
     return make_basis(s, n)
 
 
-def _reject_constant(token: str):
-    raise VectorLogicError(f"non-finite number {token} in JSON")
+def _finite(token: str) -> float:
+    value = float(token)  # NaN and Infinity arrive as constants, 1e999 as inf
+    if not isfinite(value):
+        raise VectorLogicError(f"number {token} in JSON is not a finite float64")
+    return value
 
 
 def load_json(path: str) -> dict:
+    """The file's JSON with every number, integers included, as a finite float."""
     with open(path) as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        return json.load(fh, parse_constant=_finite, parse_float=_finite, parse_int=_finite)
 
 
 def dump_json(obj, path: str | None = None):

@@ -46,8 +46,6 @@ ALPHA, BETA = solve_srn_coefficients()
 class SrnPair:
     A: np.ndarray
     B: np.ndarray
-    alpha: complex
-    beta: complex
 
 
 def sqrt_not(basis: TruthBasis) -> SrnPair:
@@ -56,7 +54,7 @@ def sqrt_not(basis: TruthBasis) -> SrnPair:
     b = lift(basis, np.array([[BETA, ALPHA], [ALPHA, BETA]]))
     a.setflags(write=False)
     b.setflags(write=False)
-    return SrnPair(A=a, B=b, alpha=ALPHA, beta=BETA)
+    return SrnPair(A=a, B=b)
 
 
 def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:

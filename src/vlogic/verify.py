@@ -5,12 +5,12 @@ residuals (or booleans for structural checks) and the run passes only if
 every section does. A run repeats no work: the gates of each arity are
 checked as one stacked `Gate`, each gate is probed once for the diagnosis
 section, and the scalar oracle's series, which depend on no basis, are
-kept across calls.
+summed once per process.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from math import pi
 
@@ -18,14 +18,11 @@ import numpy as np
 
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
+from .matfun import EULER_KS, EULER_V_SAMPLES, IDENTITY_TOL
 from .operators import _kron, _kron_power, gate_operator, max_norm, negation_operator
 from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
 
-IDENTITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
-
-EULER_V_SAMPLES = (0.0, 0.25, 0.5, 1.0, 1.5, -0.75)
-EULER_KS = (2, 3, 5)
 
 
 def basis_residuals(b: TruthBasis) -> dict[str, float]:
@@ -79,7 +76,7 @@ def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature])
     """Monadic and named dyadic gates whose probe signature, given by gate
     name, misidentifies or lies farther than RESIDUAL_TOL from its reference."""
     failures = []
-    for table in (*MONADIC_GATES.values(), *NAMED_DYADIC_GATES.values()):
+    for table in scalar_logic.NAMED_GATES.values():
         res = diagnosis.classify(signatures[table.name], table.arity)
         if res.verdict != table.name or res.distance > RESIDUAL_TOL:
             failures.append(table.name)
@@ -105,19 +102,18 @@ def diagnosis_section(b: TruthBasis) -> dict:
     }
 
 
-@lru_cache(maxsize=4)
-def _scalar_exp_sums(v_samples: tuple[float, ...]) -> tuple[complex, ...]:
-    # depends on v alone, never on a basis or context, so it is kept across calls
-    return tuple(matfun.scalar_exp_series(1j * pi * v) for v in v_samples)
+@cache
+def _scalar_exp_sums() -> tuple[complex, ...]:
+    # a constant of EULER_V_SAMPLES, never of a basis or context, so it is summed once
+    return tuple(matfun.scalar_exp_series(1j * pi * v) for v in EULER_V_SAMPLES)
 
 
-def scalar_oracle_residual(ctx: matfun.LogicAlgebraContext, v_samples=EULER_V_SAMPLES) -> float:
+def scalar_oracle_residual(ctx: matfun.LogicAlgebraContext) -> float:
     """The closed-form logical_exp(A Pi v) against e^{i pi v} I from the
-    scalar series, on eigenvalue pairs with the Euler suite's bound
-    (`matfun.scalar_exp_residual`). The scalar sums of the last few distinct
-    v_samples are kept; the context is read on every call."""
-    v_samples = tuple(float(v) for v in v_samples)
-    return matfun.scalar_exp_residual(ctx, v_samples, _scalar_exp_sums(v_samples))
+    scalar series over EULER_V_SAMPLES, on eigenvalue pairs with the Euler
+    suite's bound (`matfun.scalar_exp_residual`). The scalar sums are
+    summed once; the context is read on every call."""
+    return matfun.scalar_exp_residual(ctx, EULER_V_SAMPLES, _scalar_exp_sums())
 
 
 def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL) -> dict:
@@ -125,8 +121,6 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
     non-orthogonal companion; returns a JSON-ready report."""
     b0 = random_basis(dim, 0.0, seed)
     b_eps = random_basis(dim, 0.35, seed + 1)
-    pair0 = srn.sqrt_not(b0)
-    pair_eps = srn.sqrt_not(b_eps)
     ctx = matfun.make_context(b0)
 
     sections = {
@@ -136,13 +130,11 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
         "truth_tables_nonorthogonal": truth_table_residuals(b_eps),
         "tautologies": tautology_residuals(b0),
         "tautologies_nonorthogonal": tautology_residuals(b_eps),
-        "srn": srn.identity_report(pair0, b0),
-        "srn_nonorthogonal": srn.identity_report(pair_eps, b_eps),
+        "srn": srn.identity_report(srn.sqrt_not(b0), b0),
+        "srn_nonorthogonal": srn.identity_report(srn.sqrt_not(b_eps), b_eps),
         "scalar_oracle": {"exp_vs_scalar_series": scalar_oracle_residual(ctx)},
+        "euler": matfun.verify_euler_suite(ctx, EULER_V_SAMPLES, ks=EULER_KS, tol=tol).residuals,
     }
-
-    euler = matfun.verify_euler_suite(ctx, EULER_V_SAMPLES, ks=EULER_KS, tol=tol)
-    sections["euler"] = euler.residuals
 
     report: dict = {"dim": dim, "seed": seed, "sections": {}, "pass": True}
     for name, residuals in sections.items():

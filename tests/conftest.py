@@ -1,8 +1,7 @@
-from itertools import product
-
 import pytest
 
-from vlogic import FALSE, TRUE, TruthTable, canonical_basis
+from vlogic import canonical_basis
+from vlogic.scalar_logic import all_tables
 
 
 @pytest.fixture
@@ -23,7 +22,4 @@ def dim4():
 @pytest.fixture(scope="session")
 def ternary_tables():
     """All 256 ternary truth tables, each named by its pattern."""
-    return [
-        TruthTable("".join("T" if w == TRUE else "F" for w in outs), outs)
-        for outs in product((TRUE, FALSE), repeat=8)
-    ]
+    return list(all_tables(3))

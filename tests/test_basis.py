@@ -141,8 +141,8 @@ def test_dual_biorthogonality_property(dim, eps, seed):
 def test_json_round_trip():
     b = random_basis(8, 0.25, seed=3)
     d = basis_to_dict(b)
-    assert set(d) == {"dim", "s", "n"}
-    b2 = basis_from_dict(d)
+    assert list(d) == ["dim", "s", "n", "epsilon", "y", "z"]
+    b2 = basis_from_dict(dict(d, y=[0.0] * 8, z=[0.0] * 8, epsilon=0.9))
     np.testing.assert_allclose(b2.s, b.s, atol=1e-15)
     np.testing.assert_allclose(b2.y, b.y, atol=1e-12)  # duals recomputed, not stored
 

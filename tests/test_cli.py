@@ -308,3 +308,77 @@ def test_tol_must_be_finite_and_positive(capsys, tmp_path, command, tol):
     assert exc.value.code == 1
     assert captured.out == ""
     assert "argument --tol" in captured.err and "finite positive" in captured.err
+
+
+def run_quietly(capsys, *argv):
+    # any warning fails the run, and a usage error's SystemExit is its exit code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("token", ["1e999", "-1e999", pytest.param("1" * 400, id="400-digit-int")])
+@pytest.mark.parametrize("target,command", [("oracle", "diagnose"), ("basis", "diagnose"), ("basis", "op")])
+def test_json_number_beyond_float64_exits_1(capsys, tmp_path, target, command, token):
+    files = {"basis": tmp_path / "set1.json", "oracle": tmp_path / "not.json"}
+    run(capsys, "basis", "--canonical", "SET1", "--out", str(files["basis"]))
+    run(capsys, "op", "--basis", str(files["basis"]), "--gate", "NOT", "--out", str(files["oracle"]))
+    text = files[target].read_text()
+    files[target].write_text(text.replace("1.0", token, 1))
+    argv = {
+        "diagnose": ["diagnose", "--oracle", str(files["oracle"]), "--basis", str(files["basis"])],
+        "op": ["op", "--basis", str(files["basis"]), "--gate", "AND"],
+    }[command]
+    code, out, err = run_quietly(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("vlogic: error:") and len(err.splitlines()) == 1
+    assert token in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--dim", "8", "--epsilon", "0.3", "--seed", "5"],
+        ["--dim", "8"],
+        ["--epsilon", "0.3"],
+        ["--seed", "5"],
+        ["--epsilon", "0", "--seed", "0"],  # explicit defaults are still ignored flags
+    ],
+)
+def test_basis_canonical_rejects_random_flags(capsys, extra):
+    code, out, err = run_quietly(capsys, "basis", "--canonical", "DIM4", *extra)
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+def test_basis_needs_canonical_or_dim(capsys):
+    code, out, err = run_quietly(capsys, "basis", "--seed", "5")
+    assert code == 1
+    assert out == ""
+    assert "--canonical" in err and "--dim" in err
+
+
+def test_basis_random_defaults(capsys):
+    # --epsilon and --seed default to 0 for a random basis
+    _, out_default, _ = run(capsys, "basis", "--dim", "6")
+    _, out_explicit, _ = run(capsys, "basis", "--dim", "6", "--epsilon", "0", "--seed", "0")
+    assert out_default == out_explicit
+
+
+@pytest.mark.parametrize("flag", ["--v", "--k"])
+@pytest.mark.parametrize("value", ["", " , "])
+def test_euler_empty_samples_are_a_usage_error(capsys, tmp_path, flag, value):
+    # an empty list would leave identities without a sample: a vacuous pass
+    basis_file = tmp_path / "dim4.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    code, out, err = run_quietly(capsys, "euler", "--basis", str(basis_file), f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}" in err and "at least one value" in err

@@ -1,7 +1,10 @@
 """Aggregated verification sections."""
 
 import itertools
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +208,13 @@ def test_full_verification_sections_pass(dim, seed):
         for key, r in section.get("residuals", {}).items():
             assert r < section["tolerance"], (name, key, r)
     assert report["pass"]
+
+
+def test_run_verification_script(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", [str(script), "--dims", "2,4", "--seeds", "1"])
+    assert main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    runs = [line.split(" worst residual")[0] for line in lines]
+    assert runs == ["[PASS] dim=2 seed=0", "[PASS] dim=4 seed=0"]
