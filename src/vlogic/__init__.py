@@ -22,7 +22,7 @@ from .matfun import (
     make_context,
     verify_euler_suite,
 )
-from .operators import Gate, gate_operator, identity_operator, max_norm, negation_operator
+from .operators import Gate, gate_operator, max_norm
 from .scalar_logic import (
     AND,
     CID,
@@ -47,7 +47,7 @@ __all__ = [
     "DiagnosisResult", "GateSignature", "classify", "enumerate_dyadic_signatures", "probe",
     "C_of", "C_series", "IdentityReport", "LogicAlgebraContext", "S_of", "S_series",
     "SeriesPolicy", "logical_exp", "logical_exp_series", "make_context", "verify_euler_suite",
-    "Gate", "gate_operator", "identity_operator", "max_norm", "negation_operator",
+    "Gate", "gate_operator", "max_norm",
     "AND", "CID", "CNOT", "EQUI", "FALSE", "ID", "IMPL", "NAND", "NOR",
     "NOT", "OR", "TRUE", "XOR", "TruthTable", "evaluate",
     "SrnPair", "eigenvalues", "solve_srn_coefficients", "sqrt_not",

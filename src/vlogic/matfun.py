@@ -56,7 +56,8 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import NonCommuting, SeriesNotConverged
-from .operators import identity_operator, lift, max_norm, negation_operator
+from .operators import gate_operator, lift, max_norm
+from .scalar_logic import ID, NOT
 from .srn import sqrt_not
 
 COMMUTATOR_TOL = 1e-10
@@ -99,10 +100,9 @@ class LogicAlgebraContext:
 
 
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
-    """Build the context in complex128."""
+    """Build the context in complex128; I and N are the gates ID and NOT on the unit vectors."""
     pair = sqrt_not(basis)
-    ident = identity_operator(basis).astype(complex)
-    neg = negation_operator(basis).astype(complex)
+    ident, neg = gate_operator(basis, (ID, NOT)) @ np.eye(basis.dim, dtype=complex)
     return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=pair.A, B=pair.B, Pi=1j * pi * pair.B)
 
 

@@ -11,9 +11,9 @@ it without forming the matrix. Given a sequence of G tables of one arity it
 returns them as one stacked `Gate` of shape (G, Q, Q^k), the (..., Q, Q)
 stack idiom of `matfun`, so one `@` applies every gate of the stack.
 
-For a non-orthogonal basis these constructions give the generalized
-identity sy^T + nz^T and negation ny^T + sz^T automatically. The canonical
-residual norm everywhere is the max-norm (largest absolute entry).
+The logical identity I and negation N are the monadic gates ID and NOT,
+sy^T + nz^T and ny^T + sz^T over any basis, orthonormal or not. The
+canonical residual norm everywhere is the max-norm (largest absolute entry).
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ import numpy as np
 from .basis import TruthBasis
 from .errors import DimensionMismatch
 from .scalar_logic import TRUE, TruthTable
-
-# the 2 x 2 cores of I and N over the frame [s n]
-I2 = np.eye(2)
-J = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 
 def max_norm(m) -> float:
     """Largest absolute entry (0 for an empty array); dimension-independent residual norm."""
@@ -117,16 +112,6 @@ def gate_operator(basis: TruthBasis, tables: TruthTable | Iterable[TruthTable]) 
 
 def _frame_columns(table: TruthTable) -> list[int]:
     return [0 if out == TRUE else 1 for out in table.outputs]
-
-
-def identity_operator(basis: TruthBasis) -> np.ndarray:
-    """The logical identity: s y^T + n z^T. Not the full identity for Q > 2."""
-    return lift(basis, I2)
-
-
-def negation_operator(basis: TruthBasis) -> np.ndarray:
-    """The logical negation: n y^T + s z^T."""
-    return lift(basis, J)
 
 
 # Fixed-arity names, kept for callers written against them.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -34,20 +35,24 @@ def matrix_to_dict(m) -> dict:
     return out
 
 
+def _size(value) -> int:
+    # load_json makes every number a float, so 4.0 is a size; 2.7 and true are not
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+        raise ValueError(f"a matrix size must be a whole number, got {value!r}")
+    return int(value)
+
+
 def matrix_from_dict(d: dict) -> np.ndarray:
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
-        re = np.array(d["re"], dtype=float)
+        rows, cols = _size(d["rows"]), _size(d["cols"])
+        parts = {key: np.array(d[key], dtype=float) for key in ("re", "im") if key in d}
+        re = parts["re"]
     except (KeyError, TypeError, ValueError) as exc:
         raise VectorLogicError(f"bad matrix JSON: {exc}") from exc
-    if re.shape != (rows, cols):
-        raise VectorLogicError(f"matrix JSON says {rows}x{cols} but re has shape {re.shape}")
-    if "im" in d:
-        im = np.array(d["im"], dtype=float)
-        if im.shape != (rows, cols):
-            raise VectorLogicError(f"matrix JSON says {rows}x{cols} but im has shape {im.shape}")
-        return re + 1j * im
-    return re
+    for key, part in parts.items():
+        if part.shape != (rows, cols):
+            raise VectorLogicError(f"matrix JSON says {rows}x{cols} but {key} has shape {part.shape}")
+    return re + 1j * parts["im"] if "im" in parts else re
 
 
 def basis_to_dict(b: TruthBasis) -> dict:

@@ -5,9 +5,9 @@ N over any truth basis (orthonormal or not) are
 
     A = alpha*I + beta*N,    B = beta*I + alpha*N,
 
-where I and N are the generalized logical identity and negation of the
-basis. A and B are entrywise conjugates, A^2 = B^2 = N and A B = B A = I.
-A is the matrix counterpart of the imaginary unit i; B of -i.
+where I and N are the gates ID and NOT of the basis. A and B are entrywise
+conjugates, A^2 = B^2 = N and A B = B A = I. A is the matrix counterpart of
+the imaginary unit i; B of -i.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import NoConvergence, NonSquare
-from .operators import identity_operator, lift, max_norm, negation_operator
+from .operators import gate_operator, lift, max_norm
+from .scalar_logic import NOT
 
 
 def solve_srn_coefficients() -> tuple[complex, complex]:
@@ -58,17 +59,23 @@ def sqrt_not(basis: TruthBasis) -> SrnPair:
 
 
 def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:
-    """Named residuals of the defining SRN identities for this basis."""
-    ident = identity_operator(basis)
-    neg = negation_operator(basis)
+    """Named residuals of the defining SRN identities for this basis.
+
+    The roots must come from `sqrt_not` or a context: then A, B, I and N
+    are each S core Y^T with S = [s n] and Y^T S = I2, so both sides of a
+    product identity agree exactly when they agree on S (the argument of
+    `verify.tautology_residuals`). Both are applied to S, with N the NOT
+    gate and I S = S, in O(Q^2); A - conj(B) is compared entrywise."""
+    frame, neg = basis.frame, gate_operator(basis, NOT)
+    a_s, b_s, n_s = pair.A @ frame, pair.B @ frame, neg @ frame
     return {
-        "A2_minus_N": max_norm(pair.A @ pair.A - neg),
-        "B2_minus_N": max_norm(pair.B @ pair.B - neg),
-        "AB_minus_I": max_norm(pair.A @ pair.B - ident),
-        "BA_minus_I": max_norm(pair.B @ pair.A - ident),
+        "A2_minus_N": max_norm(pair.A @ a_s - n_s),
+        "B2_minus_N": max_norm(pair.B @ b_s - n_s),
+        "AB_minus_I": max_norm(pair.A @ b_s - frame),
+        "BA_minus_I": max_norm(pair.B @ a_s - frame),
         "A_minus_conj_B": max_norm(pair.A - np.conj(pair.B)),
-        "B_minus_NA": max_norm(pair.B - neg @ pair.A),
-        "A_minus_NB": max_norm(pair.A - neg @ pair.B),
+        "B_minus_NA": max_norm(b_s - neg @ a_s),
+        "A_minus_NB": max_norm(a_s - neg @ b_s),
     }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
 from .matfun import EULER_KS, EULER_V_SAMPLES, IDENTITY_TOL
-from .operators import _kron, _kron_power, gate_operator, max_norm, negation_operator
+from .operators import _kron, _kron_power, gate_operator, max_norm
 from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
 
 RESIDUAL_TOL = 1e-10
@@ -60,7 +60,7 @@ def tautology_residuals(b: TruthBasis) -> dict[str, float]:
     times ([y z]^T)^{(x)2} (mixed-product rule, Van Loan 2000), so the two
     agree exactly when they agree on [s n]^{(x)2} = s(x)s, s(x)n, n(x)s,
     n(x)n; both sides are applied there through `@`, in O(Q^2) memory."""
-    neg = negation_operator(b)
+    neg = gate_operator(b, scalar_logic.NOT)
     l = gate_operator(b, scalar_logic.IMPL)
     d = gate_operator(b, scalar_logic.OR)
     c = gate_operator(b, scalar_logic.AND)
@@ -130,7 +130,7 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
         "truth_tables_nonorthogonal": truth_table_residuals(b_eps),
         "tautologies": tautology_residuals(b0),
         "tautologies_nonorthogonal": tautology_residuals(b_eps),
-        "srn": srn.identity_report(srn.sqrt_not(b0), b0),
+        "srn": srn.identity_report(srn.SrnPair(A=ctx.A, B=ctx.B), b0),
         "srn_nonorthogonal": srn.identity_report(srn.sqrt_not(b_eps), b_eps),
         "scalar_oracle": {"exp_vs_scalar_series": scalar_oracle_residual(ctx)},
         "euler": matfun.verify_euler_suite(ctx, EULER_V_SAMPLES, ks=EULER_KS, tol=tol).residuals,

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vlogic import AND, TruthTable, canonical_basis, gate_operator
+from vlogic import AND, NOT, TruthTable, canonical_basis, gate_operator
+from vlogic.errors import VectorLogicError
 from vlogic.cli import main
 from vlogic.serialize import basis_to_dict, dump_json, load_json, matrix_from_dict, matrix_to_dict
 
@@ -382,3 +383,40 @@ def test_euler_empty_samples_are_a_usage_error(capsys, tmp_path, flag, value):
     assert code == 1
     assert out == ""
     assert f"argument {flag}" in err and "at least one value" in err
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(2.7, 1), (2, True), (True, 1), ("2", 1), (2, float("inf")), (None, 1)],
+    ids=["fraction", "bool_cols", "bool_rows", "string", "inf", "null"],
+)
+def test_matrix_sizes_must_be_whole_numbers(rows, cols):
+    with pytest.raises(VectorLogicError, match="bad matrix JSON"):
+        matrix_from_dict({"rows": rows, "cols": cols, "re": [[1.0], [2.0]]})
+
+
+@pytest.mark.parametrize(
+    "im", ["x", [[1.0], [2.0, 3.0]], [["x"], [0.0]], {"a": 1.0}], ids=["string", "ragged", "string_entry", "object"]
+)
+def test_malformed_im_is_a_vector_logic_error(im):
+    with pytest.raises(VectorLogicError, match="bad matrix JSON"):
+        matrix_from_dict({"rows": 2, "cols": 1, "re": [[1.0], [2.0]], "im": im})
+
+
+@pytest.mark.parametrize("rows,code", [(4.0, 0), (4.5, 1)])
+def test_diagnose_oracle_size_must_be_whole(capsys, tmp_path, rows, code):
+    # every loaded number is a float, so 4.0 is a size
+    basis_file = tmp_path / "dim4.json"
+    oracle_file = tmp_path / "not.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    oracle = matrix_to_dict(gate_operator(canonical_basis("DIM4"), NOT))
+    oracle_file.write_text(json.dumps({**oracle, "rows": rows}))
+    result, out, err = run(
+        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "1"
+    )
+    assert result == code, err
+    if code:
+        assert out == ""
+        assert err.startswith("vlogic: error: bad matrix JSON")
+    else:
+        assert json.loads(out)["verdict"] == "NOT"

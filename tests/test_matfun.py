@@ -138,6 +138,20 @@ def test_closed_forms_on_random_bases():
             assert max_norm(S_of(c, x) - 1j * math.sin(math.pi * v) * c.B) < SUITE_TOL
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [canonical_basis("DIM4"), canonical_basis("SET2"), random_basis(6, 0.0, 1), random_basis(7, 0.45, 9)],
+    ids=["DIM4", "SET2", "Q6_orthonormal", "Q7_eps0.45"],
+)
+def test_context_identity_and_negation_are_the_paper_formulas(basis):
+    # I = s y^T + n z^T and N = n y^T + s z^T, orthonormal or oblique
+    ctx = make_context(basis)
+    s, n, y, z = basis.s, basis.n, basis.y, basis.z
+    assert ctx.I.dtype == ctx.N.dtype == complex
+    np.testing.assert_allclose(ctx.I, np.outer(s, y) + np.outer(n, z), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ctx.N, np.outer(n, y) + np.outer(s, z), rtol=0, atol=1e-15)
+
+
 def test_pi_matrix(ctx2):
     p = ctx2.Pi
     expected_b = 0.5 * np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]])

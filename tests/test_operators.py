@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vlogic import scalar_logic as sl
-from vlogic import Gate, gate_operator, identity_operator, max_norm, negation_operator, probe, random_basis
+from vlogic import Gate, gate_operator, max_norm, probe, random_basis
 from vlogic.errors import DimensionMismatch, VectorLogicError
 from vlogic.serialize import matrix_to_dict
 from vlogic.operators import _kron_power
@@ -87,7 +87,7 @@ def test_dim4_negation(dim4):
 def test_orthonormal_closed_forms(dim4):
     s, n = dim4.s, dim4.n
     np.testing.assert_allclose(
-        identity_operator(dim4), np.outer(s, s) + np.outer(n, n), atol=1e-15
+        np.asarray(gate_operator(dim4, sl.ID)), np.outer(s, s) + np.outer(n, n), atol=1e-15
     )
     np.testing.assert_allclose(
         gate_operator(dim4, sl.CID), np.outer(s, s) + np.outer(s, n), atol=1e-15
@@ -130,7 +130,7 @@ def test_equi_on_false_false_gives_true(dim4):
 
 
 def test_negation_is_linear(dim4):
-    n_op = negation_operator(dim4)
+    n_op = np.asarray(gate_operator(dim4, sl.NOT))
     mix = 0.3 * dim4.s + 0.7 * dim4.n
     np.testing.assert_allclose(n_op @ mix, 0.3 * dim4.n + 0.7 * dim4.s, atol=1e-14)
 
@@ -170,8 +170,8 @@ def test_ternary_truth_table_fidelity(ternary_tables):
 @pytest.mark.parametrize("dim,eps,seed", [(2, 0.0, 4), (6, 0.5, 5), (16, 0.0, 6)])
 def test_tautologies(dim, eps, seed):
     b = random_basis(dim, eps, seed)
-    i_op = identity_operator(b)
-    n_op = negation_operator(b)
+    i_op = np.asarray(gate_operator(b, sl.ID))
+    n_op = np.asarray(gate_operator(b, sl.NOT))
     l = np.asarray(gate_operator(b, sl.IMPL))
     d = np.asarray(gate_operator(b, sl.OR))
     c = np.asarray(gate_operator(b, sl.AND))
@@ -181,8 +181,8 @@ def test_tautologies(dim, eps, seed):
 
 def test_generalized_identity_negation_nonorthogonal():
     b = random_basis(7, 0.45, seed=9)
-    i_bar = identity_operator(b)
-    n_bar = negation_operator(b)
+    i_bar = np.asarray(gate_operator(b, sl.ID))
+    n_bar = np.asarray(gate_operator(b, sl.NOT))
     assert max_norm(i_bar @ b.s - b.s) < TOL
     assert max_norm(i_bar @ b.n - b.n) < TOL
     assert max_norm(n_bar @ b.s - b.n) < TOL

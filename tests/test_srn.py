@@ -3,12 +3,33 @@
 import numpy as np
 import pytest
 
-from vlogic import canonical_basis, max_norm, random_basis, sqrt_not
+from vlogic import scalar_logic as sl
+from vlogic import canonical_basis, gate_operator, max_norm, random_basis, sqrt_not
 from vlogic.errors import NonSquare
-from vlogic.operators import identity_operator, negation_operator
-from vlogic.srn import eigenvalues, identity_report, solve_srn_coefficients
+from vlogic.operators import lift
+from vlogic.srn import ALPHA, BETA, SrnPair, eigenvalues, identity_report, solve_srn_coefficients
 
 TOL = 1e-10
+
+# the 2 x 2 cores of A and B over the frame [s n]
+A_CORE = np.array([[ALPHA, BETA], [BETA, ALPHA]])
+B_CORE = np.array([[BETA, ALPHA], [ALPHA, BETA]])
+
+
+def dense_srn_residuals(pair, basis):
+    """The identities of `identity_report` as dense Q x Q products, the oracle
+    of its check on the frame."""
+    i_op, n_op = np.asarray(gate_operator(basis, sl.ID)), np.asarray(gate_operator(basis, sl.NOT))
+    a, b = pair.A, pair.B
+    return {
+        "A2_minus_N": max_norm(a @ a - n_op),
+        "B2_minus_N": max_norm(b @ b - n_op),
+        "AB_minus_I": max_norm(a @ b - i_op),
+        "BA_minus_I": max_norm(b @ a - i_op),
+        "A_minus_conj_B": max_norm(a - np.conj(b)),
+        "B_minus_NA": max_norm(b - n_op @ a),
+        "A_minus_NB": max_norm(a - n_op @ b),
+    }
 
 
 def test_coefficients():
@@ -59,13 +80,47 @@ def test_roots_are_conjugates():
 )
 def test_root_algebra(dim, eps, seed):
     b = random_basis(dim, eps, seed)
-    report = identity_report(sqrt_not(b), b)
+    pair = sqrt_not(b)
+    report = identity_report(pair, b)
+    dense = dense_srn_residuals(pair, b)
+    assert report.keys() == dense.keys()
     assert all(r < TOL for r in report.values()), report
+    assert all(r < TOL for r in dense.values()), dense
+
+
+WRONG_ROOTS = {
+    "intact": (A_CORE, B_CORE),
+    "A_in_B_slot": (A_CORE, A_CORE),
+    "scaled_root": (2 * A_CORE, B_CORE),
+    "identity_core": (np.eye(2), B_CORE),
+    "swapped_roots": (B_CORE, A_CORE),
+    "off_span_core": (np.array([[ALPHA, BETA], [0, ALPHA]]), B_CORE),
+}
+
+
+def test_wrong_root_fails_identity_report():
+    # roots built from wrong cores: the check on the frame fails exactly when
+    # the dense oracle does, and by a clear margin
+    for basis_name, basis in {
+        "DIM4": canonical_basis("DIM4"),
+        "Q5_eps-0.6": random_basis(5, -0.6, 3),
+        "Q8_eps0.9": random_basis(8, 0.9, 3),
+    }.items():
+        for root_name, (a_core, b_core) in WRONG_ROOTS.items():
+            pair = SrnPair(A=lift(basis, a_core), B=lift(basis, b_core))
+            report, dense = identity_report(pair, basis), dense_srn_residuals(pair, basis)
+            case = (basis_name, root_name, report, dense)
+            assert report.keys() == dense.keys(), case
+            for name, r in report.items():
+                assert (r < TOL) == (dense[name] < TOL), case
+                assert r < TOL or (r >= 0.1 and dense[name] >= 0.1), case
+            # the swapped roots are the same pair of roots of NOT
+            assert all(r < TOL for r in report.values()) == (root_name in ("intact", "swapped_roots")), case
 
 
 def test_b_equals_na_and_a_equals_nb(dim4):
     pair = sqrt_not(dim4)
-    neg = negation_operator(dim4)
+    neg = np.asarray(gate_operator(dim4, sl.NOT))
     assert max_norm(pair.B - neg @ pair.A) < 1e-14
     assert max_norm(pair.A - neg @ pair.B) < 1e-14
 
@@ -73,7 +128,7 @@ def test_b_equals_na_and_a_equals_nb(dim4):
 def test_product_is_logical_identity():
     b = random_basis(5, 0.0, seed=8)
     pair = sqrt_not(b)
-    ident = identity_operator(b)
+    ident = np.asarray(gate_operator(b, sl.ID))
     assert max_norm(pair.A @ pair.B - ident) < TOL
     assert max_norm(pair.B @ pair.A - ident) < TOL
 
@@ -89,7 +144,7 @@ def test_dim4_eigenvalues(dim4):
 
 def test_set1_negation_eigenvalues(set1):
     np.testing.assert_allclose(
-        eigenvalues(negation_operator(set1)), [1, -1], atol=TOL
+        eigenvalues(np.asarray(gate_operator(set1, sl.NOT))), [1, -1], atol=TOL
     )
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import vlogic.diagnosis
+import vlogic.matfun
+import vlogic.srn
 import vlogic.verify
 from vlogic import (
     Gate,
@@ -17,11 +19,10 @@ from vlogic import (
     canonical_basis,
     classify,
     gate_operator,
-    identity_operator,
     max_norm,
-    negation_operator,
     probe,
     random_basis,
+    sqrt_not,
 )
 from vlogic import scalar_logic as sl
 from vlogic.verify import (
@@ -143,7 +144,7 @@ def test_wrong_gate_fails_tautology(monkeypatch):
         substituted = substituting(slot, table.outputs)
         monkeypatch.setattr(vlogic.verify, "gate_operator", substituted)
         residuals = tautology_residuals(basis)
-        n, i = negation_operator(basis), identity_operator(basis)
+        n, i = np.asarray(gate_operator(basis, sl.NOT)), np.asarray(gate_operator(basis, sl.ID))
         l, d, c = (np.asarray(substituted(basis, t)) for t in (sl.IMPL, sl.OR, sl.AND))
         dense = {
             "L_minus_D_NxI": max_norm(l - d @ np.kron(n, i)),
@@ -187,6 +188,20 @@ def test_verification_never_densifies_a_gate(monkeypatch, dim):
 
     monkeypatch.setattr(Gate, "__array__", refuse)
     assert run_full_verification(dim=dim)["pass"]
+
+
+def test_full_verification_builds_the_roots_once_per_basis(monkeypatch):
+    # the srn section reads the context's roots of the orthonormal basis
+    built = []
+
+    def counted(basis):
+        built.append(basis.epsilon)
+        return sqrt_not(basis)
+
+    monkeypatch.setattr(vlogic.srn, "sqrt_not", counted)
+    monkeypatch.setattr(vlogic.matfun, "sqrt_not", counted)
+    assert run_full_verification(dim=8)["pass"]
+    assert sorted(built) == pytest.approx([0.0, 0.35])
 
 
 SECTIONS = [
