@@ -16,7 +16,6 @@ from .matfun import (
     LogicAlgebraContext,
     S_of,
     S_series,
-    SeriesPolicy,
     logical_exp,
     logical_exp_series,
     make_context,
@@ -46,7 +45,7 @@ __all__ = [
     "TruthBasis", "canonical_basis", "make_basis", "random_basis",
     "DiagnosisResult", "GateSignature", "classify", "enumerate_dyadic_signatures", "probe",
     "C_of", "C_series", "IdentityReport", "LogicAlgebraContext", "S_of", "S_series",
-    "SeriesPolicy", "logical_exp", "logical_exp_series", "make_context", "verify_euler_suite",
+    "logical_exp", "logical_exp_series", "make_context", "verify_euler_suite",
     "Gate", "gate_operator", "max_norm",
     "AND", "CID", "CNOT", "EQUI", "FALSE", "ID", "IMPL", "NAND", "NOR",
     "NOT", "OR", "TRUE", "XOR", "TruthTable", "evaluate",

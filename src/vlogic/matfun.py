@@ -26,8 +26,9 @@ scalars and lifted back to Q x Q once:
   sin lambda-);
 - the paper's truncated series, the platform-independent oracle:
   `logical_exp_series`, `C_series`, `S_series` and `scalar_exp_series` sum
-  term by term in 40-digit `decimal` arithmetic and stop as `SeriesPolicy`
-  says (`SeriesNotConverged` if they do not).
+  term by term in 40-digit `decimal` arithmetic, stop once the added 2x2
+  core term's max-norm is below 1e-16, and refuse an eigenvalue with
+  |lambda| > 50 (`SeriesNotConverged`).
 
 Every function takes one Q x Q argument or a stack (..., Q, Q) and
 returns the same shape; every slice must lie in span{I, N}.
@@ -67,24 +68,6 @@ COMMUTATOR_TOL = 1e-10
 EULER_V_SAMPLES = (0.0, 0.25, 0.5, 1.0, 1.5, -0.75)
 EULER_KS = (2, 3, 5)
 IDENTITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation of the series oracles: stop when the added 2x2 core term's
-    max-norm < term_tol. The closed forms do not truncate."""
-
-    term_tol: float = 1e-16
-    max_terms: int = 64
-
-    def __post_init__(self):
-        if self.term_tol <= 0:
-            raise ValueError("term_tol must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be >= 8")
-
-
-DEFAULT_POLICY = SeriesPolicy()
 
 
 @dataclass(frozen=True)
@@ -198,11 +181,14 @@ def _pair_residual(bound: float, d: np.ndarray) -> np.ndarray:
     return bound * np.maximum(np.abs(d[..., 0] + d[..., 1]), np.abs(d[..., 0] - d[..., 1])) / 2
 
 
-# The series oracles sum in decimal: partial sums can exceed the result by
-# ~9 orders of magnitude at the suite's largest arguments, which 40 digits
-# absorb on every platform. The exponent range is the widest decimal has,
-# so no term of a finite argument overflows.
+# The series oracles sum in decimal: the partial sums of a truncated Taylor
+# series reach e^|lambda|, ~1e10 at the suite's largest argument (7.5 pi).
+# 40 digits keep ~18 digits after the point up to e^50 ~ 5e21 on every
+# platform, hence the bound. The exponent range is the widest decimal has,
+# so no term underflows before the stop rule.
 _DIGITS = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_TERM_TOL = 1e-16  # stop once the added 2x2 core term's max-norm is below
+_MAX_EIGENVALUE = 50
 _ONE = (Decimal(1), Decimal(0))
 
 
@@ -218,7 +204,7 @@ def _mul(z, w):
     return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
-def _eigen_series(lam_p, lam_m, kind: str, policy: SeriesPolicy) -> tuple[complex, complex]:
+def _eigen_series(lam_p, lam_m, kind: str) -> tuple[complex, complex]:
     """The series of kind "exp", "C" or "S" summed on the two core eigenvalues
     (Decimal (re, im) pairs, under the caller's 40-digit context).
 
@@ -226,8 +212,12 @@ def _eigen_series(lam_p, lam_m, kind: str, policy: SeriesPolicy) -> tuple[comple
     exponent of term j-1. C and S step by lambda^2 on lambda+ and by
     -lambda^2 on lambda- (N^m is 1 and (-1)^m there). The stop rule
     measures the 2x2 core term max(|t+ + t-|, |t+ - t-|) / 2 of each added
-    term after the zeroth.
+    term after the zeroth. Raises SeriesNotConverged, before summing, if an
+    eigenvalue has |lambda| > _MAX_EIGENVALUE.
     """
+    modulus = max(abs(complex(float(re), float(im))) for re, im in (lam_p, lam_m))
+    if modulus > _MAX_EIGENVALUE:
+        raise SeriesNotConverged(f"|lambda| = {modulus:.6g} > {_MAX_EIGENVALUE}: too large for 40 digits")
     if kind == "exp":
         (pr, pi_), (mr, mi), exponent, stride = _ONE, _ONE, 0, 1
         (spr, spi), (smr, smi) = lam_p, lam_m
@@ -236,8 +226,8 @@ def _eigen_series(lam_p, lam_m, kind: str, policy: SeriesPolicy) -> tuple[comple
         (spr, spi), (smr, smi), stride = _mul(lam_p, lam_p), _mul(lam_m, lam_m), 2
         smr, smi = -smr, -smi
     apr, api, amr, ami = pr, pi_, mr, mi
-    bound = (2 * Decimal(policy.term_tol)) ** 2
-    for _ in range(policy.max_terms):
+    bound = (2 * Decimal(_TERM_TOL)) ** 2
+    while True:
         d = exponent + 1 if stride == 1 else (exponent + 1) * (exponent + 2)
         exponent += stride
         pr, pi_ = (pr * spr - pi_ * spi) / d, (pr * spi + pi_ * spr) / d
@@ -246,44 +236,41 @@ def _eigen_series(lam_p, lam_m, kind: str, policy: SeriesPolicy) -> tuple[comple
         sr, si, dr, di = pr + mr, pi_ + mi, pr - mr, pi_ - mi
         if sr * sr + si * si < bound and dr * dr + di * di < bound:
             return complex(float(apr), float(api)), complex(float(amr), float(ami))
-    raise SeriesNotConverged(f"series still above tol after {policy.max_terms} terms")
 
 
-def _series(ctx: LogicAlgebraContext, x, kind: str, policy: SeriesPolicy) -> np.ndarray:
+def _series(ctx: LogicAlgebraContext, x, kind: str) -> np.ndarray:
     a, b = _core(ctx, x)
     lam = np.empty(a.shape + (2,), complex)
     with decimal.localcontext(_DIGITS):
         for i in np.ndindex(a.shape):
             ad, bd = _dec(a[i]), _dec(b[i])
             lam_p, lam_m = (ad[0] + bd[0], ad[1] + bd[1]), (ad[0] - bd[0], ad[1] - bd[1])
-            lam[i] = _eigen_series(lam_p, lam_m, kind, policy)
+            lam[i] = _eigen_series(lam_p, lam_m, kind)
     return _lift_eigen(ctx, lam)
 
 
-def logical_exp_series(
-    ctx: LogicAlgebraContext, g, policy: SeriesPolicy = DEFAULT_POLICY
-) -> np.ndarray:
+def logical_exp_series(ctx: LogicAlgebraContext, g) -> np.ndarray:
     """e^G as the paper's truncated series, the oracle for `logical_exp`."""
-    return _series(ctx, g, "exp", policy)
+    return _series(ctx, g, "exp")
 
 
-def C_series(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+def C_series(ctx: LogicAlgebraContext, x) -> np.ndarray:
     """C(X) as the paper's truncated series, the oracle for `C_of`."""
-    return _series(ctx, x, "C", policy)
+    return _series(ctx, x, "C")
 
 
-def S_series(ctx: LogicAlgebraContext, x, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+def S_series(ctx: LogicAlgebraContext, x) -> np.ndarray:
     """S(X) as the paper's truncated series, the oracle for `S_of`."""
-    return _series(ctx, x, "S", policy)
+    return _series(ctx, x, "S")
 
 
-def scalar_exp_series(x: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
-    """The plain scalar exponential series under the same truncation policy:
+def scalar_exp_series(x: complex) -> complex:
+    """The plain scalar exponential series with the same stop rule and bound:
     the exp series on the core x*I2, whose two eigenvalues are both x, so its
     core term norm is |t|."""
     with decimal.localcontext(_DIGITS):
         lam = _dec(x)
-        return _eigen_series(lam, lam, "exp", policy)[0]
+        return _eigen_series(lam, lam, "exp")[0]
 
 
 @dataclass(frozen=True)

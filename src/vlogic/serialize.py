@@ -6,6 +6,7 @@ Matrix: {"rows": r, "cols": c, "re": [[..]], "im": [[..]]} row-major;
 Basis: {"dim": Q, "s": [..], "n": [..], "epsilon": eps, "y": [..], "z": [..]};
 only s and n are read on load, the rest is recomputed, never trusted from
 the file. A loaded number must be a finite float64: no NaN, Infinity or 1e999.
+Every matrix and basis entry must be a number: no null, true or "1.5".
 """
 
 from __future__ import annotations
@@ -42,10 +43,21 @@ def _size(value) -> int:
     return int(value)
 
 
+def _numbers(value) -> np.ndarray:
+    # np.array(dtype=float) alone reads null as NaN, true as 1.0 and "1.5" as 1.5
+    out = np.array(value, dtype=float)
+    entries = np.array(value, dtype=object).ravel()
+    for kind in set(map(type, entries)):
+        if kind is bool or not issubclass(kind, Real):
+            entry = next(x for x in entries if type(x) is kind)
+            raise ValueError(f"entries must be numbers, got {json.dumps(entry, default=repr)}")
+    return out
+
+
 def matrix_from_dict(d: dict) -> np.ndarray:
     try:
         rows, cols = _size(d["rows"]), _size(d["cols"])
-        parts = {key: np.array(d[key], dtype=float) for key in ("re", "im") if key in d}
+        parts = {key: _numbers(d[key]) for key in ("re", "im") if key in d}
         re = parts["re"]
     except (KeyError, TypeError, ValueError) as exc:
         raise VectorLogicError(f"bad matrix JSON: {exc}") from exc
@@ -64,8 +76,8 @@ def basis_to_dict(b: TruthBasis) -> dict:
 
 def basis_from_dict(d: dict) -> TruthBasis:
     try:
-        s, n = d["s"], d["n"]
-    except (KeyError, TypeError) as exc:
+        s, n = _numbers(d["s"]), _numbers(d["n"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise VectorLogicError(f"bad basis JSON: {exc}") from exc
     return make_basis(s, n)
 

@@ -9,7 +9,7 @@ import pytest
 from vlogic import AND, NOT, TruthTable, canonical_basis, gate_operator
 from vlogic.errors import VectorLogicError
 from vlogic.cli import main
-from vlogic.serialize import basis_to_dict, dump_json, load_json, matrix_from_dict, matrix_to_dict
+from vlogic.serialize import basis_from_dict, basis_to_dict, dump_json, load_json, matrix_from_dict, matrix_to_dict
 
 
 def run(capsys, *argv):
@@ -420,3 +420,51 @@ def test_diagnose_oracle_size_must_be_whole(capsys, tmp_path, rows, code):
         assert err.startswith("vlogic: error: bad matrix JSON")
     else:
         assert json.loads(out)["verdict"] == "NOT"
+
+
+@pytest.mark.parametrize(
+    "entry", [None, True, False, "1.5", "nan", "inf", [1.0]], ids=["null", "true", "false", "string", "nan", "inf", "list"]
+)
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_matrix_entries_must_be_numbers(key, entry):
+    # np.array(dtype=float) would read null as NaN, true as 1.0 and "1.5" as 1.5
+    d = {"rows": 2, "cols": 1, "re": [[1.0], [2.0]], "im": [[0.5], [0.0]]}
+    d[key] = [[1.0], [entry]]
+    with pytest.raises(VectorLogicError, match="bad matrix JSON"):
+        matrix_from_dict(d)
+
+
+def test_whole_matrix_entries_still_load():
+    m = matrix_from_dict({"rows": 2, "cols": 2, "re": [[1, 1.0], [4.0, -2]], "im": [[0, 0.5], [0.0, 3]]})
+    np.testing.assert_array_equal(m, [[1, 1 + 0.5j], [4, -2 + 3j]])
+
+
+@pytest.mark.parametrize("entry", [None, True, "0.5", "nan"], ids=["null", "true", "string", "nan"])
+@pytest.mark.parametrize("key", ["s", "n"])
+def test_basis_entries_must_be_numbers(key, entry):
+    d = basis_to_dict(canonical_basis("DIM4"))
+    d[key] = d[key][:3] + [entry]
+    with pytest.raises(VectorLogicError, match="bad basis JSON: entries must be numbers"):
+        basis_from_dict(d)
+
+
+@pytest.mark.parametrize("entry", [None, True, "0.5"], ids=["null", "true", "string"])
+@pytest.mark.parametrize("target", ["oracle", "basis"])
+def test_diagnose_rejects_an_entry_that_is_no_number(capsys, tmp_path, target, entry):
+    # read as floats, null in the oracle became NaN and failed the output
+    # (NaN is not JSON) and true became 1.0, an UNKNOWN verdict (exit 2)
+    basis = canonical_basis("DIM4")
+    files = {"basis": tmp_path / "dim4.json", "oracle": tmp_path / "and.json"}
+    payloads = {"basis": basis_to_dict(basis), "oracle": matrix_to_dict(gate_operator(basis, AND))}
+    if target == "oracle":
+        payloads["oracle"]["re"][0][0] = entry
+    else:
+        payloads["basis"]["s"][0] = entry
+    for name, path in files.items():
+        path.write_text(json.dumps(payloads[name]))
+    code, out, err = run_quietly(
+        capsys, "diagnose", "--oracle", str(files["oracle"]), "--basis", str(files["basis"])
+    )
+    assert code == 1, err
+    assert out == ""
+    assert err.startswith(f"vlogic: error: bad {'matrix' if target == 'oracle' else 'basis'} JSON: entries must be numbers")

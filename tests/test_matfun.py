@@ -1,11 +1,13 @@
 """Logical exponential, matrix circular functions, and the Euler identity suite."""
 
+import decimal
 import math
 import re
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,6 @@ from vlogic import (
     C_series,
     S_of,
     S_series,
-    SeriesPolicy,
     canonical_basis,
     logical_exp,
     logical_exp_series,
@@ -47,13 +48,6 @@ def ctx():
 @pytest.fixture
 def ctx2():
     return make_context(canonical_basis("SET1"))
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SeriesPolicy(term_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesPolicy(max_terms=4)
 
 
 def test_exp_of_zero_is_logical_identity(ctx):
@@ -100,19 +94,34 @@ def test_rejects_argument_outside_logic_span(ctx):
 
 
 def test_series_cap(ctx):
+    # an eigenvalue with |lambda| > 50 is refused before summing: A Pi 16
+    # and Pi 16 have |lambda| = 16 pi, the scalar 60 i pi has 60 pi
+    pi16 = ctx.Pi * 16
+    for series, x in ((logical_exp_series, ctx.A @ pi16), (C_series, pi16), (S_series, pi16)):
+        with pytest.raises(SeriesNotConverged, match=r"\|lambda\| = 50\.265\d* > 50"):
+            series(ctx, x)
+    with pytest.raises(SeriesNotConverged, match=r"\|lambda\| = 188\.496\d* > 50"):
+        scalar_exp_series(60j * math.pi)
+    # one slice beyond the bound refuses the whole stack
     with pytest.raises(SeriesNotConverged):
-        logical_exp_series(ctx, ctx.A @ ctx.Pi * 3, SeriesPolicy(term_tol=1e-16, max_terms=8))
+        C_series(ctx, np.stack([ctx.Pi * 0.5, ctx.Pi * 16]))
 
 
 def test_series_converges_within_cap(ctx):
-    # max-norm of X up to 8 always converges under the default policy
+    # C and S sum at max-norm of X up to 8, and all three kinds at every
+    # argument Pi w the Euler suite reaches, w = v, k v or va + vb, up to
+    # |w| = 7.5 (k = 5, v = 1.5)
     x = ctx.Pi * (8.0 / max_norm(ctx.Pi))
     assert max_norm(x) <= 8.0 + 1e-12
     C_series(ctx, x)
     S_series(ctx, x)
-    # exponential arguments across the suite's range converge too
-    for v in (0.25, 1.5, 3.0, -3.0):
-        logical_exp_series(ctx, ctx.A @ ctx.Pi * v)
+    reach = {k * v for k in (1, *EULER_KS) for v in EULER_V_SAMPLES}
+    reach |= {va + vb for va in EULER_V_SAMPLES for vb in EULER_V_SAMPLES}
+    assert max(map(abs, reach)) == 7.5
+    for w in sorted(reach):
+        for kind, x in (("exp", ctx.A @ ctx.Pi * w), ("C", ctx.Pi * w), ("S", ctx.Pi * w)):
+            ref = CLOSED_FORMS[kind](ctx, x)
+            assert max_norm(SERIES[kind](ctx, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, w)
 
 
 def test_c_s_at_zero(ctx):
@@ -266,43 +275,50 @@ def test_euler_suite_oblique_bases(dim):
     assert report.passed, report.residuals
 
 
-_I2 = np.eye(2, dtype=np.clongdouble)
-_J = np.array([[0, 1], [1, 0]], dtype=np.clongdouble)
+def _real_form(m):
+    """The complex 2x2 matrix M as the real 4x4 [[Re M, -Im M], [Im M, Re M]]
+    of exact Decimals: the real form of a product is the product of the
+    real forms, and M is the top-left block plus i times the bottom-left."""
+    m = np.asarray(m, dtype=complex)
+    return np.vectorize(Decimal, otypes=[object])(np.block([[m.real, -m.imag], [m.imag, m.real]]))
 
 
-def core_loop_series(ctx, x, kind, policy=SeriesPolicy()):
-    """Reference: the series summed with 2x2 long-double products on the core
-    a I2 + b J (I and N become I2 and J), stopped when the core term's
-    max-norm drops below policy.term_tol. kind is "exp", "C" or "S".
+_I2, _J = _real_form(np.eye(2)), _real_form([[0, 1], [1, 0]])
+_REFERENCE_DIGITS = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def core_loop_series(ctx, x, kind, term_tols=(1e-16,)):
+    """Reference: the series summed with 2x2 products on the core a I2 + b J
+    (I and N become I2 and J) in 40-digit decimal, the same on every
+    platform. kind is "exp", "C" or "S". Returns, for each of term_tols in
+    decreasing order, the sum stopped at the first added term after the
+    zeroth whose core max-norm is below it.
     """
     b = ctx.basis
-    frame, dual = np.column_stack([b.s, b.n]), np.column_stack([b.y, b.z])
-    c = dual.T @ np.asarray(x, dtype=complex) @ frame
+    c = b.duals @ np.asarray(x, dtype=complex) @ b.frame
     a, bj = (c[0, 0] + c[1, 1]) / 2, (c[0, 1] + c[1, 0]) / 2
-    g = np.array([[a, bj], [bj, a]]).astype(np.clongdouble)
-    if kind == "exp":
-        acc, term = _I2.copy(), g.copy()
-        for k in range(1, policy.max_terms + 1):
-            acc += term
-            if max_norm(term) < policy.term_tol:
-                return frame @ acc.astype(complex) @ dual.T
-            term = term @ g / (k + 1)
-        raise SeriesNotConverged("reference")
-    odd = kind == "S"
-    gsq = g @ g
-    acc = g.copy() if odd else _I2.copy()
-    power = g.copy() if odd else _I2.copy()
-    coef = np.clongdouble(1.0)
-    exponent = 1 if odd else 0
-    for m in range(1, policy.max_terms + 1):
-        power = power @ gsq
-        coef /= (exponent + 1) * (exponent + 2)
-        exponent += 2
-        term = coef * ((_J if m % 2 == 1 else _I2) @ power)
-        acc += term
-        if max_norm(term) < policy.term_tol:
-            return frame @ acc.astype(complex) @ dual.T
-    raise SeriesNotConverged("reference")
+    sums = []
+    with decimal.localcontext(_REFERENCE_DIGITS):
+        bounds = [Decimal(tol) ** 2 for tol in term_tols]
+        g = _real_form([[a, bj], [bj, a]])
+        stride, step = (1, g) if kind == "exp" else (2, g @ g)
+        exponent = 1 if kind == "S" else 0
+        acc = power = g if kind == "S" else _I2
+        coef = Decimal(1)
+        for m in range(1, 400):
+            power = power @ step
+            coef /= exponent + 1 if stride == 1 else (exponent + 1) * (exponent + 2)
+            exponent += stride
+            term = coef * (_J @ power if stride == 2 and m % 2 else power)
+            acc = acc + term
+            norm2 = (term[:2, :2] ** 2 + term[2:, :2] ** 2).max()
+            while len(sums) < len(bounds) and norm2 < bounds[len(sums)]:
+                sums.append(acc)
+            if len(sums) == len(bounds):
+                break
+        else:
+            raise AssertionError("the reference did not stop within 400 terms")
+    return [b.frame @ (s[:2, :2].astype(float) + 1j * s[2:, :2].astype(float)) @ b.duals for s in sums]
 
 
 def series_arguments(c, v):
@@ -321,33 +337,28 @@ def test_eigenvalue_series_match_core_loop(dim, eps):
     c = make_context(random_basis(dim, eps, 2))
     for v in np.linspace(-3.0, 3.0, 25):
         for kind, x in series_arguments(c, v):
-            ref = core_loop_series(c, x, kind)
+            (ref,) = core_loop_series(c, x, kind)
             for family in (SERIES, CLOSED_FORMS):
                 assert max_norm(family[kind](c, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, v)
 
 
 @pytest.mark.parametrize("dim", [4, 16])
 @pytest.mark.parametrize("eps", [0.0, 0.35])
-def test_eigenvalue_series_stop_like_core_loop(dim, eps):
+def test_eigenvalue_series_stop_like_core_loop(dim, eps, monkeypatch):
+    # the series stop at the reference's term: at the coarse stop tolerances
+    # the sums differ from the full ones by far more than the 1e-13 bound, so
+    # a term more or less would show
     c = make_context(random_basis(dim, eps, 2))
-    raised = 0
-    for max_terms in (8, 12, 20, 30, 64):
-        policy = SeriesPolicy(max_terms=max_terms)
-        for v in np.linspace(-7.5, 7.5, 61):
-            for kind, x in series_arguments(c, v):
-                series = SERIES[kind]
-                try:
-                    core_loop_series(c, x, kind, policy)
-                    expect_raise = False
-                except SeriesNotConverged:
-                    expect_raise = True
-                if expect_raise:
-                    raised += 1
-                    with pytest.raises(SeriesNotConverged):
-                        series(c, x, policy)
-                else:
-                    series(c, x, policy)
-    assert raised > 0
+    tols = (1e-3, 1e-8, 1e-16)
+    truncated = 0
+    for v in np.linspace(-7.5, 7.5, 31):
+        for kind, x in series_arguments(c, v):
+            refs = core_loop_series(c, x, kind, tols)
+            for tol, ref in zip(tols, refs):
+                monkeypatch.setattr(matfun, "_TERM_TOL", tol)
+                assert max_norm(SERIES[kind](c, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, v, tol)
+            truncated += max_norm(refs[1] - refs[2]) > 1e-12
+    assert truncated > 150, truncated
 
 
 def test_de_moivre_zeroth_power_is_logical_identity(ctx):
@@ -437,13 +448,14 @@ def test_large_argument_outside_logic_span_still_rejected(outside):
 
 
 @pytest.mark.parametrize("dim", [4, 16])
-@pytest.mark.parametrize("eps", [0.0, 0.35])
+@pytest.mark.parametrize("eps", [0.0, 0.35, 0.9])
 def test_closed_forms_match_decimal_series(dim, eps):
+    # v up to 15.9, where the eigenvalues of A Pi v and Pi v reach |lambda| =
+    # 15.9 pi = 49.95, just inside the series' bound of 50
     c = make_context(random_basis(dim, eps, 2))
-    policy = SeriesPolicy(max_terms=128)  # e^G at A Pi 7.5 needs about 100 terms
-    for v in np.linspace(-7.5, 7.5, 61):
+    for v in np.linspace(-15.9, 15.9, 61):
         for kind, x in series_arguments(c, v):
-            ref = SERIES[kind](c, x, policy)
+            ref = SERIES[kind](c, x)
             assert max_norm(CLOSED_FORMS[kind](c, x) - ref) <= 1e-13 * max(1.0, max_norm(ref)), (kind, v)
 
 
@@ -467,12 +479,13 @@ def test_stacked_argument_matches_per_argument_calls():
 
 
 def test_src_has_no_extended_precision():
-    # results must not depend on the platform's long double
-    src = Path(__file__).resolve().parents[1] / "src"
-    pattern = re.compile(r"longdouble|float96|float128|complex192|complex256")
+    # results, and the tests' references, must not depend on the platform's
+    # extended precision (the pattern is spelled so that it misses itself)
+    root = Path(__file__).resolve().parents[1]
+    pattern = re.compile(r"long ?double|float(96|128)|complex(192|256)")
     hits = [
         f"{path.name}:{number}"
-        for path in sorted(src.rglob("*.py"))
+        for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
@@ -539,7 +552,7 @@ def test_scalar_oracle_sums_once_and_still_reads_the_context(monkeypatch):
     assert np.array(kept).view(np.uint64).tolist() == np.array(fresh).view(np.uint64).tolist()
 
     # once warm, no call sums a series, and a wrong context still fails
-    def refuse(x, policy=None):
+    def refuse(x):
         raise AssertionError("scalar series summed again")
 
     monkeypatch.setattr(matfun, "scalar_exp_series", refuse)

@@ -233,3 +233,18 @@ def test_run_verification_script(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     runs = [line.split(" worst residual")[0] for line in lines]
     assert runs == ["[PASS] dim=2 seed=0", "[PASS] dim=4 seed=0"]
+    # an empty sweep would print nothing and pass; a bad --dims was a traceback
+    for argv, message in (
+        (["--seeds", "0"], "argument --seeds: needs at least one seed"),
+        (["--seeds", "-2"], "argument --seeds: needs at least one seed"),
+        (["--dims", "4,,8"], "argument --dims: needs comma-separated whole numbers"),
+        (["--dims", ""], "argument --dims: needs comma-separated whole numbers"),
+        (["--dims", "4,1"], "argument --dims: every dimension must be at least 2"),
+    ):
+        monkeypatch.setattr(sys, "argv", [str(script), *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        captured = capsys.readouterr()
+        assert exc.value.code == 1, argv
+        assert captured.out == ""
+        assert message in captured.err, (argv, captured.err)
