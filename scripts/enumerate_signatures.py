@@ -8,24 +8,44 @@ pattern in input order (TT, TF, FT, FF for arity 2). Each gate is followed
 by the residual of its probe output off span{s, n}.
 
 Usage: python scripts/enumerate_signatures.py [--arity K] [--dim Q] [--seed S] [--canonical NAME]
+
+The gates of the arity are probed as one stack, with one application of the
+probe vector. A usage error (an unknown --canonical name, --dim below 2)
+exits 1.
 """
 
 import argparse
 
 from vlogic import canonical_basis, random_basis
+from vlogic.cli import _Parser  # a usage error exits 1, as in the CLI
 from vlogic.diagnosis import enumerate_signatures
+from vlogic.errors import UnknownName
 from vlogic.scalar_logic import NAMED_GATES, all_tables
 
 
+def _dim(text: str) -> int:
+    dim = int(text)
+    if dim < 2:
+        raise argparse.ArgumentTypeError(f"truth vectors need dimension >= 2, got {text!r}")
+    return dim
+
+
+def _canonical(name: str):
+    try:
+        return canonical_basis(name)
+    except UnknownName as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main():
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--arity", type=int, choices=(1, 2, 3), default=2)
-    parser.add_argument("--dim", type=int, default=4)
+    parser.add_argument("--dim", type=_dim, default=4)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--canonical", default=None)
+    parser.add_argument("--canonical", type=_canonical, default=None)
     args = parser.parse_args()
 
-    b = canonical_basis(args.canonical) if args.canonical else random_basis(args.dim, 0.0, args.seed)
+    b = args.canonical if args.canonical is not None else random_basis(args.dim, 0.0, args.seed)
     signatures, classes = enumerate_signatures(b, all_tables(args.arity))
 
     print(

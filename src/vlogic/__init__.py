@@ -39,7 +39,7 @@ from .scalar_logic import (
     TruthTable,
     evaluate,
 )
-from .srn import SrnPair, eigenvalues, solve_srn_coefficients, sqrt_not
+from .srn import SrnPair, solve_srn_coefficients, sqrt_not
 
 __all__ = [
     "TruthBasis", "canonical_basis", "make_basis", "random_basis",
@@ -49,5 +49,5 @@ __all__ = [
     "Gate", "gate_operator", "max_norm",
     "AND", "CID", "CNOT", "EQUI", "FALSE", "ID", "IMPL", "NAND", "NOR",
     "NOT", "OR", "TRUE", "XOR", "TruthTable", "evaluate",
-    "SrnPair", "eigenvalues", "solve_srn_coefficients", "sqrt_not",
+    "SrnPair", "solve_srn_coefficients", "sqrt_not",
 ]

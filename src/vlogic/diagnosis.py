@@ -4,7 +4,8 @@ A hidden k-ary gate is probed with the single input A^{(x)k} s^{(x)k}: the
 true vector of each input prefiltered by a square root of NOT (A s for a
 monadic gate, (A(x)A)(s(x)s) for a dyadic one). By the mixed-product rule
 that input is the Q^k vector (As)^{(x)k}, so a probe builds only its probe
-vector and never the Q^k x Q^k matrix A^{(x)k}. The output's real and
+vector and never the Q^k x Q^k matrix A^{(x)k}; an enumeration makes one
+stacked probe per arity, one @ for all its gates. The output's real and
 imaginary coefficients along s and n form a four-number signature that
 distinguishes all four monadic gates and the seven named dyadic gates; a
 diagnosis also reports the runner-up reference and its distance. The
@@ -25,7 +26,7 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import DimensionMismatch, UnsupportedArity
-from .operators import _kron_power, gate_operator, max_norm
+from .operators import _kron_power, gate_operator
 from .scalar_logic import ALL_DYADIC_TABLES, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, TruthTable
 from .srn import ALPHA, BETA
 
@@ -57,33 +58,40 @@ class DiagnosisResult:
     runner_up_distance: float
 
 
-def _signature_of_output(out: np.ndarray, basis: TruthBasis) -> GateSignature:
-    c = basis.duals @ out  # the coefficients along s and n
-    return GateSignature(
-        float(c[0].real), float(c[1].real), float(c[0].imag), float(c[1].imag),
-        residual=max_norm(out - basis.frame @ c),
-    )
+def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
+    """(As)^{(x)k} as a Q^k x 2 real view, its real and imaginary parts side
+    by side, so a real oracle is read once and never cast to complex."""
+    # A s = alpha s + beta n in any basis; forming the Q x Q root A would
+    # cost more memory than the whole probe vector
+    a_s = basis.frame @ np.array((ALPHA, BETA))
+    return _kron_power(a_s[None, :], arity)[0].view(np.float64).reshape(-1, 2)
+
+
+def _signatures(out: np.ndarray, basis: TruthBasis) -> list[GateSignature]:
+    """Signatures of G probe outputs of shape (G, Q, 2), the real and
+    imaginary parts side by side, all read with one product by the duals."""
+    out = out[..., 0] + 1j * out[..., 1]
+    c = out @ basis.duals.T  # (G, 2): the coefficients along s and n
+    residual = np.abs(out - c @ basis.frame.T).max(axis=1)
+    return [
+        GateSignature(s.real, n.real, s.imag, n.imag, residual=r)
+        for (s, n), r in zip(c.tolist(), residual.tolist())
+    ]
 
 
 def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     """Signature of oracle @ (As)^{(x)k} for a hidden Q x Q^k gate of arity k.
 
     The oracle is anything with .shape and @ (a matrix-free Gate, a dense
-    array); anything else goes through np.asarray.
+    array); anything else goes through np.asarray. A stack of gates is no
+    oracle: `enumerate_signatures` probes stacks.
     """
     if not (hasattr(oracle, "shape") and hasattr(oracle, "__matmul__")):
         oracle = np.asarray(oracle)
     shape = (basis.dim, basis.dim**arity)
     if oracle.shape != shape:
         raise DimensionMismatch(f"arity-{arity} oracle must be {shape[0]}x{shape[1]}, got {oracle.shape}")
-    # A s = alpha s + beta n in any basis; forming the Q x Q root A would
-    # cost more memory than the whole probe vector
-    a_s = basis.frame @ np.array((ALPHA, BETA))
-    v = _kron_power(a_s[None, :], arity)[0]
-    # one product with the real and imaginary parts of v side by side (a
-    # Q^k x 2 view), so a real oracle is read once and never cast to complex
-    out = oracle @ v.view(np.float64).reshape(-1, 2)
-    return _signature_of_output(out[:, 0] + 1j * out[:, 1], basis)
+    return _signatures((oracle @ _probe_vector(basis, arity))[None], basis)[0]
 
 
 def symbolic_signature(table: TruthTable) -> tuple[float, float, float, float]:
@@ -138,16 +146,26 @@ def enumerate_signatures(
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
     """Probe signatures of the given gates (any arity), grouped into collision classes.
 
-    Returns (name -> signature, collision classes); each class lists the
-    gates sharing one signature, largest first, classes of size >= 2 being
-    genuine one-probe ambiguities (e.g. the constant-true gate collides with
-    XOR).
+    The gates of each arity present are probed as one stacked `Gate`: one @
+    of the probe vector and one product by the duals read all their
+    signatures. Returns (name -> signature, collision classes); each class
+    lists the gates sharing one signature, largest first, classes of size
+    >= 2 being genuine one-probe ambiguities (e.g. the constant-true gate
+    collides with XOR).
     """
+    tables = list(tables)
+    by_arity: dict[int, list[TruthTable]] = {}
+    for table in tables:
+        by_arity.setdefault(table.arity, []).append(table)
+    # each arity's signatures in the order of its tables, taken in turn below
+    probed = {
+        arity: iter(_signatures(gate_operator(basis, group) @ _probe_vector(basis, arity), basis))
+        for arity, group in by_arity.items()
+    }
     signatures: dict[str, GateSignature] = {}
     groups: dict[tuple, list[str]] = {}
     for table in tables:
-        sig = probe(gate_operator(basis, table), basis, table.arity)
-        signatures[table.name] = sig
+        sig = signatures[table.name] = next(probed[table.arity])
         key = tuple(round(c, 9) for c in sig.coefficients)
         groups.setdefault(key, []).append(table.name)
     classes = sorted(groups.values(), key=lambda names: (-len(names), names))

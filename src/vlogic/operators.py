@@ -10,6 +10,8 @@ U n = b; for k = 2, T = e (y(x)y)^T + f (y(x)z)^T + g (z(x)y)^T + h (z(x)z)^T.
 it without forming the matrix. Given a sequence of G tables of one arity it
 returns them as one stacked `Gate` of shape (G, Q, Q^k), the (..., Q, Q)
 stack idiom of `matfun`, so one `@` applies every gate of the stack.
+`gate.on_product(f_1, ..., f_k)` applies a gate or a stack to a Kronecker
+product of Q-row factors without forming it.
 
 The logical identity I and negation N are the monadic gates ID and NOT,
 sy^T + nz^T and ny^T + sz^T over any basis, orthonormal or not. The
@@ -18,6 +20,7 @@ canonical residual norm everywhere is the max-norm (largest absolute entry).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
 import numpy as np
@@ -63,6 +66,11 @@ class Gate:
     TypeError rather than densifying it unasked. `np.asarray(gate)` builds the
     dense matrix, and so does any numpy function that converts its arguments
     (np.kron, np.allclose).
+
+    `gate.on_product(f_1, ..., f_k)` is gate @ (f_1 (x) ... (x) f_k) for k
+    factors of shape (Q, m_i): outputs ((duals f_1) (x) ... (x) (duals f_k))
+    by the same rule, of shape (..., Q, prod m_i). It costs O(Q 2^k prod m_i)
+    per gate and never forms an input of Q^k rows.
     """
 
     __array_ufunc__ = None
@@ -85,6 +93,17 @@ class Gate:
         for _ in range(self.arity - 1):
             x = (self.duals @ x).reshape(2 * x.shape[0], q, x.shape[2] // q)
         return self.outputs @ (self.duals @ x).reshape(2**self.arity, *v.shape[1:])
+
+    def on_product(self, *factors) -> np.ndarray:
+        if len(factors) != self.arity:
+            raise DimensionMismatch(f"an arity-{self.arity} gate takes {self.arity} factors, got {len(factors)}")
+        q = self.duals.shape[1]
+        coefficients = []
+        for f in map(np.asarray, factors):
+            if f.ndim != 2 or f.shape[0] != q:
+                raise DimensionMismatch(f"each factor must have shape ({q}, m), got {f.shape}")
+            coefficients.append(self.duals @ f)
+        return self.outputs @ functools.reduce(_kron, coefficients)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TruthBasis
-from .errors import NoConvergence, NonSquare
 from .operators import gate_operator, lift, max_norm
 from .scalar_logic import NOT
 
@@ -64,32 +63,19 @@ def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:
     The roots must come from `sqrt_not` or a context: then A, B, I and N
     are each S core Y^T with S = [s n] and Y^T S = I2, so both sides of a
     product identity agree exactly when they agree on S (the argument of
-    `verify.tautology_residuals`). Both are applied to S, with N the NOT
-    gate and I S = S, in O(Q^2); A - conj(B) is compared entrywise."""
-    frame, neg = basis.frame, gate_operator(basis, NOT)
-    a_s, b_s, n_s = pair.A @ frame, pair.B @ frame, neg @ frame
+    `verify.tautology_residuals`). Both are applied to S, with I S = S and
+    N the NOT gate, applied once to [S, A S, B S] side by side, in O(Q^2);
+    A - conj(B) is compared entrywise."""
+    frame = basis.frame
+    a_s, b_s = pair.A @ frame, pair.B @ frame
+    negated = gate_operator(basis, NOT) @ np.hstack((frame, a_s, b_s))
+    n_s, n_a_s, n_b_s = negated[:, :2], negated[:, 2:4], negated[:, 4:]
     return {
         "A2_minus_N": max_norm(pair.A @ a_s - n_s),
         "B2_minus_N": max_norm(pair.B @ b_s - n_s),
         "AB_minus_I": max_norm(pair.A @ b_s - frame),
         "BA_minus_I": max_norm(pair.B @ a_s - frame),
         "A_minus_conj_B": max_norm(pair.A - np.conj(pair.B)),
-        "B_minus_NA": max_norm(b_s - neg @ a_s),
-        "A_minus_NB": max_norm(a_s - neg @ b_s),
+        "B_minus_NA": max_norm(b_s - n_a_s),
+        "A_minus_NB": max_norm(a_s - n_b_s),
     }
-
-
-def eigenvalues(m: np.ndarray) -> list[complex]:
-    """Eigenvalues with multiplicity, sorted by (|lambda| desc, arg asc)."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    # round inside the key so ties are not broken by last-bit noise
-    return sorted(
-        (complex(v) for v in vals),
-        key=lambda v: (-round(abs(v), 12), round(cmath.phase(v), 12)),
-    )

@@ -2,10 +2,11 @@
 
 Backs the `vlogic verify` subcommand. Each section reports named max-norm
 residuals (or booleans for structural checks) and the run passes only if
-every section does. A run repeats no work: the gates of each arity are
-checked as one stacked `Gate`, each gate is probed once for the diagnosis
-section, and the scalar oracle's series, which depend on no basis, are
-summed once per process.
+every section does. A run makes one pass per arity: the gates of each
+arity are checked as one stacked `Gate` on factored product inputs
+(`Gate.on_product`) and read with one stacked probe per arity for the
+diagnosis section. What depends on no basis, the expected truth-table
+columns and the scalar oracle's series, is derived once per process.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
 from .matfun import EULER_KS, EULER_V_SAMPLES, IDENTITY_TOL
-from .operators import _kron, _kron_power, gate_operator, max_norm
-from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
+from .operators import gate_operator, max_norm
+from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, TruthTable, evaluate
 
 RESIDUAL_TOL = 1e-10
 
@@ -34,22 +35,29 @@ def basis_residuals(b: TruthBasis) -> dict[str, float]:
     }
 
 
+@cache
+def _expected_columns(tables: tuple[TruthTable, ...]) -> np.ndarray:
+    """Frame column (0 for s, 1 for n) of each table's output, by the +/-1
+    oracle, on each input combination in the column order of [s n]^{(x)k}:
+    a constant of the tables, never of a basis, so it is derived once."""
+    inputs = list(product((TRUE, FALSE), repeat=tables[0].arity))
+    return np.array([[0 if evaluate(t, *ws) == TRUE else 1 for ws in inputs] for t in tables])
+
+
 def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
     """Matrix gates vs the scalar +/-1 oracle on every {s,n} input combination.
 
     The gates of each arity k form one stack, applied once to all their
     inputs side by side: the Q^k x 2^k matrix [s n]^{(x)k} whose column j is
     the product of frame columns picked by input combination j (for k = 2:
-    s(x)s, s(x)n, n(x)s, n(x)n). The max-norm of each gate's Q x 2^k
-    residual is its worst input's.
+    s(x)s, s(x)n, n(x)s, n(x)n), given to `Gate.on_product` as its k factors
+    [s n]. The max-norm of each gate's Q x 2^k residual is its worst input's.
     """
-    col = {TRUE: 0, FALSE: 1}  # frame column of each truth value
     out: dict[str, float] = {}
-    for prefix, arity, tables in (("monadic", 1, MONADIC_GATES.values()), ("dyadic", 2, ALL_DYADIC_TABLES)):
-        inputs = list(product((TRUE, FALSE), repeat=arity))  # in the column order of [s n]^{(x)k}
+    for prefix, tables in (("monadic", tuple(MONADIC_GATES.values())), ("dyadic", ALL_DYADIC_TABLES)):
         # (Q, G, 2^k) -> (G, Q, 2^k), the shape of the stack's output
-        expected = b.frame[:, [[col[evaluate(t, *ws)] for ws in inputs] for t in tables]].swapaxes(0, 1)
-        residual = gate_operator(b, tables) @ _kron_power(b.frame, arity) - expected
+        expected = b.frame[:, _expected_columns(tables)].swapaxes(0, 1)
+        residual = gate_operator(b, tables).on_product(*[b.frame] * tables[0].arity) - expected
         for table, r in zip(tables, np.abs(residual).max(axis=(1, 2)).tolist()):
             out[f"{prefix}_{table.name}"] = r
     return out
@@ -59,16 +67,17 @@ def tautology_residuals(b: TruthBasis) -> dict[str, float]:
     """L = D (N(x)I) and D = N C (N(x)N). Each side is Q x 4 output columns
     times ([y z]^T)^{(x)2} (mixed-product rule, Van Loan 2000), so the two
     agree exactly when they agree on [s n]^{(x)2} = s(x)s, s(x)n, n(x)s,
-    n(x)n; both sides are applied there through `@`, in O(Q^2) memory."""
+    n(x)n; both sides are applied there as products of their Q x 2 factors
+    (`Gate.on_product`), in O(Q) memory."""
+    frame = b.frame
     neg = gate_operator(b, scalar_logic.NOT)
     l = gate_operator(b, scalar_logic.IMPL)
     d = gate_operator(b, scalar_logic.OR)
     c = gate_operator(b, scalar_logic.AND)
-    frames = _kron_power(b.frame, 2)
-    negated = neg @ b.frame  # N s, N n
+    negated = neg @ frame  # N s, N n
     return {
-        "L_minus_D_NxI": max_norm(l @ frames - d @ _kron(negated, b.frame)),
-        "D_minus_NC_NxN": max_norm(d @ frames - neg @ (c @ _kron(negated, negated))),
+        "L_minus_D_NxI": max_norm(l.on_product(frame, frame) - d.on_product(negated, frame)),
+        "D_minus_NC_NxN": max_norm(d.on_product(frame, frame) - neg @ c.on_product(negated, negated)),
     }
 
 
@@ -84,10 +93,10 @@ def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature])
 
 
 def diagnosis_section(b: TruthBasis) -> dict:
-    """One probe of each monadic and dyadic gate (`diagnosis.enumerate_signatures`).
-    Passes when the monadic and named dyadic gates round-trip
-    through `classify`, no two named dyadic gates share a signature, and some
-    dyadic gates do (the one-probe ambiguities)."""
+    """One stacked probe of the monadic gates and one of the dyadic gates
+    (`diagnosis.enumerate_signatures`). Passes when the monadic and named
+    dyadic gates round-trip through `classify`, no two named dyadic gates
+    share a signature, and some dyadic gates do (the one-probe ambiguities)."""
     monadic, _ = diagnosis.enumerate_signatures(b, MONADIC_GATES.values())
     dyadic, classes = diagnosis.enumerate_dyadic_signatures(b)
     failures = diagnosis_roundtrip_failures({**monadic, **dyadic})  # gate names are unique

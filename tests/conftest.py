@@ -1,6 +1,10 @@
+import cmath
+
+import numpy as np
 import pytest
 
 from vlogic import canonical_basis
+from vlogic.errors import NoConvergence, NonSquare
 from vlogic.scalar_logic import all_tables
 
 
@@ -23,3 +27,21 @@ def dim4():
 def ternary_tables():
     """All 256 ternary truth tables, each named by its pattern."""
     return list(all_tables(3))
+
+
+def eigenvalues(m) -> list[complex]:
+    """Eigenvalues with multiplicity, sorted by (|lambda| desc, arg asc): a
+    deterministic order for comparing spectra (`from conftest import
+    eigenvalues`)."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSquare(f"expected a square matrix, got shape {m.shape}")
+    try:
+        vals = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    # round inside the key so ties are not broken by last-bit noise
+    return sorted(
+        (complex(v) for v in vals),
+        key=lambda v: (-round(abs(v), 12), round(cmath.phase(v), 12)),
+    )

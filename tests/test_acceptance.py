@@ -30,8 +30,10 @@ from vlogic import (
 from vlogic.cli import main
 from vlogic.diagnosis import symbolic_signature
 from vlogic.matfun import scalar_exp_series
-from vlogic.srn import eigenvalues, identity_report
+from vlogic.srn import identity_report
 from vlogic.serialize import dump_json, load_json
+
+from conftest import eigenvalues
 
 
 def report(criterion, ok, detail=""):

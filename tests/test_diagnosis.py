@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import vlogic.diagnosis
 from vlogic import scalar_logic as sl
 from vlogic import classify, enumerate_dyadic_signatures, gate_operator, probe, random_basis, sqrt_not
 from vlogic.diagnosis import (
@@ -21,6 +22,7 @@ from vlogic.diagnosis import (
     UNKNOWN,
     classify_dyadic,
     classify_monadic,
+    enumerate_signatures,
     probe_dyadic,
     probe_monadic,
     symbolic_dyadic_signature,
@@ -329,3 +331,65 @@ def test_enumerate_signatures_script(arity, gates, classes, largest, monkeypatch
     lines = capsys.readouterr().out.splitlines()
     assert f"{gates} gates, {classes} signature classes, largest {largest}," in lines[0]
     assert len(lines) == 2 + classes  # header, column names, one line per class
+    # bad input is a usage error (exit 1), not a traceback
+    for argv, message in (
+        (["--canonical", "foo"], "argument --canonical: unknown canonical basis 'foo'"),
+        (["--dim", "1"], "argument --dim: truth vectors need dimension >= 2"),
+    ):
+        monkeypatch.setattr(sys, "argv", [str(script), "--arity", str(arity), *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(script), run_name="__main__")
+        captured = capsys.readouterr()
+        assert exc.value.code == 1, argv
+        assert captured.out == ""
+        assert message in captured.err, (argv, captured.err)
+
+
+def _classes_of(signatures):
+    # the grouping rule of enumerate_signatures, on per-gate probes
+    groups = {}
+    for name, sig in signatures.items():
+        groups.setdefault(tuple(round(c, 9) for c in sig.coefficients), []).append(name)
+    return sorted(groups.values(), key=lambda names: (-len(names), names))
+
+
+@pytest.mark.parametrize("arity,dim", [(1, 5), (2, 5), (3, 3)])
+@pytest.mark.parametrize("eps", [0.0, 0.35, 0.9])
+def test_stacked_enumeration_matches_per_gate_probe(arity, dim, eps):
+    b = random_basis(dim, eps, seed=arity)
+    tables = list(sl.all_tables(arity))
+    signatures, classes = enumerate_signatures(b, tables)
+    single = {t.name: probe(gate_operator(b, t), b, arity) for t in tables}
+    assert list(signatures) == list(single)
+    for name, sig in signatures.items():
+        assert max(abs(c - e) for c, e in zip(sig.coefficients, single[name].coefficients)) < 1e-14
+        assert abs(sig.residual - single[name].residual) < 1e-14
+    assert classes == _classes_of(single)
+
+
+def test_enumeration_of_no_gates(dim4):
+    assert enumerate_signatures(dim4, []) == ({}, [])
+    assert enumerate_signatures(dim4, iter(())) == ({}, [])
+
+
+def test_mixed_arities_get_one_stack_each(monkeypatch, ternary_tables):
+    # one stack per arity present, in order of first appearance; the result
+    # keeps the order of the given tables
+    built = []
+
+    def counted(basis, tables):
+        built.append([t.name for t in tables])
+        return gate_operator(basis, tables)
+
+    monkeypatch.setattr(vlogic.diagnosis, "gate_operator", counted)
+    b = random_basis(3, 0.35, seed=1)
+    tables = [sl.NOT, sl.AND, ternary_tables[5], sl.ID, sl.XOR, sl.CID]
+    signatures, classes = enumerate_signatures(b, tables)
+    assert built == [["NOT", "ID", "CID"], ["AND", "XOR"], [ternary_tables[5].name]]
+    single = {t.name: probe(gate_operator(b, t), b, t.arity) for t in tables}
+    assert list(signatures) == list(single)
+    for name, sig in signatures.items():
+        assert max(abs(c - e) for c, e in zip(sig.coefficients, single[name].coefficients)) < 1e-14
+    # a class may span arities: CID and XOR both give (1, 0, 0, 0)
+    assert classes == _classes_of(single)
+    assert ["XOR", "CID"] in classes

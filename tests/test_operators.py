@@ -1,5 +1,6 @@
 """Operator matrices: worked 2D/4D cases, Kronecker laws, table fidelity."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -307,3 +308,33 @@ def test_stacked_gate_is_no_single_gate(dim4):
     for bad in (np.ones(4), np.ones((16, 2, 2))):
         with pytest.raises(DimensionMismatch):
             stack @ bad
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("arity", [1, 2])
+def test_gate_on_product_matches_dense(dim, arity):
+    # gate.on_product(f_1, ..., f_k) against the dense gate @ np.kron(f_1, ..., f_k),
+    # for a single gate and a stack, with real and complex factors of
+    # different widths
+    b = random_basis(dim, 0.35, seed=dim)
+    rng = np.random.default_rng(dim + arity)
+    tables = list(sl.MONADIC_GATES.values()) if arity == 1 else list(sl.ALL_DYADIC_TABLES)
+    widths = (3,) if arity == 1 else (2, 3)
+    for gate in (gate_operator(b, tables[-1]), gate_operator(b, tables)):
+        dense = np.asarray(gate)
+        for complex_factors in (False, True):
+            factors = [rng.standard_normal((dim, m)) for m in widths]
+            if complex_factors:
+                factors = [f + 1j * rng.standard_normal(f.shape) for f in factors]
+            out = gate.on_product(*factors)
+            expected = dense @ functools.reduce(np.kron, factors)
+            assert out.shape == expected.shape == (*gate.shape[:-1], int(np.prod(widths)))
+            assert max_norm(out - expected) < 1e-13
+
+
+def test_gate_on_product_rejects_wrong_factors(dim4):
+    frame = dim4.frame
+    for gate in (gate_operator(dim4, sl.AND), gate_operator(dim4, [sl.AND, sl.OR])):
+        for factors in ((frame,), (frame, frame, frame), (frame, np.ones((5, 2))), (frame, np.ones(4))):
+            with pytest.raises(DimensionMismatch):
+                gate.on_product(*factors)

@@ -7,7 +7,9 @@ from vlogic import scalar_logic as sl
 from vlogic import canonical_basis, gate_operator, max_norm, random_basis, sqrt_not
 from vlogic.errors import NonSquare
 from vlogic.operators import lift
-from vlogic.srn import ALPHA, BETA, SrnPair, eigenvalues, identity_report, solve_srn_coefficients
+from vlogic.srn import ALPHA, BETA, SrnPair, identity_report, solve_srn_coefficients
+
+from conftest import eigenvalues
 
 TOL = 1e-10
 

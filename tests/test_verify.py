@@ -101,20 +101,22 @@ def test_truth_tables_apply_one_stack_per_arity(monkeypatch):
     ids=["intact", "swapped_impl", "impl_as_or"],
 )
 def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build, failing):
-    # the section probes each gate once, and agrees with a direct probe +
-    # classify of each gate; the substitute goes into both modules that
-    # build gates, so the section's probes see it
-    probes = []
+    # the section applies one stacked probe per arity, and agrees with a
+    # direct probe + classify of each gate; the substitute goes into both
+    # modules that build gates, so the section's probes see it
+    applied = []
+    matmul = Gate.__matmul__
 
-    def counted(oracle, b, arity):
-        probes.append(arity)
-        return probe(oracle, b, arity)
+    def counted(gate, v):
+        applied.append(gate.shape)
+        return matmul(gate, v)
 
     monkeypatch.setattr(vlogic.verify, "gate_operator", build)
     monkeypatch.setattr(vlogic.diagnosis, "gate_operator", build)
-    monkeypatch.setattr(vlogic.diagnosis, "probe", counted)
+    monkeypatch.setattr(Gate, "__matmul__", counted)
     section = diagnosis_section(basis)
-    assert sorted(probes) == [1] * 4 + [2] * 16
+    q = basis.dim
+    assert sorted(applied) == [(4, q, q), (16, q, q**2)]
 
     sigs = {t.name: probe(build(basis, t), basis, t.arity) for t in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES)}
     failures = []
@@ -178,6 +180,20 @@ def test_tautology_residuals_memory_at_dim256():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+    assert all(r < RESIDUAL_TOL for r in residuals.values()), residuals
+
+
+def test_gate_checks_memory_at_dim2048():
+    # on factored product inputs: the Q^2 x 4 inputs alone would take 128 MiB
+    b = random_basis(2048, 0.35, seed=1)
+    tracemalloc.start()
+    try:
+        residuals = {**truth_table_residuals(b), **tautology_residuals(b)}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(residuals) == 4 + 16 + 2
     assert all(r < RESIDUAL_TOL for r in residuals.values()), residuals
 
 
