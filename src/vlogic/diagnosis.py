@@ -124,21 +124,31 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
     a signature within tol of a reference classifies as that gate, never as
     AMBIGUOUS.
     """
+    ((verdict, best, second_name, second),) = _nearest([sig.coefficients], arity, tol)
+    return DiagnosisResult(verdict, sig, best, second_name, second)
+
+
+def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str, float]]:
+    """`classify`'s rule for each row of signature coefficients (m, 4), read
+    from one m x R distance matrix: (verdict, distance, runner-up name,
+    runner-up distance)."""
     if arity not in _REFERENCES:
         raise UnsupportedArity(f"no reference signatures for arity {arity}; known: {sorted(_REFERENCES)}")
     names, refs = _REFERENCES[arity]
     # np.max propagates NaN, so a non-finite signature is far from every
     # reference and `not best < tol` sends it to UNKNOWN
-    dists = np.abs(refs - sig.coefficients).max(axis=1)
-    ranked = sorted(zip(dists.tolist(), names))
-    (best, best_name), (second, second_name) = ranked[0], ranked[1]
-    if not best < tol:
-        verdict = UNKNOWN
-    elif second < tol:
-        verdict = AMBIGUOUS
-    else:
-        verdict = best_name
-    return DiagnosisResult(verdict, sig, best, second_name, second)
+    dists = np.abs(np.asarray(coefficients, dtype=float)[:, None, :] - refs).max(axis=2)
+    out = []
+    for row in dists.tolist():
+        (best, best_name), (second, second_name) = sorted(zip(row, names))[:2]
+        if not best < tol:
+            verdict = UNKNOWN
+        elif second < tol:
+            verdict = AMBIGUOUS
+        else:
+            verdict = best_name
+        out.append((verdict, best, second_name, second))
+    return out
 
 
 def enumerate_signatures(
@@ -162,12 +172,14 @@ def enumerate_signatures(
         arity: iter(_signatures(gate_operator(basis, group) @ _probe_vector(basis, arity), basis))
         for arity, group in by_arity.items()
     }
+    sigs = [next(probed[table.arity]) for table in tables]
+    # one rounding of every signature's coefficients for the collision keys
+    keys = np.round([sig.coefficients for sig in sigs], 9).tolist()
     signatures: dict[str, GateSignature] = {}
     groups: dict[tuple, list[str]] = {}
-    for table in tables:
-        sig = signatures[table.name] = next(probed[table.arity])
-        key = tuple(round(c, 9) for c in sig.coefficients)
-        groups.setdefault(key, []).append(table.name)
+    for table, sig, key in zip(tables, sigs, keys):
+        signatures[table.name] = sig
+        groups.setdefault(tuple(key), []).append(table.name)
     classes = sorted(groups.values(), key=lambda names: (-len(names), names))
     return signatures, classes
 

@@ -33,16 +33,19 @@ scalars and lifted back to Q x Q once:
 Every function takes one Q x Q argument or a stack (..., Q, Q) and
 returns the same shape; every slice must lie in span{I, N}.
 
-A product in span{I, N} is the elementwise product of eigenvalue pairs, so
-`verify_euler_suite` and `scalar_exp_residual` check their identities on
-(..., 2) pair arrays with the pair functions the closed forms use
-(`_exp_pair`, `_C_pair`, `_S_pair`). They read I, N, A, B and Pi from the
-context through the cores Y^T M S of its dense fields and build no Q x Q
-matrix; dense stacks come only from the public functions. For a residual
-core a I2 + b J they report K max(|a|, |b|), with
+The context keeps the 2 x 2 cores of I, N, A, B and Pi over the frame and
+lifts a dense Q x Q field only when it is read. A product in span{I, N} is
+the elementwise product of eigenvalue pairs, so `verify_euler_suite` and
+`scalar_exp_residual` check their identities on (..., 2) pair arrays of the
+context's cores with the pair functions the closed forms use (`_exp_pair`,
+`_C_pair`, `_S_pair`), and build no Q x Q matrix; dense stacks come only
+from the public functions. For a residual core a I2 + b J they report
+K max(|a|, |b|), with
 K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|): never below the max-norm of
 the lifted residual a I + b N, though no bound on the residual of dense
-Q x Q products, which round on their own.
+Q x Q products, which round on their own. The basis enters only through K,
+so the pair arithmetic, a function of the context's pairs and the samples,
+is done once per process and scaled by K.
 """
 
 from __future__ import annotations
@@ -51,15 +54,15 @@ import cmath
 import decimal
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property, lru_cache
 from math import isfinite, pi
 
 import numpy as np
 
 from .basis import TruthBasis
 from .errors import NonCommuting, SeriesNotConverged
-from .operators import gate_operator, lift, max_norm
-from .scalar_logic import ID, NOT
-from .srn import sqrt_not
+from .operators import lift
+from .srn import A_CORE, B_CORE
 
 COMMUTATOR_TOL = 1e-10
 
@@ -70,29 +73,59 @@ EULER_KS = (2, 3, 5)
 IDENTITY_TOL = 1e-8
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
+def _lifted(core: str) -> cached_property:
+    """The dense, read-only Q x Q lift of the named core, built on first read and kept."""
+    return cached_property(lambda ctx: _frozen(lift(ctx.basis, getattr(ctx, core))))
+
+
 @dataclass(frozen=True)
 class LogicAlgebraContext:
-    """A basis together with its logical I, N, the two SRNs, and Pi."""
+    """A basis with the 2 x 2 cores over its frame of the logical I, N, the
+    two SRNs A and B, and Pi: each matrix is [s n] core [y z]^T.
+
+    .I, .N, .A, .B and .Pi are the dense, read-only Q x Q lifts, built on
+    first read and kept; the Euler suite and the scalar oracle read only the
+    cores. A context with a wrong core is wrong in both.
+    """
 
     basis: TruthBasis
-    I: np.ndarray
-    N: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    Pi: np.ndarray  # B * i * pi, the matrix stand-in for pi
+    I_core: np.ndarray
+    N_core: np.ndarray
+    A_core: np.ndarray
+    B_core: np.ndarray
+    Pi_core: np.ndarray  # B_core * i * pi, the core of the matrix stand-in for pi
+
+    I = _lifted("I_core")
+    N = _lifted("N_core")
+    A = _lifted("A_core")
+    B = _lifted("B_core")
+
+    @cached_property
+    def Pi(self) -> np.ndarray:
+        # i pi times the lift of Pi_core / (i pi), which is B_core exactly in
+        # a context from make_context: Pi rounds as the dense B i pi does
+        return _frozen(1j * pi * lift(self.basis, self.Pi_core / (1j * pi)))
+
+
+# The cores of I and N, the gates ID and NOT: I2 and the swap J, whose
+# columns are the frame columns of the outputs (t, f) and (f, t).
+_I_CORE = _frozen(np.array([[1, 0], [0, 1]], dtype=complex))
+_N_CORE = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+_PI_CORE = _frozen(1j * pi * B_CORE)
 
 
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
-    """Build the context in complex128; I and N are the gates ID and NOT on the unit vectors."""
-    pair = sqrt_not(basis)
-    ident, neg = gate_operator(basis, (ID, NOT)) @ np.eye(basis.dim, dtype=complex)
-    return LogicAlgebraContext(basis=basis, I=ident, N=neg, A=pair.A, B=pair.B, Pi=1j * pi * pair.B)
+    """The context of a basis: its cores are the same for every basis."""
+    return LogicAlgebraContext(basis, _I_CORE, _N_CORE, A_CORE, B_CORE, _PI_CORE)
 
 
-def _symmetric_core(ctx: LogicAlgebraContext, x) -> np.ndarray:
-    """The symmetrized core (c + J c J)/2, c = Y^T X S, of each Q x Q slice
-    of X (see `_core`), in O(Q^2) per slice with no Q x Q temporary."""
-    c = ctx.basis.duals @ x @ ctx.basis.frame
+def _symmetrized(c: np.ndarray) -> np.ndarray:
+    """(c + J c J) / 2 for each 2 x 2 core c: the part that commutes with J."""
     return (c + c[..., ::-1, ::-1]) / 2
 
 
@@ -108,7 +141,8 @@ def _core(ctx: LogicAlgebraContext, x):
     the rounding error of the projection grows with |X|.
     """
     x = np.asarray(x, dtype=complex)
-    core = _symmetric_core(ctx, x)
+    # O(Q^2) per slice with no Q x Q temporary
+    core = _symmetrized(ctx.basis.duals @ x @ ctx.basis.frame)
     resid = np.abs(x - lift(ctx.basis, core)).max(axis=(-2, -1))
     if not np.all(resid <= COMMUTATOR_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))):
         raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid.max():.3e})")
@@ -123,10 +157,9 @@ def _pairs(ctx: LogicAlgebraContext, x) -> np.ndarray:
 
 def _context_pairs(ctx: LogicAlgebraContext) -> np.ndarray:
     """The eigenvalue pairs of the context's I, N, A, B and Pi, shape (5, 2),
-    read from their dense fields through the symmetrized core, so a wrong
-    context shows in every residual computed from them. No span check: it
-    would need the Q x Q lift; the dense public functions make it."""
-    core = np.stack([_symmetric_core(ctx, m) for m in (ctx.I, ctx.N, ctx.A, ctx.B, ctx.Pi)])
+    from their symmetrized cores, so a wrong core shows in every residual
+    computed from them."""
+    core = _symmetrized(np.stack((ctx.I_core, ctx.N_core, ctx.A_core, ctx.B_core, ctx.Pi_core), dtype=complex))
     a, b = core[:, 0, 0], core[:, 0, 1]
     return np.stack([a + b, a - b], axis=-1)
 
@@ -204,6 +237,13 @@ def _mul(z, w):
     return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
+def _check_modulus(*lams) -> None:
+    """Raise SeriesNotConverged if an eigenvalue (Decimal (re, im) pair) has |lambda| > _MAX_EIGENVALUE."""
+    modulus = max(abs(complex(float(re), float(im))) for re, im in lams)
+    if modulus > _MAX_EIGENVALUE:
+        raise SeriesNotConverged(f"|lambda| = {modulus:.6g} > {_MAX_EIGENVALUE}: too large for 40 digits")
+
+
 def _eigen_series(lam_p, lam_m, kind: str) -> tuple[complex, complex]:
     """The series of kind "exp", "C" or "S" summed on the two core eigenvalues
     (Decimal (re, im) pairs, under the caller's 40-digit context).
@@ -215,9 +255,7 @@ def _eigen_series(lam_p, lam_m, kind: str) -> tuple[complex, complex]:
     term after the zeroth. Raises SeriesNotConverged, before summing, if an
     eigenvalue has |lambda| > _MAX_EIGENVALUE.
     """
-    modulus = max(abs(complex(float(re), float(im))) for re, im in (lam_p, lam_m))
-    if modulus > _MAX_EIGENVALUE:
-        raise SeriesNotConverged(f"|lambda| = {modulus:.6g} > {_MAX_EIGENVALUE}: too large for 40 digits")
+    _check_modulus(lam_p, lam_m)
     if kind == "exp":
         (pr, pi_), (mr, mi), exponent, stride = _ONE, _ONE, 0, 1
         (spr, spi), (smr, smi) = lam_p, lam_m
@@ -267,10 +305,18 @@ def S_series(ctx: LogicAlgebraContext, x) -> np.ndarray:
 def scalar_exp_series(x: complex) -> complex:
     """The plain scalar exponential series with the same stop rule and bound:
     the exp series on the core x*I2, whose two eigenvalues are both x, so its
-    core term norm is |t|."""
+    core term norm is |t| and the one scalar x is summed."""
     with decimal.localcontext(_DIGITS):
-        lam = _dec(x)
-        return _eigen_series(lam, lam, "exp")[0]
+        xr, xi = _dec(x)
+        _check_modulus((xr, xi))
+        (tr, ti), (ar, ai), j = _ONE, _ONE, 0
+        bound = Decimal(_TERM_TOL) ** 2
+        while True:
+            j += 1
+            tr, ti = (tr * xr - ti * xi) / j, (tr * xi + ti * xr) / j
+            ar, ai = ar + tr, ai + ti
+            if tr * tr + ti * ti < bound:
+                return complex(float(ar), float(ai))
 
 
 @dataclass(frozen=True)
@@ -325,8 +371,11 @@ def verify_euler_suite(
         if not (k >= 0 and float(k).is_integer()):
             raise ValueError(f"k must be a non-negative integer, got {k!r}")
     ks = [int(k) for k in ks]
-    # Python floats overflow to inf without a warning, unlike numpy arrays
-    pi_norm = max_norm(ctx.Pi)
+    bound = _lift_bound(ctx.basis)
+    pairs = _context_pairs(ctx)
+    # Python floats overflow to inf without a warning, unlike numpy arrays;
+    # K max(|a|, |b|) of Pi's core is never below the max-norm of Pi
+    pi_norm = float(_pair_residual(bound, pairs[4]))
     arguments = [("v", v) for v in v_samples]
     arguments += [("k*v", k * v) for k in ks for v in v_samples]
     arguments += [("va+vb", va + vb) for va in v_samples for vb in v_samples]
@@ -340,9 +389,29 @@ def verify_euler_suite(
                 f"its rounding error |Pi*{label}| * 2^-52 is not below tol = {tol!r}"
             )
 
-    bound = _lift_bound(ctx.basis)
-    I, N, A, B, Pi = _context_pairs(ctx)
-    v = np.array(v_samples)
+    named, worst = {}, {}
+    for name, r, argument in _euler_pair_residuals(pairs.tobytes(), np.array(v_samples).tobytes(), tuple(ks)):
+        named[name] = bound * r
+        worst[name] = None if argument is None else dict(argument)
+    return IdentityReport(
+        residuals=named,
+        tolerance=tol,
+        metadata={"v_samples": v_samples, "ks": ks, "dim": ctx.basis.dim, "worst_argument": worst},
+    )
+
+
+@lru_cache(maxsize=32)
+def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
+    """(name, max(|a|, |b|), worst argument) of each identity of the suite on
+    the context pairs (the bytes of the (5, 2) array) and the v samples (the
+    bytes of a float array, which tell -0.0 from 0.0): no basis enters, so
+    each distinct key is computed once and the caller scales by K. K max is
+    the max of K times each, rounding being monotone, and the division by 2
+    in `_pair_residual` is exact. The worst argument is a tuple of
+    (label, value) items, or None for an identity with no sample."""
+    I, N, A, B, Pi = np.frombuffer(pairs, dtype=complex).reshape(5, 2)
+    v = np.frombuffer(v_bytes)
+    v_samples = v.tolist()
     x = Pi * v[:, None]
     c, s = _C_pair(x), _S_pair(x)
     e_pos, e_neg = _exp_pair(A * x), _exp_pair(-A * x)
@@ -353,9 +422,9 @@ def verify_euler_suite(
     xk = Pi * (k * v[:, None])
     xs = Pi * (v[:, None] + v[None, :])[..., None]
     ca, cb, sa, sb = c[:, None], c[None, :], s[:, None], s[None, :]
-    by_v = {"v": v_samples}
-    by_kv = {"k": ks, "v": v_samples}
-    by_ab = {"va": v_samples, "vb": v_samples}
+    by_v = (("v", v_samples),)
+    by_kv = (("k", ks), ("v", v_samples))
+    by_ab = (("va", v_samples), ("vb", v_samples))
     residuals = {
         "a_exp_equals_C_plus_AS": (e_pos - c_plus_as, by_v),
         "b_C2_minus_NS2_is_I": (c * c - N * s * s - I, by_v),
@@ -363,29 +432,33 @@ def verify_euler_suite(
         "d_S_from_exponentials": (s - 0.5 * B * (e_pos - e_neg), by_v),
         "e_cosine_addition": (_C_pair(xs) - (ca * cb + N * sa * sb), by_ab),
         "f_sine_addition": (_S_pair(xs) - (sa * cb + sb * ca), by_ab),
-        "g_great_euler": (_exp_pair(A * Pi)[None] + I, {"v": [1.0]}),
+        "g_great_euler": (_exp_pair(A * Pi)[None] + I, (("v", (1.0,)),)),
         "h_de_moivre": (c_plus_as**k * I - (_C_pair(xk) + A * _S_pair(xk)), by_kv),
     }
-    named, worst = {}, {}
+    out = []
     for name, (d, axes) in residuals.items():
-        r = _pair_residual(bound, d)
-        named[name], worst[name] = 0.0, None
+        r = _pair_residual(1.0, d)
         if r.size:
             i = np.unravel_index(np.argmax(r), r.shape)
-            named[name] = float(r[i])
-            worst[name] = {label: values[j] for (label, values), j in zip(axes.items(), i)}
-    return IdentityReport(
-        residuals=named,
-        tolerance=tol,
-        metadata={"v_samples": v_samples, "ks": ks, "dim": ctx.basis.dim, "worst_argument": worst},
-    )
+            out.append((name, float(r[i]), tuple((label, values[j]) for (label, values), j in zip(axes, i))))
+        else:
+            out.append((name, 0.0, None))
+    return tuple(out)
 
 
 def scalar_exp_residual(ctx: LogicAlgebraContext, v_samples, scalars) -> float:
     """The largest residual of logical_exp(A Pi v) = scalar I over the pairs
-    (v, scalar) of v_samples and scalars, with the suite's bound and on its
-    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix."""
-    I, _, A, _, Pi = _context_pairs(ctx)
-    v = np.array(v_samples, dtype=float)
-    d = _exp_pair(A * Pi * v[:, None]) - np.array(scalars, dtype=complex)[:, None] * I
-    return float(_pair_residual(_lift_bound(ctx.basis), d).max())
+    (v, scalar) of v_samples and scalars, with the suite's bound and on the
+    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix. As in
+    the suite, the pair arithmetic is done once per (pairs, v_samples,
+    scalars) and scaled by K."""
+    key = (_context_pairs(ctx), np.array(v_samples, dtype=float), np.array(scalars, dtype=complex))
+    return _lift_bound(ctx.basis) * _scalar_pair_residual(*(a.tobytes() for a in key))
+
+
+@lru_cache(maxsize=32)
+def _scalar_pair_residual(pairs: bytes, v_bytes: bytes, scalar_bytes: bytes) -> float:
+    I, _, A, _, Pi = np.frombuffer(pairs, dtype=complex).reshape(5, 2)
+    v, scalars = np.frombuffer(v_bytes), np.frombuffer(scalar_bytes, dtype=complex)
+    d = _exp_pair(A * Pi * v[:, None]) - scalars[:, None] * I
+    return float(_pair_residual(1.0, d).max())

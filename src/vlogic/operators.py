@@ -119,18 +119,26 @@ def gate_operator(basis: TruthBasis, tables: TruthTable | Iterable[TruthTable]) 
     order; an empty sequence or mixed arities raise ValueError.
     """
     if isinstance(tables, TruthTable):
-        return Gate(basis.frame[:, _frame_columns(tables)], basis.duals, tables.arity)
+        return Gate(basis.frame[:, _frame_columns((tables.outputs,))[0]], basis.duals, tables.arity)
     tables = list(tables)
     arities = {t.arity for t in tables}
     if len(arities) != 1:
         raise ValueError(f"a gate stack needs tables of one arity, got arities {sorted(arities)}")
     # (Q, G, 2^k) -> (G, Q, 2^k)
-    outputs = basis.frame[:, [_frame_columns(t) for t in tables]].swapaxes(0, 1)
+    outputs = basis.frame[:, _frame_columns(tuple(t.outputs for t in tables))].swapaxes(0, 1)
     return Gate(outputs, basis.duals, arities.pop())
 
 
-def _frame_columns(table: TruthTable) -> list[int]:
-    return [0 if out == TRUE else 1 for out in table.outputs]
+@functools.lru_cache(maxsize=64)
+def _frame_columns(outputs: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Frame column (0 for s, 1 for n) of each output of each table, (G, 2^k).
+
+    Keyed on the tables' outputs, plain tuples of ints, so a warm call hashes
+    no TruthTable; the index array of each set of tables is built once.
+    """
+    columns = np.array([[0 if out == TRUE else 1 for out in outs] for outs in outputs])
+    columns.setflags(write=False)
+    return columns
 
 
 # Fixed-arity names, kept for callers written against them.

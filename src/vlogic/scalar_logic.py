@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import UnknownGate
@@ -42,8 +43,9 @@ class TruthTable:
         for w in self.outputs:
             _check_truth(w)
 
-    @property
+    @cached_property
     def arity(self) -> int:
+        # computed on first read and kept: not a field, so equality and hashing ignore it
         return len(self.outputs).bit_length() - 1
 
     @property

@@ -8,6 +8,12 @@ N over any truth basis (orthonormal or not) are
 where I and N are the gates ID and NOT of the basis. A and B are entrywise
 conjugates, A^2 = B^2 = N and A B = B A = I. A is the matrix counterpart of
 the imaginary unit i; B of -i.
+
+Over the frame S = [s n] each root is S core Y^T with the 2 x 2 core
+alpha*I2 + beta*J (A) or beta*I2 + alpha*J (B), J the swap: `A_CORE` and
+`B_CORE`. `factored_roots` keeps each root as the monadic `Gate` with
+outputs S core, so A @ v costs O(Q m) for a Q x m block; `sqrt_not` lifts
+the dense Q x Q matrices (S core) Y^T.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TruthBasis
-from .operators import gate_operator, lift, max_norm
+from .operators import Gate, gate_operator, lift, max_norm
 from .scalar_logic import NOT
 
 
@@ -42,40 +48,59 @@ def solve_srn_coefficients() -> tuple[complex, complex]:
 ALPHA, BETA = solve_srn_coefficients()
 
 
+# alpha*I + beta*N has the core alpha*I2 + beta*J over the frame
+A_CORE = np.array([[ALPHA, BETA], [BETA, ALPHA]])
+B_CORE = np.array([[BETA, ALPHA], [ALPHA, BETA]])
+A_CORE.setflags(write=False)
+B_CORE.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class SrnPair:
-    A: np.ndarray
-    B: np.ndarray
+    A: np.ndarray | Gate
+    B: np.ndarray | Gate
 
 
 def sqrt_not(basis: TruthBasis) -> SrnPair:
-    # alpha*I + beta*N has the core alpha*I2 + beta*J over the frame
-    a = lift(basis, np.array([[ALPHA, BETA], [BETA, ALPHA]]))
-    b = lift(basis, np.array([[BETA, ALPHA], [ALPHA, BETA]]))
+    """The two roots as dense, read-only Q x Q matrices."""
+    a = lift(basis, A_CORE)
+    b = lift(basis, B_CORE)
     a.setflags(write=False)
     b.setflags(write=False)
     return SrnPair(A=a, B=b)
 
 
+def factored_roots(basis: TruthBasis) -> SrnPair:
+    """The two roots as monadic Gates with outputs S core (A s and A n, B s
+    and B n): no Q x Q matrix."""
+    return SrnPair(A=Gate(basis.frame @ A_CORE, basis.duals, 1), B=Gate(basis.frame @ B_CORE, basis.duals, 1))
+
+
 def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:
     """Named residuals of the defining SRN identities for this basis.
 
-    The roots must come from `sqrt_not` or a context: then A, B, I and N
-    are each S core Y^T with S = [s n] and Y^T S = I2, so both sides of a
-    product identity agree exactly when they agree on S (the argument of
-    `verify.tautology_residuals`). Both are applied to S, with I S = S and
-    N the NOT gate, applied once to [S, A S, B S] side by side, in O(Q^2);
-    A - conj(B) is compared entrywise."""
+    The roots may be dense or factored, but each must be S core Y^T with
+    S = [s n] and Y^T S = I2, as from `sqrt_not`, `factored_roots` or a lift
+    of a core: then both sides of a product identity agree exactly when they
+    agree on S (the argument of `verify.tautology_residuals`). A is applied
+    to S and then once to the block [A S, B S] side by side, B likewise, and
+    the NOT gate once to [S, A S, B S]; I S = S. A - conj(B) is compared on
+    the Q x 2 outputs, as A S - conj(B S): Y^T has full row rank, so that is
+    zero exactly when the Q x Q difference is. Factored roots make every
+    product O(Q).
+    """
     frame = basis.frame
-    a_s, b_s = pair.A @ frame, pair.B @ frame
-    negated = gate_operator(basis, NOT) @ np.hstack((frame, a_s, b_s))
+    roots_s = np.hstack((pair.A @ frame, pair.B @ frame))
+    a_s, b_s = roots_s[:, :2], roots_s[:, 2:]
+    a_roots, b_roots = pair.A @ roots_s, pair.B @ roots_s  # [A A S, A B S], [B A S, B B S]
+    negated = gate_operator(basis, NOT) @ np.hstack((frame, roots_s))
     n_s, n_a_s, n_b_s = negated[:, :2], negated[:, 2:4], negated[:, 4:]
     return {
-        "A2_minus_N": max_norm(pair.A @ a_s - n_s),
-        "B2_minus_N": max_norm(pair.B @ b_s - n_s),
-        "AB_minus_I": max_norm(pair.A @ b_s - frame),
-        "BA_minus_I": max_norm(pair.B @ a_s - frame),
-        "A_minus_conj_B": max_norm(pair.A - np.conj(pair.B)),
+        "A2_minus_N": max_norm(a_roots[:, :2] - n_s),
+        "B2_minus_N": max_norm(b_roots[:, 2:] - n_s),
+        "AB_minus_I": max_norm(a_roots[:, 2:] - frame),
+        "BA_minus_I": max_norm(b_roots[:, :2] - frame),
+        "A_minus_conj_B": max_norm(a_s - np.conj(b_s)),
         "B_minus_NA": max_norm(b_s - n_a_s),
         "A_minus_NB": max_norm(a_s - n_b_s),
     }

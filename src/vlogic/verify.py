@@ -5,8 +5,13 @@ residuals (or booleans for structural checks) and the run passes only if
 every section does. A run makes one pass per arity: the gates of each
 arity are checked as one stacked `Gate` on factored product inputs
 (`Gate.on_product`) and read with one stacked probe per arity for the
-diagnosis section. What depends on no basis, the expected truth-table
-columns and the scalar oracle's series, is derived once per process.
+diagnosis section, whose round trips are classified with one distance
+matrix per arity. A run builds no dense Q x Q matrix: the roots of NOT are
+factored `Gate`s (`srn.factored_roots`) and the Euler suite and the scalar
+oracle read the context's 2 x 2 cores. What depends on no basis is derived
+once per process: the expected truth-table columns, the gates' frame-column
+indices, the scalar oracle's series, and the pair arithmetic of the Euler
+suite and the scalar oracle, which a basis only scales.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
 from .matfun import EULER_KS, EULER_V_SAMPLES, IDENTITY_TOL
 from .operators import gate_operator, max_norm
-from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, TruthTable, evaluate
+from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
 
 RESIDUAL_TOL = 1e-10
 
@@ -35,13 +40,22 @@ def basis_residuals(b: TruthBasis) -> dict[str, float]:
     }
 
 
+# The gates of each arity that truth_table_residuals checks, by the prefix
+# of their residual names.
+_TABLES = {"monadic": tuple(MONADIC_GATES.values()), "dyadic": ALL_DYADIC_TABLES}
+
+
 @cache
-def _expected_columns(tables: tuple[TruthTable, ...]) -> np.ndarray:
+def _expected_columns() -> dict[str, np.ndarray]:
     """Frame column (0 for s, 1 for n) of each table's output, by the +/-1
-    oracle, on each input combination in the column order of [s n]^{(x)k}:
-    a constant of the tables, never of a basis, so it is derived once."""
-    inputs = list(product((TRUE, FALSE), repeat=tables[0].arity))
-    return np.array([[0 if evaluate(t, *ws) == TRUE else 1 for ws in inputs] for t in tables])
+    oracle, on each input combination in the column order of [s n]^{(x)k},
+    for each entry of _TABLES: a constant of the tables, never of a basis,
+    so it is derived once."""
+    out = {}
+    for prefix, tables in _TABLES.items():
+        inputs = list(product((TRUE, FALSE), repeat=tables[0].arity))
+        out[prefix] = np.array([[0 if evaluate(t, *ws) == TRUE else 1 for ws in inputs] for t in tables])
+    return out
 
 
 def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
@@ -54,9 +68,9 @@ def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
     [s n]. The max-norm of each gate's Q x 2^k residual is its worst input's.
     """
     out: dict[str, float] = {}
-    for prefix, tables in (("monadic", tuple(MONADIC_GATES.values())), ("dyadic", ALL_DYADIC_TABLES)):
+    for prefix, tables in _TABLES.items():
         # (Q, G, 2^k) -> (G, Q, 2^k), the shape of the stack's output
-        expected = b.frame[:, _expected_columns(tables)].swapaxes(0, 1)
+        expected = b.frame[:, _expected_columns()[prefix]].swapaxes(0, 1)
         residual = gate_operator(b, tables).on_product(*[b.frame] * tables[0].arity) - expected
         for table, r in zip(tables, np.abs(residual).max(axis=(1, 2)).tolist()):
             out[f"{prefix}_{table.name}"] = r
@@ -83,12 +97,15 @@ def tautology_residuals(b: TruthBasis) -> dict[str, float]:
 
 def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature]) -> list[str]:
     """Monadic and named dyadic gates whose probe signature, given by gate
-    name, misidentifies or lies farther than RESIDUAL_TOL from its reference."""
+    name, misidentifies or lies farther than RESIDUAL_TOL from its reference,
+    by `classify`'s rule at its default tol, one distance matrix per arity."""
     failures = []
-    for table in scalar_logic.NAMED_GATES.values():
-        res = diagnosis.classify(signatures[table.name], table.arity)
-        if res.verdict != table.name or res.distance > RESIDUAL_TOL:
-            failures.append(table.name)
+    for arity, tables in ((1, MONADIC_GATES.values()), (2, NAMED_DYADIC_GATES.values())):
+        coefficients = [signatures[t.name].coefficients for t in tables]
+        nearest = diagnosis._nearest(coefficients, arity, diagnosis.DEFAULT_CLASSIFY_TOL)
+        for table, (verdict, distance, _, _) in zip(tables, nearest):
+            if verdict != table.name or distance > RESIDUAL_TOL:
+                failures.append(table.name)
     return failures
 
 
@@ -139,8 +156,8 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
         "truth_tables_nonorthogonal": truth_table_residuals(b_eps),
         "tautologies": tautology_residuals(b0),
         "tautologies_nonorthogonal": tautology_residuals(b_eps),
-        "srn": srn.identity_report(srn.SrnPair(A=ctx.A, B=ctx.B), b0),
-        "srn_nonorthogonal": srn.identity_report(srn.sqrt_not(b_eps), b_eps),
+        "srn": srn.identity_report(srn.factored_roots(b0), b0),
+        "srn_nonorthogonal": srn.identity_report(srn.factored_roots(b_eps), b_eps),
         "scalar_oracle": {"exp_vs_scalar_series": scalar_oracle_residual(ctx)},
         "euler": matfun.verify_euler_suite(ctx, EULER_V_SAMPLES, ks=EULER_KS, tol=tol).residuals,
     }

@@ -1,6 +1,7 @@
 """One-probe gate identification: signatures, classification, collisions."""
 
 import itertools
+import math
 import runpy
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from vlogic import scalar_logic as sl
 from vlogic import classify, enumerate_dyadic_signatures, gate_operator, probe, random_basis, sqrt_not
 from vlogic.diagnosis import (
     AMBIGUOUS,
+    DEFAULT_CLASSIFY_TOL,
     DYADIC_REFERENCE_SIGNATURES,
     GateSignature,
     MONADIC_REFERENCE_SIGNATURES,
@@ -393,3 +395,18 @@ def test_mixed_arities_get_one_stack_each(monkeypatch, ternary_tables):
     # a class may span arities: CID and XOR both give (1, 0, 0, 0)
     assert classes == _classes_of(single)
     assert ["XOR", "CID"] in classes
+
+
+def test_batched_nearest_applies_the_classify_rule():
+    # the round-trip check classifies many signatures with one distance
+    # matrix; each row gives what classify gives for that signature alone
+    rng = np.random.default_rng(7)
+    for arity, refs in ((1, MONADIC_REFERENCE_SIGNATURES), (2, DYADIC_REFERENCE_SIGNATURES)):
+        rows = np.array(list(refs.values()))
+        rows = np.concatenate([rows, rows + rng.normal(scale=1e-7, size=rows.shape), rng.normal(size=(5, 4))])
+        rows[-1, 2] = math.nan
+        batched = vlogic.diagnosis._nearest(rows, arity, DEFAULT_CLASSIFY_TOL)
+        for row, got in zip(rows.tolist(), batched):
+            res = classify(GateSignature(*row, residual=0.0), arity)
+            assert got == (res.verdict, res.distance, res.runner_up, res.runner_up_distance) or math.isnan(row[2])
+        assert batched[-1][0] == UNKNOWN

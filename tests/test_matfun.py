@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import vlogic.operators
+import vlogic.srn
 import vlogic.verify
 from vlogic import matfun
 from vlogic import (
@@ -30,6 +31,7 @@ from vlogic import (
     verify_euler_suite,
 )
 from vlogic.errors import NonCommuting, SeriesNotConverged
+from vlogic.scalar_logic import ID, NOT
 from vlogic.matfun import COMMUTATOR_TOL, scalar_exp_series
 from vlogic.operators import lift
 from vlogic.verify import EULER_KS, EULER_V_SAMPLES, RESIDUAL_TOL, scalar_oracle_residual
@@ -502,8 +504,10 @@ def test_euler_suite_rejects_argument_too_large_for_tol(ctx, v):
 
 
 def test_euler_suite_argument_bound_follows_tol(ctx):
-    # the largest argument is Pi 2v, with rounding error |Pi 2v| 2^-52 = 1e-9
-    v = 1e-9 * 2.0**52 / (2 * max_norm(ctx.Pi))
+    # the largest argument is Pi 2v, with rounding error |Pi 2v| 2^-52 = 1e-9,
+    # |Pi| being bounded by K max(|a|, |b|) of Pi's core a I2 + b J
+    a, b = ctx.Pi_core[0]
+    v = 1e-9 * 2.0**52 / (2 * matfun._lift_bound(ctx.basis) * max(abs(a), abs(b)))
     verify_euler_suite(ctx, [v], ks=(2,), tol=1.1e-9)
     with pytest.raises(ValueError, match=re.escape("Pi*k*v at k*v = ")):
         verify_euler_suite(ctx, [v], ks=(2,), tol=0.9e-9)
@@ -526,22 +530,22 @@ def test_series_at_huge_argument_do_not_converge(ctx, v):
 
 def test_pair_checks_read_the_context():
     # the pair suite and the scalar oracle take I, N, A, B and Pi from the
-    # context's dense fields, so a wrong context fails them
+    # context's cores, so a context with a wrong core fails them
     c = make_context(random_basis(8, 0.35, 2))
     assert verify_euler_suite(c, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
     assert scalar_oracle_residual(c) < RESIDUAL_TOL
     for wrong, failing in (
-        (replace(c, Pi=2 * c.Pi), "g_great_euler"),
-        (replace(c, A=c.A.conj()), "d_S_from_exponentials"),
-        (replace(c, N=c.I), "b_C2_minus_NS2_is_I"),
-        (replace(c, I=1.001 * c.I), "h_de_moivre"),
-        (replace(c, B=-c.B), "d_S_from_exponentials"),
+        (replace(c, Pi_core=2 * c.Pi_core), "g_great_euler"),
+        (replace(c, A_core=c.A_core.conj()), "d_S_from_exponentials"),
+        (replace(c, N_core=c.I_core), "b_C2_minus_NS2_is_I"),
+        (replace(c, I_core=1.001 * c.I_core), "h_de_moivre"),
+        (replace(c, B_core=-c.B_core), "d_S_from_exponentials"),
     ):
         assert verify_euler_suite(wrong, EULER_V_SAMPLES, ks=(0, *EULER_KS)).residuals[failing] > 1e-4
     # the identities cannot tell i from -i; the scalar oracle can
-    swapped = replace(c, A=c.B, B=c.A)
+    swapped = replace(c, A_core=c.B_core, B_core=c.A_core)
     assert verify_euler_suite(swapped, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
-    for wrong in (swapped, replace(c, Pi=2 * c.Pi), replace(c, I=1.001 * c.I)):
+    for wrong in (swapped, replace(c, Pi_core=2 * c.Pi_core), replace(c, I_core=1.001 * c.I_core)):
         assert scalar_oracle_residual(wrong) > 1e-4
 
 
@@ -558,7 +562,11 @@ def test_scalar_oracle_sums_once_and_still_reads_the_context(monkeypatch):
     monkeypatch.setattr(matfun, "scalar_exp_series", refuse)
     c = make_context(random_basis(8, 0.35, 2))
     assert scalar_oracle_residual(c) < RESIDUAL_TOL
-    for wrong in (replace(c, A=c.B, B=c.A), replace(c, Pi=2 * c.Pi), replace(c, I=1.001 * c.I)):
+    for wrong in (
+        replace(c, A_core=c.B_core, B_core=c.A_core),
+        replace(c, Pi_core=2 * c.Pi_core),
+        replace(c, I_core=1.001 * c.I_core),
+    ):
         assert scalar_oracle_residual(wrong) > 1e-4
 
 
@@ -661,3 +669,79 @@ def test_library_suite_accepts_empty_samples():
     worst = report.metadata["worst_argument"]
     assert worst["g_great_euler"] == {"v": 1.0}
     assert all(worst[name] is None for name in worst if name != "g_great_euler")
+
+
+def test_scalar_series_sums_one_scalar_bit_identical_to_the_pair():
+    # the pair (x, x) on the core x*I2 adds the same terms as the one scalar x
+    vs = [*EULER_V_SAMPLES, *np.linspace(-15.9, 15.9, 61)]
+    single = np.array([scalar_exp_series(1j * math.pi * v) for v in vs])
+    with decimal.localcontext(matfun._DIGITS):
+        lams = [matfun._dec(1j * math.pi * v) for v in vs]
+        pair = np.array([matfun._eigen_series(lam, lam, "exp")[0] for lam in lams])
+    assert single.tobytes() == pair.tobytes()
+
+
+def test_context_lifts_its_cores_lazily_and_bit_for_bit():
+    b = random_basis(16, 0.35, 3)
+    c = make_context(b)
+    assert not {"I", "N", "A", "B", "Pi"} & set(vars(c))
+    roots = vlogic.srn.sqrt_not(b)
+    dense_i, dense_n = vlogic.operators.gate_operator(b, (ID, NOT)) @ np.eye(16, dtype=complex)
+    for m, expected in ((c.I, dense_i), (c.N, dense_n), (c.A, roots.A), (c.B, roots.B), (c.Pi, 1j * math.pi * roots.B)):
+        assert m.dtype == complex and m.tobytes() == expected.tobytes()
+        assert not m.flags.writeable
+    assert c.Pi is c.Pi  # kept after the first read
+    # a wrong core is wrong in the dense field too
+    assert max_norm(replace(c, Pi_core=2 * c.Pi_core).Pi - 2 * c.Pi) < 1e-15
+
+
+def test_make_context_builds_nothing_of_size_q():
+    b = random_basis(1024, 0.35, 1)
+    tracemalloc.start()
+    try:
+        c = make_context(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 16  # one complex128 vector of length Q
+    assert c.basis is b
+
+
+def test_euler_pair_arithmetic_is_done_once_per_process(monkeypatch):
+    # the basis enters only through K: a warm suite on another basis reads
+    # the kept residuals times its K, and a wrong core computes afresh
+    matfun._euler_pair_residuals.cache_clear()
+    matfun._scalar_pair_residual.cache_clear()
+    c4 = make_context(random_basis(4, 0.0, 1))
+    verify_euler_suite(c4, EULER_V_SAMPLES, ks=EULER_KS)
+    scalar_oracle_residual(c4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair arithmetic done again")
+
+    # -0.0 and 0.0 are distinct samples: each worst argument keeps its sign
+    for v in (0.0, -0.0):
+        worst = verify_euler_suite(c4, [v], ks=()).metadata["worst_argument"]["a_exp_equals_C_plus_AS"]
+        assert math.copysign(1.0, worst["v"]) == math.copysign(1.0, v)
+
+    for name in ("_exp_pair", "_C_pair", "_S_pair"):
+        monkeypatch.setattr(matfun, name, refuse)
+    c = make_context(random_basis(32, 0.35, 5))
+    k = matfun._lift_bound(c.basis)
+    report = verify_euler_suite(c, EULER_V_SAMPLES, ks=EULER_KS)
+    kept = matfun._euler_pair_residuals(matfun._context_pairs(c).tobytes(), np.array(EULER_V_SAMPLES).tobytes(), EULER_KS)
+    assert report.residuals == {name: k * r for name, r, _ in kept}
+    assert report.passed and scalar_oracle_residual(c) < RESIDUAL_TOL
+    for wrong in (replace(c, I_core=1.001 * c.I_core), replace(c, A_core=c.B_core, B_core=c.A_core)):
+        with pytest.raises(AssertionError, match="done again"):
+            verify_euler_suite(wrong, EULER_V_SAMPLES, ks=EULER_KS)
+        with pytest.raises(AssertionError, match="done again"):
+            scalar_oracle_residual(wrong)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.7, 3.25, 97.0])
+def test_scaling_the_kept_residual_by_k_equals_scaling_inline(k):
+    # K max(r) = max(K r) as rounding is monotone, and halving is exact
+    rng = np.random.default_rng(int(k * 4))
+    d = (rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))) * 10.0 ** rng.integers(-17, 2, size=(500, 1))
+    assert k * float(matfun._pair_residual(1.0, d).max()) == float(matfun._pair_residual(k, d).max())

@@ -110,3 +110,13 @@ def test_gate_lookup_case_insensitive():
     assert sl.gate("Id") is sl.ID
     with pytest.raises(sl.UnknownGate):
         sl.gate("XNOR3")
+
+
+def test_arity_is_kept_and_leaves_equality_and_hashing_alone():
+    t = sl.TruthTable("X", (sl.TRUE, sl.FALSE, sl.FALSE, sl.TRUE))
+    assert "arity" not in vars(t)
+    assert t.arity == 2 and vars(t)["arity"] == 2
+    fresh = sl.TruthTable("X", t.outputs)  # no arity read yet
+    assert t == fresh and hash(t) == hash(fresh)
+    assert {fresh: "found"}[t] == "found"
+    assert t != sl.TruthTable("Y", t.outputs) and t != sl.TruthTable("X", (sl.TRUE, sl.FALSE))

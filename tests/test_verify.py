@@ -22,7 +22,6 @@ from vlogic import (
     max_norm,
     probe,
     random_basis,
-    sqrt_not,
 )
 from vlogic import scalar_logic as sl
 from vlogic.verify import (
@@ -206,18 +205,21 @@ def test_verification_never_densifies_a_gate(monkeypatch, dim):
     assert run_full_verification(dim=dim)["pass"]
 
 
-def test_full_verification_builds_the_roots_once_per_basis(monkeypatch):
-    # the srn section reads the context's roots of the orthonormal basis
-    built = []
+def test_verification_builds_no_dense_root_or_context_field(monkeypatch):
+    # the srn sections apply factored roots and the pair checks read the
+    # context's cores: no Q x Q root, context field or gate is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a dense Q x Q matrix")
 
-    def counted(basis):
-        built.append(basis.epsilon)
-        return sqrt_not(basis)
-
-    monkeypatch.setattr(vlogic.srn, "sqrt_not", counted)
-    monkeypatch.setattr(vlogic.matfun, "sqrt_not", counted)
+    for name in ("I", "N", "A", "B", "Pi"):
+        monkeypatch.setattr(vlogic.matfun.LogicAlgebraContext, name, property(refuse))
+    for module in (vlogic.srn, vlogic.matfun):
+        monkeypatch.setattr(module, "lift", refuse)
+    monkeypatch.setattr(vlogic.srn, "sqrt_not", refuse)
+    monkeypatch.setattr(Gate, "__array__", refuse)
+    with pytest.raises(AssertionError, match="dense"):
+        vlogic.matfun.make_context(random_basis(8, 0.0, 1)).Pi
     assert run_full_verification(dim=8)["pass"]
-    assert sorted(built) == pytest.approx([0.0, 0.35])
 
 
 SECTIONS = [
@@ -264,3 +266,51 @@ def test_run_verification_script(monkeypatch, capsys):
         assert exc.value.code == 1, argv
         assert captured.out == ""
         assert message in captured.err, (argv, captured.err)
+
+
+def test_full_verification_memory_at_dim2048():
+    # no dense context field or root: the peak is the Q^2 probe vector (As)^{(x)2}
+    tracemalloc.start()
+    try:
+        report = run_full_verification(dim=2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert report["pass"]
+
+
+def test_report_schema_is_pinned():
+    # every section and residual key of a report; a check dropped in a
+    # refactor shows here
+    report = run_full_verification(dim=4)
+    basis_keys = ["ys_minus_1", "zn_minus_1", "yn", "zs"]
+    tables = [f"monadic_{name}" for name in ("ID", "NOT", "CID", "CNOT")] + [
+        f"dyadic_{name}"
+        for name in (
+            "TTTT", "OR", "TTFT", "TTFF", "IMPL", "TFTF", "EQUI", "AND",
+            "NAND", "XOR", "FTFT", "FTFF", "FFTT", "FFTF", "NOR", "FFFF",
+        )
+    ]
+    tautologies = ["L_minus_D_NxI", "D_minus_NC_NxN"]
+    srn_keys = ["A2_minus_N", "B2_minus_N", "AB_minus_I", "BA_minus_I", "A_minus_conj_B", "B_minus_NA", "A_minus_NB"]
+    expected = {
+        "basis_orthonormal": basis_keys,
+        "basis_nonorthogonal": basis_keys,
+        "truth_tables": tables,
+        "truth_tables_nonorthogonal": tables,
+        "tautologies": tautologies,
+        "tautologies_nonorthogonal": tautologies,
+        "srn": srn_keys,
+        "srn_nonorthogonal": srn_keys,
+        "scalar_oracle": ["exp_vs_scalar_series"],
+        "euler": list(EULER_IDENTITIES),
+    }
+    assert list(report) == ["dim", "seed", "sections", "pass"]
+    assert list(report["sections"]) == [*expected, "diagnosis"]
+    for name, keys in expected.items():
+        assert list(report["sections"][name]) == ["residuals", "tolerance", "pass"], name
+        assert list(report["sections"][name]["residuals"]) == keys, name
+    assert list(report["sections"]["diagnosis"]) == [
+        "roundtrip_failures", "named_gates_distinct", "collision_classes", "pass",
+    ]
