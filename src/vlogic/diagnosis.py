@@ -3,16 +3,18 @@
 A hidden k-ary gate is probed with the single input A^{(x)k} s^{(x)k}: the
 true vector of each input prefiltered by a square root of NOT (A s for a
 monadic gate, (A(x)A)(s(x)s) for a dyadic one). By the mixed-product rule
-that input is the Q^k vector (As)^{(x)k}, so a probe builds only its probe
-vector and never the Q^k x Q^k matrix A^{(x)k}; an enumeration makes one
-stacked probe per arity, one @ for all its gates. The output's real and
-imaginary coefficients along s and n form a four-number signature that
-distinguishes all four monadic gates and the seven named dyadic gates; a
-diagnosis also reports the runner-up reference and its distance. The
-oracle is received as an opaque operator (a matrix-free Gate or a dense
-matrix), never as a gate name, and is only ever applied with @. Any basis
-will do, orthonormal or oblique: A s = alpha*s + beta*n holds in every
-basis, and the duals read the output's coefficients along s and n exactly.
+that input is the Q^k vector (As)^{(x)k}, so a probe never builds the
+Q^k x Q^k matrix A^{(x)k}. `probe` receives its oracle as an opaque
+operator (a matrix-free Gate or a dense matrix), never as a gate name, and
+applies it with @ to the Q^k probe vector. `enumerate_signatures` builds
+its gates itself, as one stack of one arity, so it applies them to the
+Q x 1 factor As alone (`Gate.on_product`) and never forms the probe
+vector. The output's real and imaginary coefficients along s and n form a
+four-number signature that distinguishes all four monadic gates and the
+seven named dyadic gates; a diagnosis also reports the runner-up reference
+and its distance. Any basis will do, orthonormal or oblique: A s =
+alpha*s + beta*n holds in every basis, and the duals read the output's
+coefficients along s and n exactly.
 """
 
 from __future__ import annotations
@@ -58,19 +60,21 @@ class DiagnosisResult:
     runner_up_distance: float
 
 
+def _root_of_true(basis: TruthBasis) -> np.ndarray:
+    """A s = alpha s + beta n, a complex Q-vector: true prefiltered by a root
+    of NOT, in any basis, without forming the Q x Q root A."""
+    return basis.frame @ np.array((ALPHA, BETA))
+
+
 def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
     """(As)^{(x)k} as a Q^k x 2 real view, its real and imaginary parts side
     by side, so a real oracle is read once and never cast to complex."""
-    # A s = alpha s + beta n in any basis; forming the Q x Q root A would
-    # cost more memory than the whole probe vector
-    a_s = basis.frame @ np.array((ALPHA, BETA))
-    return _kron_power(a_s[None, :], arity)[0].view(np.float64).reshape(-1, 2)
+    return _kron_power(_root_of_true(basis)[None, :], arity)[0].view(np.float64).reshape(-1, 2)
 
 
 def _signatures(out: np.ndarray, basis: TruthBasis) -> list[GateSignature]:
-    """Signatures of G probe outputs of shape (G, Q, 2), the real and
-    imaginary parts side by side, all read with one product by the duals."""
-    out = out[..., 0] + 1j * out[..., 1]
+    """Signatures of G complex probe outputs of shape (G, Q), all read with
+    one product by the duals."""
     c = out @ basis.duals.T  # (G, 2): the coefficients along s and n
     residual = np.abs(out - c @ basis.frame.T).max(axis=1)
     return [
@@ -84,14 +88,18 @@ def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
 
     The oracle is anything with .shape and @ (a matrix-free Gate, a dense
     array); anything else goes through np.asarray. A stack of gates is no
-    oracle: `enumerate_signatures` probes stacks.
+    oracle: `enumerate_signatures` probes stacks. An arity below 1 raises
+    UnsupportedArity.
     """
+    if arity < 1:
+        raise UnsupportedArity(f"a probed gate has arity at least 1, got {arity}")
     if not (hasattr(oracle, "shape") and hasattr(oracle, "__matmul__")):
         oracle = np.asarray(oracle)
     shape = (basis.dim, basis.dim**arity)
     if oracle.shape != shape:
         raise DimensionMismatch(f"arity-{arity} oracle must be {shape[0]}x{shape[1]}, got {oracle.shape}")
-    return _signatures((oracle @ _probe_vector(basis, arity))[None], basis)[0]
+    out = oracle @ _probe_vector(basis, arity)  # (Q, 2): real and imaginary parts
+    return _signatures((out[:, 0] + 1j * out[:, 1])[None], basis)[0]
 
 
 def symbolic_signature(table: TruthTable) -> tuple[float, float, float, float]:
@@ -154,25 +162,23 @@ def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str
 def enumerate_signatures(
     basis: TruthBasis, tables: Iterable[TruthTable]
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
-    """Probe signatures of the given gates (any arity), grouped into collision classes.
+    """Probe signatures of the given gates of one arity, grouped into collision classes.
 
-    The gates of each arity present are probed as one stacked `Gate`: one @
-    of the probe vector and one product by the duals read all their
-    signatures. Returns (name -> signature, collision classes); each class
-    lists the gates sharing one signature, largest first, classes of size
-    >= 2 being genuine one-probe ambiguities (e.g. the constant-true gate
-    collides with XOR).
+    The gates are probed as one stacked `Gate`, applied to the probe input
+    (As)^{(x)k} through its factors (`Gate.on_product(As, ..., As)`), so
+    no Q^k vector is formed; one product by the duals reads all their
+    signatures. Mixed arities raise ValueError; no tables give ({}, []).
+    Returns (name -> signature, collision classes); each class lists the
+    gates sharing one signature, largest first, classes of size >= 2 being
+    genuine one-probe ambiguities (e.g. the constant-true gate collides
+    with XOR).
     """
     tables = list(tables)
-    by_arity: dict[int, list[TruthTable]] = {}
-    for table in tables:
-        by_arity.setdefault(table.arity, []).append(table)
-    # each arity's signatures in the order of its tables, taken in turn below
-    probed = {
-        arity: iter(_signatures(gate_operator(basis, group) @ _probe_vector(basis, arity), basis))
-        for arity, group in by_arity.items()
-    }
-    sigs = [next(probed[table.arity]) for table in tables]
+    if not tables:
+        return {}, []
+    gate = gate_operator(basis, tables)
+    a_s = _root_of_true(basis)[:, None]
+    sigs = _signatures(gate.on_product(*[a_s] * gate.arity)[..., 0], basis)
     # one rounding of every signature's coefficients for the collision keys
     keys = np.round([sig.coefficients for sig in sigs], 9).tolist()
     signatures: dict[str, GateSignature] = {}

@@ -37,14 +37,6 @@ class UnsupportedArity(VectorLogicError):
     """No reference signatures exist for the requested gate arity."""
 
 
-class NonSquare(VectorLogicError):
-    pass
-
-
-class NoConvergence(VectorLogicError):
-    pass
-
-
 class NonCommuting(VectorLogicError):
     """Series argument is not in span{I, N}, the commutative logic algebra."""
 

@@ -44,8 +44,9 @@ K max(|a|, |b|), with
 K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|): never below the max-norm of
 the lifted residual a I + b N, though no bound on the residual of dense
 Q x Q products, which round on their own. The basis enters only through K,
-so the pair arithmetic, a function of the context's pairs and the samples,
-is done once per process and scaled by K.
+so the Euler suite's pair arithmetic, a function of the context's pairs and
+the samples, is done once per process and scaled by K; the scalar oracle's,
+a few exponentials, is done on every call.
 """
 
 from __future__ import annotations
@@ -304,19 +305,10 @@ def S_series(ctx: LogicAlgebraContext, x) -> np.ndarray:
 
 def scalar_exp_series(x: complex) -> complex:
     """The plain scalar exponential series with the same stop rule and bound:
-    the exp series on the core x*I2, whose two eigenvalues are both x, so its
-    core term norm is |t| and the one scalar x is summed."""
+    the exp series on the core x*I2, whose two eigenvalues are both x."""
     with decimal.localcontext(_DIGITS):
-        xr, xi = _dec(x)
-        _check_modulus((xr, xi))
-        (tr, ti), (ar, ai), j = _ONE, _ONE, 0
-        bound = Decimal(_TERM_TOL) ** 2
-        while True:
-            j += 1
-            tr, ti = (tr * xr - ti * xi) / j, (tr * xi + ti * xr) / j
-            ar, ai = ar + tr, ai + ti
-            if tr * tr + ti * ti < bound:
-                return complex(float(ar), float(ai))
+        lam = _dec(x)
+        return _eigen_series(lam, lam, "exp")[0]
 
 
 @dataclass(frozen=True)
@@ -449,16 +441,8 @@ def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
 def scalar_exp_residual(ctx: LogicAlgebraContext, v_samples, scalars) -> float:
     """The largest residual of logical_exp(A Pi v) = scalar I over the pairs
     (v, scalar) of v_samples and scalars, with the suite's bound and on the
-    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix. As in
-    the suite, the pair arithmetic is done once per (pairs, v_samples,
-    scalars) and scaled by K."""
-    key = (_context_pairs(ctx), np.array(v_samples, dtype=float), np.array(scalars, dtype=complex))
-    return _lift_bound(ctx.basis) * _scalar_pair_residual(*(a.tobytes() for a in key))
-
-
-@lru_cache(maxsize=32)
-def _scalar_pair_residual(pairs: bytes, v_bytes: bytes, scalar_bytes: bytes) -> float:
-    I, _, A, _, Pi = np.frombuffer(pairs, dtype=complex).reshape(5, 2)
-    v, scalars = np.frombuffer(v_bytes), np.frombuffer(scalar_bytes, dtype=complex)
+    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix."""
+    I, _, A, _, Pi = _context_pairs(ctx)
+    v, scalars = np.array(v_samples, dtype=float), np.array(scalars, dtype=complex)
     d = _exp_pair(A * Pi * v[:, None]) - scalars[:, None] * I
-    return float(_pair_residual(1.0, d).max())
+    return float(_pair_residual(_lift_bound(ctx.basis), d).max())

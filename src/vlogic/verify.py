@@ -3,15 +3,16 @@
 Backs the `vlogic verify` subcommand. Each section reports named max-norm
 residuals (or booleans for structural checks) and the run passes only if
 every section does. A run makes one pass per arity: the gates of each
-arity are checked as one stacked `Gate` on factored product inputs
-(`Gate.on_product`) and read with one stacked probe per arity for the
-diagnosis section, whose round trips are classified with one distance
-matrix per arity. A run builds no dense Q x Q matrix: the roots of NOT are
-factored `Gate`s (`srn.factored_roots`) and the Euler suite and the scalar
-oracle read the context's 2 x 2 cores. What depends on no basis is derived
-once per process: the expected truth-table columns, the gates' frame-column
-indices, the scalar oracle's series, and the pair arithmetic of the Euler
-suite and the scalar oracle, which a basis only scales.
+arity are one stacked `Gate`, applied only to factored product inputs
+(`Gate.on_product`), both for the truth-table checks and for the
+diagnosis section's probe (As)^{(x)k}, whose round trips are classified
+with one distance matrix per arity. A run builds no dense Q x Q matrix and
+no Q^k vector: the roots of NOT are factored `Gate`s (`srn.factored_roots`)
+and the Euler suite and the scalar oracle read the context's 2 x 2 cores,
+so its memory grows as O(Q). What depends on no basis is derived once per
+process: the expected truth-table columns, the gates' frame-column
+indices, the scalar oracle's series sums, and the Euler suite's pair
+arithmetic, which a basis only scales.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature])
 
 
 def diagnosis_section(b: TruthBasis) -> dict:
-    """One stacked probe of the monadic gates and one of the dyadic gates
-    (`diagnosis.enumerate_signatures`). Passes when the monadic and named
-    dyadic gates round-trip through `classify`, no two named dyadic gates
-    share a signature, and some dyadic gates do (the one-probe ambiguities)."""
+    """One stacked probe of the monadic gates and one of the dyadic gates,
+    each on the factors of its probe input (`diagnosis.enumerate_signatures`).
+    Passes when the monadic and named dyadic gates round-trip through
+    `classify`, no two named dyadic gates share a signature, and some dyadic
+    gates do (the one-probe ambiguities)."""
     monadic, _ = diagnosis.enumerate_signatures(b, MONADIC_GATES.values())
     dyadic, classes = diagnosis.enumerate_dyadic_signatures(b)
     failures = diagnosis_roundtrip_failures({**monadic, **dyadic})  # gate names are unique

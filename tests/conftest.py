@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vlogic import canonical_basis
-from vlogic.errors import NoConvergence, NonSquare
 from vlogic.scalar_logic import all_tables
 
 
@@ -35,11 +34,8 @@ def eigenvalues(m) -> list[complex]:
     eigenvalues`)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    vals = np.linalg.eigvals(m)
     # round inside the key so ties are not broken by last-bit noise
     return sorted(
         (complex(v) for v in vals),

@@ -1,11 +1,16 @@
 """CLI contract: JSON payloads, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vlogic
 from vlogic import AND, NOT, TruthTable, canonical_basis, gate_operator
 from vlogic.errors import VectorLogicError
 from vlogic.cli import main
@@ -221,6 +226,36 @@ def test_verify_exits_0(capsys):
     code, payload = run_json(capsys, "verify", "--dim", "4", "--seed", "1")
     assert code == 0
     assert payload["pass"] is True
+
+
+# Runs `python -m vlogic.cli` in this process and prints the process's own
+# peak RSS (KiB on Linux) to stderr as the last line, after the command's
+# exit code is known.
+_RSS_WRAPPER = """
+import resource, runpy, sys
+sys.argv = ["vlogic", *sys.argv[1:]]
+try:
+    runpy.run_module("vlogic.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_verify_process_memory_at_dim4096():
+    # the whole command in its own process: the peak RSS is that child's,
+    # not the cumulative RUSAGE_CHILDREN of the test run
+    src = str(Path(vlogic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_WRAPPER, "verify", "--dim", "4096"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True
+    peak_kib = int(done.stderr.strip().splitlines()[-1])
+    assert peak_kib < 128 * 1024, peak_kib
 
 
 def test_basis_output_feeds_every_command(capsys, tmp_path):

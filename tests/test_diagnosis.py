@@ -162,6 +162,14 @@ def test_probe_rejects_wrong_shape(set1):
         probe(np.ones((2, 8)), set1, 2)
 
 
+def test_probe_rejects_arity_below_one(dim4):
+    # before any shape check or product: arity 0 would otherwise reach @ on
+    # a Q-vector, and -1 a Q^-1 oracle shape
+    for oracle, arity in ((np.zeros((4, 1)), 0), (np.zeros((4, 4)), 0), (np.zeros((4, 1)), -1)):
+        with pytest.raises(UnsupportedArity, match="at least 1"):
+            probe(oracle, dim4, arity)
+
+
 def test_fixed_arity_names_match_generic(dim4):
     operator = {1: monadic_operator, 2: dyadic_operator}
     probe_k = {1: probe_monadic, 2: probe_dyadic}
@@ -374,27 +382,12 @@ def test_enumeration_of_no_gates(dim4):
     assert enumerate_signatures(dim4, iter(())) == ({}, [])
 
 
-def test_mixed_arities_get_one_stack_each(monkeypatch, ternary_tables):
-    # one stack per arity present, in order of first appearance; the result
-    # keeps the order of the given tables
-    built = []
-
-    def counted(basis, tables):
-        built.append([t.name for t in tables])
-        return gate_operator(basis, tables)
-
-    monkeypatch.setattr(vlogic.diagnosis, "gate_operator", counted)
+def test_mixed_arities_raise(ternary_tables):
+    # one enumeration takes the tables of one arity
     b = random_basis(3, 0.35, seed=1)
-    tables = [sl.NOT, sl.AND, ternary_tables[5], sl.ID, sl.XOR, sl.CID]
-    signatures, classes = enumerate_signatures(b, tables)
-    assert built == [["NOT", "ID", "CID"], ["AND", "XOR"], [ternary_tables[5].name]]
-    single = {t.name: probe(gate_operator(b, t), b, t.arity) for t in tables}
-    assert list(signatures) == list(single)
-    for name, sig in signatures.items():
-        assert max(abs(c - e) for c, e in zip(sig.coefficients, single[name].coefficients)) < 1e-14
-    # a class may span arities: CID and XOR both give (1, 0, 0, 0)
-    assert classes == _classes_of(single)
-    assert ["XOR", "CID"] in classes
+    for tables in ([sl.NOT, sl.AND], [sl.AND, ternary_tables[5]], [sl.ID, sl.XOR, ternary_tables[5]]):
+        with pytest.raises(ValueError, match="one arity"):
+            enumerate_signatures(b, tables)
 
 
 def test_batched_nearest_applies_the_classify_rule():

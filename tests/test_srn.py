@@ -5,7 +5,6 @@ import pytest
 
 from vlogic import scalar_logic as sl
 from vlogic import canonical_basis, gate_operator, max_norm, random_basis, sqrt_not
-from vlogic.errors import NonSquare
 from vlogic.operators import lift
 from vlogic.srn import ALPHA, BETA, SrnPair, identity_report, solve_srn_coefficients
 
@@ -151,7 +150,7 @@ def test_set1_negation_eigenvalues(set1):
 
 
 def test_eigenvalues_requires_square():
-    with pytest.raises(NonSquare):
+    with pytest.raises(ValueError, match="square"):
         eigenvalues(np.ones((2, 3)))
 
 

@@ -100,22 +100,29 @@ def test_truth_tables_apply_one_stack_per_arity(monkeypatch):
     ids=["intact", "swapped_impl", "impl_as_or"],
 )
 def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build, failing):
-    # the section applies one stacked probe per arity, and agrees with a
-    # direct probe + classify of each gate; the substitute goes into both
-    # modules that build gates, so the section's probes see it
-    applied = []
-    matmul = Gate.__matmul__
+    # the section applies one stacked probe per arity to the factors of its
+    # probe input, and no @ at all, so no Q^k probe vector; it agrees with a direct probe +
+    # classify of each gate; the substitute goes into both modules that
+    # build gates, so the section's probes see it
+    applied, matmul_inputs = [], []
+    on_product, matmul = Gate.on_product, Gate.__matmul__
 
-    def counted(gate, v):
+    def counted_product(gate, *factors):
         applied.append(gate.shape)
+        return on_product(gate, *factors)
+
+    def counted_matmul(gate, v):
+        matmul_inputs.append(np.shape(v))
         return matmul(gate, v)
 
     monkeypatch.setattr(vlogic.verify, "gate_operator", build)
     monkeypatch.setattr(vlogic.diagnosis, "gate_operator", build)
-    monkeypatch.setattr(Gate, "__matmul__", counted)
+    monkeypatch.setattr(Gate, "on_product", counted_product)
+    monkeypatch.setattr(Gate, "__matmul__", counted_matmul)
     section = diagnosis_section(basis)
     q = basis.dim
     assert sorted(applied) == [(4, q, q), (16, q, q**2)]
+    assert matmul_inputs == []
 
     sigs = {t.name: probe(build(basis, t), basis, t.arity) for t in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES)}
     failures = []
@@ -268,16 +275,25 @@ def test_run_verification_script(monkeypatch, capsys):
         assert message in captured.err, (argv, captured.err)
 
 
-def test_full_verification_memory_at_dim2048():
-    # no dense context field or root: the peak is the Q^2 probe vector (As)^{(x)2}
+def _verification_peak(dim):
     tracemalloc.start()
     try:
-        report = run_full_verification(dim=2048)
+        report = run_full_verification(dim=dim)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
     assert report["pass"]
+    return peak
+
+
+def test_full_verification_memory_at_dim2048():
+    # no dense context field or root and no Q^k probe vector: every section
+    # works on Q x m factors, so the peak grows as O(Q)
+    assert _verification_peak(2048) < 8 * 2**20
+
+
+def test_full_verification_memory_at_dim4096():
+    assert _verification_peak(4096) < 16 * 2**20
 
 
 def test_report_schema_is_pinned():
