@@ -11,11 +11,13 @@ accepted; the formulas are valid for any |eps| < 1.
 
 Every gate, root of NOT and series value is a small core carried by the
 frame S = [s n] (Q x 2) and its duals Y^T = [y z]^T (2 x Q), Y^T S = I2;
-each basis holds both, read-only.
+each basis holds both, read-only, and s, n, y and z are views of their
+columns and rows, not copies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +34,6 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 # Beyond this overlap the 1/(1-eps^2) factor loses too many digits.
 DEPENDENCE_THRESHOLD = 1.0 - 1e-6
-
-
-def _frozen(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -61,16 +57,18 @@ def make_basis(s, n) -> TruthBasis:
     if s.size < 2:
         raise QTooSmall("truth vectors need dimension >= 2")
     for name, v in (("s", s), ("n", n)):
-        if not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_TOL:
-            raise NotUnitNorm(f"|{name}| = {np.linalg.norm(v)!r}; pre-normalize to unit length")
+        norm = math.sqrt(v @ v)  # np.linalg.norm's value for a real vector
+        if not abs(norm - 1.0) <= DEFAULT_TOL:
+            raise NotUnitNorm(f"|{name}| = {norm!r}; pre-normalize to unit length")
     eps = float(s @ n)
     if abs(eps) > DEPENDENCE_THRESHOLD:
         raise NearlyDependent(f"|<s,n>| = {abs(eps)} too close to 1")
-    y = (s - eps * n) / (1.0 - eps * eps)
-    z = (n - eps * s) / (1.0 - eps * eps)
+    frame = np.column_stack((s, n))  # a copy: the caller's later writes never reach the basis
+    duals = np.array((s - eps * n, n - eps * s)) / (1.0 - eps * eps)  # y and z as in the module docstring
+    frame.setflags(write=False)
+    duals.setflags(write=False)
     return TruthBasis(
-        dim=s.size, s=_frozen(s), n=_frozen(n), epsilon=eps, y=_frozen(y), z=_frozen(z),
-        frame=_frozen(np.stack((s, n), axis=1)), duals=_frozen(np.stack((y, z))),
+        dim=s.size, s=frame[:, 0], n=frame[:, 1], epsilon=eps, y=duals[0], z=duals[1], frame=frame, duals=duals,
     )
 
 
@@ -105,12 +103,14 @@ def random_basis(dim: int, epsilon: float = 0.0, seed: int = 0) -> TruthBasis:
     while True:
         v1 = rng.standard_normal(dim)
         v2 = rng.standard_normal(dim)
-        if np.linalg.norm(v1) < 1e-8:
+        norm = math.sqrt(v1 @ v1)
+        if norm < 1e-8:
             continue
-        s = v1 / np.linalg.norm(v1)
+        s = v1 / norm
         perp = v2 - (v2 @ s) * s
-        if np.linalg.norm(perp) < 1e-8:
+        norm = math.sqrt(perp @ perp)
+        if norm < 1e-8:
             continue
-        perp /= np.linalg.norm(perp)
-        n = epsilon * s + np.sqrt(1.0 - epsilon * epsilon) * perp
+        perp /= norm
+        n = epsilon * s + math.sqrt(1.0 - epsilon * epsilon) * perp
         return make_basis(s, n)

@@ -20,7 +20,7 @@ coefficients along s and n exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -72,15 +72,12 @@ def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
     return _kron_power(_root_of_true(basis)[None, :], arity)[0].view(np.float64).reshape(-1, 2)
 
 
-def _signatures(out: np.ndarray, basis: TruthBasis) -> list[GateSignature]:
-    """Signatures of G complex probe outputs of shape (G, Q), all read with
-    one product by the duals."""
-    c = out @ basis.duals.T  # (G, 2): the coefficients along s and n
-    residual = np.abs(out - c @ basis.frame.T).max(axis=1)
-    return [
-        GateSignature(s.real, n.real, s.imag, n.imag, residual=r)
-        for (s, n), r in zip(c.tolist(), residual.tolist())
-    ]
+def _coefficients(out: np.ndarray, basis: TruthBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The complex coefficients along s and n, shape (G, 2), and the residuals
+    outside span{s, n}, shape (G,), of G complex probe outputs of shape
+    (G, Q), all read with one product by the duals."""
+    c = out @ basis.duals.T
+    return c, np.abs(out - c @ basis.frame.T).max(axis=1)
 
 
 def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
@@ -99,7 +96,9 @@ def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     if oracle.shape != shape:
         raise DimensionMismatch(f"arity-{arity} oracle must be {shape[0]}x{shape[1]}, got {oracle.shape}")
     out = oracle @ _probe_vector(basis, arity)  # (Q, 2): real and imaginary parts
-    return _signatures((out[:, 0] + 1j * out[:, 1])[None], basis)[0]
+    c, residual = _coefficients((out[:, 0] + 1j * out[:, 1])[None], basis)
+    ((s, n),) = c.tolist()
+    return GateSignature(s.real, n.real, s.imag, n.imag, residual=residual.item())
 
 
 def symbolic_signature(table: TruthTable) -> tuple[float, float, float, float]:
@@ -159,6 +158,22 @@ def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str
     return out
 
 
+def _enumerate(basis: TruthBasis, tables: Sequence[TruthTable]) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """`enumerate_signatures` on arrays and with no per-gate object: the
+    (G, 4) signature coefficients and (G,) residuals of the tables, in
+    order, and their collision classes."""
+    gate = gate_operator(basis, tables)
+    a_s = _root_of_true(basis)[:, None]
+    c, residuals = _coefficients(gate.on_product(*[a_s] * gate.arity)[..., 0], basis)
+    coefficients = np.concatenate((c.real, c.imag), axis=1)
+    # one rounding of every signature's coefficients for the collision keys
+    groups: dict[tuple, list[str]] = {}
+    for table, key in zip(tables, np.round(coefficients, 9).tolist()):
+        groups.setdefault(tuple(key), []).append(table.name)
+    classes = sorted(groups.values(), key=lambda names: (-len(names), names))
+    return coefficients, residuals, classes
+
+
 def enumerate_signatures(
     basis: TruthBasis, tables: Iterable[TruthTable]
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
@@ -176,17 +191,10 @@ def enumerate_signatures(
     tables = list(tables)
     if not tables:
         return {}, []
-    gate = gate_operator(basis, tables)
-    a_s = _root_of_true(basis)[:, None]
-    sigs = _signatures(gate.on_product(*[a_s] * gate.arity)[..., 0], basis)
-    # one rounding of every signature's coefficients for the collision keys
-    keys = np.round([sig.coefficients for sig in sigs], 9).tolist()
-    signatures: dict[str, GateSignature] = {}
-    groups: dict[tuple, list[str]] = {}
-    for table, sig, key in zip(tables, sigs, keys):
-        signatures[table.name] = sig
-        groups.setdefault(tuple(key), []).append(table.name)
-    classes = sorted(groups.values(), key=lambda names: (-len(names), names))
+    coefficients, residuals, classes = _enumerate(basis, tables)
+    signatures = {
+        t.name: GateSignature(*c, residual=r) for t, c, r in zip(tables, coefficients.tolist(), residuals.tolist())
+    }
     return signatures, classes
 
 

@@ -43,10 +43,10 @@ from the public functions. For a residual core a I2 + b J they report
 K max(|a|, |b|), with
 K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|): never below the max-norm of
 the lifted residual a I + b N, though no bound on the residual of dense
-Q x Q products, which round on their own. The basis enters only through K,
-so the Euler suite's pair arithmetic, a function of the context's pairs and
-the samples, is done once per process and scaled by K; the scalar oracle's,
-a few exponentials, is done on every call.
+Q x Q products, which round on their own. A context computes its pairs and
+K once. The basis enters only through K, so the Euler suite's pair
+arithmetic, a function of the context's pairs and the samples, is done once
+per process and scaled by K; the scalar oracle's is done on every call.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class LogicAlgebraContext:
 
     .I, .N, .A, .B and .Pi are the dense, read-only Q x Q lifts, built on
     first read and kept; the Euler suite and the scalar oracle read only the
-    cores. A context with a wrong core is wrong in both.
+    cores' eigenvalue pairs and the bound K, each also computed once. A
+    context with a wrong core is wrong in all of them.
     """
 
     basis: TruthBasis
@@ -105,6 +106,8 @@ class LogicAlgebraContext:
     N = _lifted("N_core")
     A = _lifted("A_core")
     B = _lifted("B_core")
+    _core_pairs = cached_property(lambda ctx: _frozen(_context_pairs(ctx)))
+    _bound = cached_property(lambda ctx: _lift_bound(ctx.basis))
 
     @cached_property
     def Pi(self) -> np.ndarray:
@@ -363,8 +366,7 @@ def verify_euler_suite(
         if not (k >= 0 and float(k).is_integer()):
             raise ValueError(f"k must be a non-negative integer, got {k!r}")
     ks = [int(k) for k in ks]
-    bound = _lift_bound(ctx.basis)
-    pairs = _context_pairs(ctx)
+    bound, pairs = ctx._bound, ctx._core_pairs
     # Python floats overflow to inf without a warning, unlike numpy arrays;
     # K max(|a|, |b|) of Pi's core is never below the max-norm of Pi
     pi_norm = float(_pair_residual(bound, pairs[4]))
@@ -441,8 +443,11 @@ def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
 def scalar_exp_residual(ctx: LogicAlgebraContext, v_samples, scalars) -> float:
     """The largest residual of logical_exp(A Pi v) = scalar I over the pairs
     (v, scalar) of v_samples and scalars, with the suite's bound and on the
-    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix."""
-    I, _, A, _, Pi = _context_pairs(ctx)
+    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix. Samples
+    and scalars of unequal length raise ValueError; no samples give 0.0."""
     v, scalars = np.array(v_samples, dtype=float), np.array(scalars, dtype=complex)
+    if len(v) != len(scalars):
+        raise ValueError(f"{len(v)} v samples but {len(scalars)} scalars: need one scalar per sample")
+    I, _, A, _, Pi = ctx._core_pairs
     d = _exp_pair(A * Pi * v[:, None]) - scalars[:, None] * I
-    return float(_pair_residual(_lift_bound(ctx.basis), d).max())
+    return float(_pair_residual(ctx._bound, d).max(initial=0.0))

@@ -31,7 +31,7 @@ from .scalar_logic import TRUE, TruthTable
 
 def max_norm(m) -> float:
     """Largest absolute entry (0 for an empty array); dimension-independent residual norm."""
-    return float(np.max(np.abs(m), initial=0.0))
+    return float(np.abs(m).max(initial=0.0))
 
 
 def lift(basis: TruthBasis, core) -> np.ndarray:
@@ -120,13 +120,9 @@ def gate_operator(basis: TruthBasis, tables: TruthTable | Iterable[TruthTable]) 
     """
     if isinstance(tables, TruthTable):
         return Gate(basis.frame[:, _frame_columns((tables.outputs,))[0]], basis.duals, tables.arity)
-    tables = list(tables)
-    arities = {t.arity for t in tables}
-    if len(arities) != 1:
-        raise ValueError(f"a gate stack needs tables of one arity, got arities {sorted(arities)}")
+    columns = _frame_columns(tuple(t.outputs for t in tables))
     # (Q, G, 2^k) -> (G, Q, 2^k)
-    outputs = basis.frame[:, _frame_columns(tuple(t.outputs for t in tables))].swapaxes(0, 1)
-    return Gate(outputs, basis.duals, arities.pop())
+    return Gate(basis.frame[:, columns].swapaxes(0, 1), basis.duals, columns.shape[1].bit_length() - 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,8 +130,12 @@ def _frame_columns(outputs: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Frame column (0 for s, 1 for n) of each output of each table, (G, 2^k).
 
     Keyed on the tables' outputs, plain tuples of ints, so a warm call hashes
-    no TruthTable; the index array of each set of tables is built once.
+    no TruthTable; the index array of each set of tables is built once, and
+    checked once to hold tables of one arity (a ValueError is not kept).
     """
+    arities = sorted({len(outs).bit_length() - 1 for outs in outputs})
+    if len(arities) != 1:
+        raise ValueError(f"a gate stack needs tables of one arity, got arities {arities}")
     columns = np.array([[0 if out == TRUE else 1 for out in outs] for outs in outputs])
     columns.setflags(write=False)
     return columns

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TruthBasis
-from .operators import Gate, gate_operator, lift, max_norm
+from .operators import Gate, gate_operator, lift
 from .scalar_logic import NOT
 
 
@@ -76,6 +76,9 @@ def factored_roots(basis: TruthBasis) -> SrnPair:
     return SrnPair(A=Gate(basis.frame @ A_CORE, basis.duals, 1), B=Gate(basis.frame @ B_CORE, basis.duals, 1))
 
 
+_IDENTITIES = ("A2_minus_N", "B2_minus_N", "AB_minus_I", "BA_minus_I", "A_minus_conj_B", "B_minus_NA", "A_minus_NB")
+
+
 def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:
     """Named residuals of the defining SRN identities for this basis.
 
@@ -86,21 +89,17 @@ def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:
     to S and then once to the block [A S, B S] side by side, B likewise, and
     the NOT gate once to [S, A S, B S]; I S = S. A - conj(B) is compared on
     the Q x 2 outputs, as A S - conj(B S): Y^T has full row rank, so that is
-    zero exactly when the Q x Q difference is. Factored roots make every
-    product O(Q).
+    zero exactly when the Q x Q difference is. One max-norm of the stacked
+    Q x 2 differences reads all seven; factored roots make every product O(Q).
     """
     frame = basis.frame
-    roots_s = np.hstack((pair.A @ frame, pair.B @ frame))
+    roots_s = np.concatenate((pair.A @ frame, pair.B @ frame), axis=1)
     a_s, b_s = roots_s[:, :2], roots_s[:, 2:]
     a_roots, b_roots = pair.A @ roots_s, pair.B @ roots_s  # [A A S, A B S], [B A S, B B S]
-    negated = gate_operator(basis, NOT) @ np.hstack((frame, roots_s))
+    negated = gate_operator(basis, NOT) @ np.concatenate((frame, roots_s), axis=1)
     n_s, n_a_s, n_b_s = negated[:, :2], negated[:, 2:4], negated[:, 4:]
-    return {
-        "A2_minus_N": max_norm(a_roots[:, :2] - n_s),
-        "B2_minus_N": max_norm(b_roots[:, 2:] - n_s),
-        "AB_minus_I": max_norm(a_roots[:, 2:] - frame),
-        "BA_minus_I": max_norm(b_roots[:, :2] - frame),
-        "A_minus_conj_B": max_norm(a_s - np.conj(b_s)),
-        "B_minus_NA": max_norm(b_s - n_a_s),
-        "A_minus_NB": max_norm(a_s - n_b_s),
-    }
+    differences = np.array((
+        a_roots[:, :2] - n_s, b_roots[:, 2:] - n_s, a_roots[:, 2:] - frame, b_roots[:, :2] - frame,
+        a_s - np.conj(b_s), b_s - n_a_s, a_s - n_b_s,
+    ))
+    return dict(zip(_IDENTITIES, np.abs(differences).max(axis=(1, 2)).tolist()))

@@ -5,8 +5,10 @@ residuals (or booleans for structural checks) and the run passes only if
 every section does. A run makes one pass per arity: the gates of each
 arity are one stacked `Gate`, applied only to factored product inputs
 (`Gate.on_product`), both for the truth-table checks and for the
-diagnosis section's probe (As)^{(x)k}, whose round trips are classified
-with one distance matrix per arity. A run builds no dense Q x Q matrix and
+diagnosis section's probe (As)^{(x)k}, which reads the signatures as one
+array per arity and classifies their rows with one distance matrix per
+arity, building no per-gate object. The tautology checks apply L, D and C
+as one stack and NOT once. A run builds no dense Q x Q matrix and
 no Q^k vector: the roots of NOT are factored `Gate`s (`srn.factored_roots`)
 and the Euler suite and the scalar oracle read the context's 2 x 2 cores,
 so its memory grows as O(Q). What depends on no basis is derived once per
@@ -26,24 +28,22 @@ import numpy as np
 from . import diagnosis, matfun, scalar_logic, srn
 from .basis import TruthBasis, random_basis
 from .matfun import EULER_KS, EULER_V_SAMPLES, IDENTITY_TOL
-from .operators import gate_operator, max_norm
+from .operators import gate_operator
 from .scalar_logic import ALL_DYADIC_TABLES, FALSE, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, evaluate
 
 RESIDUAL_TOL = 1e-10
 
 
 def basis_residuals(b: TruthBasis) -> dict[str, float]:
-    return {
-        "ys_minus_1": abs(b.y @ b.s - 1.0),
-        "zn_minus_1": abs(b.z @ b.n - 1.0),
-        "yn": abs(float(b.y @ b.n)),
-        "zs": abs(float(b.z @ b.s)),
-    }
+    """The entries of Y^T S - I2, read with one product."""
+    (ys, yn), (zs, zn) = (b.duals @ b.frame).tolist()
+    return {"ys_minus_1": abs(ys - 1.0), "zn_minus_1": abs(zn - 1.0), "yn": abs(yn), "zs": abs(zs)}
 
 
 # The gates of each arity that truth_table_residuals checks, by the prefix
 # of their residual names.
 _TABLES = {"monadic": tuple(MONADIC_GATES.values()), "dyadic": ALL_DYADIC_TABLES}
+_RESIDUAL_NAMES = {prefix: [f"{prefix}_{t.name}" for t in tables] for prefix, tables in _TABLES.items()}
 
 
 @cache
@@ -73,8 +73,7 @@ def truth_table_residuals(b: TruthBasis) -> dict[str, float]:
         # (Q, G, 2^k) -> (G, Q, 2^k), the shape of the stack's output
         expected = b.frame[:, _expected_columns()[prefix]].swapaxes(0, 1)
         residual = gate_operator(b, tables).on_product(*[b.frame] * tables[0].arity) - expected
-        for table, r in zip(tables, np.abs(residual).max(axis=(1, 2)).tolist()):
-            out[f"{prefix}_{table.name}"] = r
+        out.update(zip(_RESIDUAL_NAMES[prefix], np.abs(residual).max(axis=(1, 2)).tolist()))
     return out
 
 
@@ -82,27 +81,33 @@ def tautology_residuals(b: TruthBasis) -> dict[str, float]:
     """L = D (N(x)I) and D = N C (N(x)N). Each side is Q x 4 output columns
     times ([y z]^T)^{(x)2} (mixed-product rule, Van Loan 2000), so the two
     agree exactly when they agree on [s n]^{(x)2} = s(x)s, s(x)n, n(x)s,
-    n(x)n; both sides are applied there as products of their Q x 2 factors
-    (`Gate.on_product`), in O(Q) memory."""
-    frame = b.frame
+    n(x)n. L, D and C are one stack, applied once to [S NS] (x) [S NS]
+    (`Gate.on_product`), in O(Q) memory; each side is a 2 x 2 block of its
+    4 x 4 factor columns. NOT is built once."""
     neg = gate_operator(b, scalar_logic.NOT)
-    l = gate_operator(b, scalar_logic.IMPL)
-    d = gate_operator(b, scalar_logic.OR)
-    c = gate_operator(b, scalar_logic.AND)
-    negated = neg @ frame  # N s, N n
-    return {
-        "L_minus_D_NxI": max_norm(l.on_product(frame, frame) - d.on_product(negated, frame)),
-        "D_minus_NC_NxN": max_norm(d.on_product(frame, frame) - neg @ c.on_product(negated, negated)),
-    }
+    ldc = gate_operator(b, (scalar_logic.IMPL, scalar_logic.OR, scalar_logic.AND))
+    factor = np.concatenate((b.frame, neg @ b.frame), axis=1)  # s, n, N s, N n
+    # (3, Q, 16) -> gate, row, left factor column, right factor column
+    l, d, c = ldc.on_product(factor, factor).reshape(3, b.dim, 4, 4)
+    negated_c = (neg @ c[:, 2:, 2:].reshape(b.dim, 4)).reshape(b.dim, 2, 2)
+    sides = np.array((l[:, :2, :2] - d[:, 2:, :2], d[:, :2, :2] - negated_c))
+    return dict(zip(("L_minus_D_NxI", "D_minus_NC_NxN"), np.abs(sides).max(axis=(1, 2, 3)).tolist()))
 
 
-def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature]) -> list[str]:
-    """Monadic and named dyadic gates whose probe signature, given by gate
-    name, misidentifies or lies farther than RESIDUAL_TOL from its reference,
-    by `classify`'s rule at its default tol, one distance matrix per arity."""
+# The row of each named dyadic gate among ALL_DYADIC_TABLES
+_NAMED_DYADIC_ROWS = np.array([[t.name for t in ALL_DYADIC_TABLES].index(name) for name in NAMED_DYADIC_GATES])
+
+
+def diagnosis_roundtrip_failures(monadic: np.ndarray, dyadic: np.ndarray) -> list[str]:
+    """Monadic and named dyadic gates whose probe signature, a row of the
+    coefficients of MONADIC_GATES or ALL_DYADIC_TABLES in order, misidentifies
+    or lies farther than RESIDUAL_TOL from its reference, by `classify`'s rule
+    at its default tol, one distance matrix per arity."""
     failures = []
-    for arity, tables in ((1, MONADIC_GATES.values()), (2, NAMED_DYADIC_GATES.values())):
-        coefficients = [signatures[t.name].coefficients for t in tables]
+    for arity, tables, coefficients in (
+        (1, MONADIC_GATES.values(), monadic),
+        (2, NAMED_DYADIC_GATES.values(), dyadic[_NAMED_DYADIC_ROWS]),
+    ):
         nearest = diagnosis._nearest(coefficients, arity, diagnosis.DEFAULT_CLASSIFY_TOL)
         for table, (verdict, distance, _, _) in zip(tables, nearest):
             if verdict != table.name or distance > RESIDUAL_TOL:
@@ -112,13 +117,13 @@ def diagnosis_roundtrip_failures(signatures: dict[str, diagnosis.GateSignature])
 
 def diagnosis_section(b: TruthBasis) -> dict:
     """One stacked probe of the monadic gates and one of the dyadic gates,
-    each on the factors of its probe input (`diagnosis.enumerate_signatures`).
-    Passes when the monadic and named dyadic gates round-trip through
-    `classify`, no two named dyadic gates share a signature, and some dyadic
-    gates do (the one-probe ambiguities)."""
-    monadic, _ = diagnosis.enumerate_signatures(b, MONADIC_GATES.values())
-    dyadic, classes = diagnosis.enumerate_dyadic_signatures(b)
-    failures = diagnosis_roundtrip_failures({**monadic, **dyadic})  # gate names are unique
+    each on the factors of its probe input, read as arrays of signature
+    coefficients (`diagnosis._enumerate`). Passes when the monadic and named
+    dyadic gates round-trip through `classify`, no two named dyadic gates
+    share a signature, and some dyadic gates do (the one-probe ambiguities)."""
+    monadic, _, _ = diagnosis._enumerate(b, _TABLES["monadic"])
+    dyadic, _, classes = diagnosis._enumerate(b, ALL_DYADIC_TABLES)
+    failures = diagnosis_roundtrip_failures(monadic, dyadic)
     named = set(NAMED_DYADIC_GATES)
     named_distinct = all(len([g for g in cls if g in named]) <= 1 for cls in classes)
     collisions = [cls for cls in classes if len(cls) >= 2]

@@ -151,3 +151,40 @@ def test_vectors_are_immutable():
     b = canonical_basis("SET1")
     with pytest.raises(ValueError):
         b.s[0] = 2.0
+
+
+def test_vectors_are_read_only_views():
+    s, n = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8])
+    b = make_basis(s, n)
+    assert np.shares_memory(b.s, b.frame) and np.shares_memory(b.n, b.frame)
+    assert np.shares_memory(b.y, b.duals) and np.shares_memory(b.z, b.duals)
+    fields = (b.s, b.n, b.y, b.z, b.frame, b.duals)
+    for v in fields:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 2.0
+    # the basis holds copies of the caller's vectors
+    kept = [v.copy() for v in fields]
+    s[:] = n[:] = 0.5
+    for v, was in zip(fields, kept):
+        np.testing.assert_array_equal(v, was)
+
+
+@pytest.mark.parametrize("dim", [2, 16, 1024])
+@pytest.mark.parametrize("eps", [0.0, 0.35, -0.6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_basis_is_gram_schmidt_bit_for_bit(dim, eps, seed):
+    # the same construction with np.linalg.norm; none of these seeds redraws
+    rng = np.random.default_rng(seed)
+    v1, v2 = rng.standard_normal(dim), rng.standard_normal(dim)
+    s = v1 / np.linalg.norm(v1)
+    perp = v2 - (v2 @ s) * s
+    perp /= np.linalg.norm(perp)
+    n = eps * s + np.sqrt(1.0 - eps * eps) * perp
+    e = float(s @ n)
+    y, z = (s - e * n) / (1.0 - e * e), (n - e * s) / (1.0 - e * e)
+    b = random_basis(dim, eps, seed)
+    assert b.epsilon == e
+    expected = (s, n, y, z, np.column_stack((s, n)), np.vstack((y, z)))
+    for got, want in zip((b.s, b.n, b.y, b.z, b.frame, b.duals), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -671,6 +671,40 @@ def test_library_suite_accepts_empty_samples():
     assert all(worst[name] is None for name in worst if name != "g_great_euler")
 
 
+def test_scalar_exp_residual_checks_its_inputs():
+    # one scalar per sample: one or two scalars for six samples are an error,
+    # not a numpy broadcast
+    c = make_context(random_basis(4, 0.0, 1))
+    sums = [scalar_exp_series(1j * math.pi * v) for v in EULER_V_SAMPLES]
+    assert matfun.scalar_exp_residual(c, EULER_V_SAMPLES, sums) < RESIDUAL_TOL
+    for scalars in (sums[:1], sums[:2]):
+        with pytest.raises(ValueError, match="one scalar per sample"):
+            matfun.scalar_exp_residual(c, EULER_V_SAMPLES, scalars)
+    # no samples, like an identity with no sample in the suite
+    assert matfun.scalar_exp_residual(c, [], []) == 0.0
+
+
+def test_context_computes_its_pairs_and_bound_once(monkeypatch):
+    # the Euler suite and the scalar oracle of one context share them
+    calls = []
+
+    def counted(name):
+        fn = getattr(matfun, name)
+        return lambda x: calls.append(name) or fn(x)
+
+    for name in ("_context_pairs", "_lift_bound"):
+        monkeypatch.setattr(matfun, name, counted(name))
+    c = make_context(random_basis(8, 0.35, 2))
+    for _ in range(2):
+        assert verify_euler_suite(c, EULER_V_SAMPLES, ks=EULER_KS).passed
+        assert scalar_oracle_residual(c) < RESIDUAL_TOL
+    assert sorted(calls) == ["_context_pairs", "_lift_bound"]
+    assert not c._core_pairs.flags.writeable
+    # another context of the same basis computes its own
+    assert scalar_oracle_residual(replace(c, I_core=1.001 * c.I_core)) > 1e-4
+    assert sorted(calls) == ["_context_pairs", "_context_pairs", "_lift_bound", "_lift_bound"]
+
+
 def test_scalar_series_sums_one_scalar_bit_identical_to_the_pair():
     # the pair (x, x) on the core x*I2 adds the same terms as the one scalar x
     vs = [*EULER_V_SAMPLES, *np.linspace(-15.9, 15.9, 61)]

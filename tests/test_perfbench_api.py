@@ -10,6 +10,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,3 +64,17 @@ def test_traced_name_is_public_layer_function(dotted):
     fn = getattr(module, name, None)
     assert inspect.isfunction(fn), f"perfbench/tracer.py sums spans of {dotted}"
     assert fn.__module__ == module.__name__ and not name.startswith("_")
+
+
+@pytest.mark.parametrize("workload", ["verify", "diagnose"])
+def test_benchmark_smoke_run(workload):
+    # a short run of the benchmark from the repository root: its worker calls
+    # the library by name, so a change that breaks the benchmark fails here
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0", "--smoke"]
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), *argv],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

@@ -88,6 +88,27 @@ def test_truth_tables_apply_one_stack_per_arity(monkeypatch):
     assert all(r < RESIDUAL_TOL for r in residuals.values()), residuals
 
 
+def test_tautologies_apply_one_stack(monkeypatch):
+    # L, D and C are one stack applied once, and NOT is built once
+    built, applied = [], []
+    on_product = Gate.on_product
+
+    def counted(basis, tables):
+        built.append((tables.name,) if isinstance(tables, TruthTable) else tuple(t.name for t in tables))
+        return gate_operator(basis, tables)
+
+    def counted_product(gate, *factors):
+        applied.append(gate.shape)
+        return on_product(gate, *factors)
+
+    monkeypatch.setattr(vlogic.verify, "gate_operator", counted)
+    monkeypatch.setattr(Gate, "on_product", counted_product)
+    residuals = tautology_residuals(random_basis(8, 0.35, 1))
+    assert sorted(built) == [("IMPL", "OR", "AND"), ("NOT",)]
+    assert applied == [(3, 8, 64)]
+    assert all(r < RESIDUAL_TOL for r in residuals.values()), residuals
+
+
 @pytest.mark.parametrize("basis", [canonical_basis("DIM4"), random_basis(8, 0.35, 2)], ids=["DIM4", "Q8_eps0.35"])
 @pytest.mark.parametrize(
     "build, failing",
