@@ -6,7 +6,7 @@ from .diagnosis import (
     DiagnosisResult,
     GateSignature,
     classify,
-    enumerate_dyadic_signatures,
+    enumerate_signatures,
     probe,
 )
 from .matfun import (
@@ -43,7 +43,7 @@ from .srn import SrnPair, solve_srn_coefficients, sqrt_not
 
 __all__ = [
     "TruthBasis", "canonical_basis", "make_basis", "random_basis",
-    "DiagnosisResult", "GateSignature", "classify", "enumerate_dyadic_signatures", "probe",
+    "DiagnosisResult", "GateSignature", "classify", "enumerate_signatures", "probe",
     "C_of", "C_series", "IdentityReport", "LogicAlgebraContext", "S_of", "S_series",
     "logical_exp", "logical_exp_series", "make_context", "verify_euler_suite",
     "Gate", "gate_operator", "max_norm",

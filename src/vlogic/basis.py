@@ -10,9 +10,9 @@ so that <y,s> = <z,n> = 1 and <y,n> = <z,s> = 0. Negative eps in (-1, 0) is
 accepted; the formulas are valid for any |eps| < 1.
 
 Every gate, root of NOT and series value is a small core carried by the
-frame S = [s n] (Q x 2) and its duals Y^T = [y z]^T (2 x Q), Y^T S = I2;
-each basis holds both, read-only, and s, n, y and z are views of their
-columns and rows, not copies.
+frame S = [s n] (Q x 2) and its duals Y^T = [y z]^T (2 x Q), Y^T S = I2.
+A basis stores both, read-only, and its overlap; dim, s, n, y and z are
+derived from them, s, n, y and z as views of their columns and rows.
 """
 
 from __future__ import annotations
@@ -32,20 +32,30 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-# Beyond this overlap the 1/(1-eps^2) factor loses too many digits.
-DEPENDENCE_THRESHOLD = 1.0 - 1e-6
+# The rounding error of every check grows like 1.5e-16 / (1 - |eps|); at
+# this overlap it stays below 1e-11, inside the checks' fixed tolerance.
+DEPENDENCE_THRESHOLD = 1.0 - 1e-4
+
+
+def _readonly(m: np.ndarray) -> np.ndarray:
+    """m itself, made read-only."""
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
 class TruthBasis:
-    dim: int
-    s: np.ndarray
-    n: np.ndarray
-    epsilon: float
-    y: np.ndarray
-    z: np.ndarray
+    """Built by `make_basis`; s, n, y and z are read-only views."""
+
     frame: np.ndarray  # [s n], Q x 2
     duals: np.ndarray  # [y z]^T, 2 x Q
+    epsilon: float  # <s, n>
+
+    dim = property(lambda b: b.frame.shape[0])
+    s = property(lambda b: b.frame[:, 0])
+    n = property(lambda b: b.frame[:, 1])
+    y = property(lambda b: b.duals[0])
+    z = property(lambda b: b.duals[1])
 
 
 def make_basis(s, n) -> TruthBasis:
@@ -65,11 +75,7 @@ def make_basis(s, n) -> TruthBasis:
         raise NearlyDependent(f"|<s,n>| = {abs(eps)} too close to 1")
     frame = np.column_stack((s, n))  # a copy: the caller's later writes never reach the basis
     duals = np.array((s - eps * n, n - eps * s)) / (1.0 - eps * eps)  # y and z as in the module docstring
-    frame.setflags(write=False)
-    duals.setflags(write=False)
-    return TruthBasis(
-        dim=s.size, s=frame[:, 0], n=frame[:, 1], epsilon=eps, y=duals[0], z=duals[1], frame=frame, duals=duals,
-    )
+    return TruthBasis(_readonly(frame), _readonly(duals), eps)
 
 
 _CANONICAL = {

@@ -29,7 +29,7 @@ import numpy as np
 from .basis import TruthBasis
 from .errors import DimensionMismatch, UnsupportedArity
 from .operators import _kron_power, gate_operator
-from .scalar_logic import ALL_DYADIC_TABLES, MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, TruthTable
+from .scalar_logic import MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, TruthTable
 from .srn import ALPHA, BETA
 
 UNKNOWN = "UNKNOWN"
@@ -196,13 +196,6 @@ def enumerate_signatures(
         t.name: GateSignature(*c, residual=r) for t, c, r in zip(tables, coefficients.tolist(), residuals.tolist())
     }
     return signatures, classes
-
-
-def enumerate_dyadic_signatures(
-    basis: TruthBasis,
-) -> tuple[dict[str, GateSignature], list[list[str]]]:
-    """Probe signatures and collision classes of all 16 dyadic gates."""
-    return enumerate_signatures(basis, ALL_DYADIC_TABLES)
 
 
 # Fixed-arity names, kept for callers written against them.

@@ -2,9 +2,9 @@
 
 The logical exponential is the power series e^G = I + G + G^2/2! + ...
 whose zeroth term is the LOGICAL identity I (rank 2 for Q > 2), not the
-full matrix identity. This differs from the standard matrix exponential
-and is what makes the calculus close: e^O = I and e^{A Pi} + I = O (the
-matrix Great Euler Equation, at scalar parameter v = 1).
+full matrix identity. This is what makes the calculus close: e^O = I and
+e^{A Pi} + I = O (the matrix Great Euler Equation, at scalar parameter
+v = 1).
 
 C and S replace the -1 in the cosine/sine series by the negation matrix:
 
@@ -16,37 +16,21 @@ whenever the argument lies in span{I, N}. With Pi = B*i*pi one gets
 C(Pi v) = cos(pi v) I and S(Pi v) = i sin(pi v) B.
 
 span{I, N} = {S (a I2 + b J) Y^T} with S = [s n], Y = [y z] and J the 2x2
-swap. Every core a I2 + b J is diagonal in the 2x2 Hadamard basis, with
-eigenvalues lambda+ = a + b (J = +1, N^m = 1) and lambda- = a - b
-(J = -1, N^m = (-1)^m), and each function is evaluated on those two
-scalars and lifted back to Q x Q once:
+swap. Each function is evaluated on the core's eigenvalues
+lambda+ = a + b and lambda- = a - b and lifted back to Q x Q once.
+`logical_exp`, `C_of` and `S_of` are complex128 closed forms;
+`logical_exp_series`, `C_series`, `S_series` and `scalar_exp_series` are
+the paper's truncated series summed in 40-digit `decimal`, the
+platform-independent oracle, and refuse |lambda| > 50
+(`SeriesNotConverged`). Each takes one Q x Q argument or a stack
+(..., Q, Q), every slice in span{I, N} (else `NonCommuting`).
 
-- closed forms, complex128: `logical_exp` is (exp lambda+, exp lambda-),
-  `C_of` is (cosh lambda+, cos lambda-), `S_of` is (sinh lambda+,
-  sin lambda-);
-- the paper's truncated series, the platform-independent oracle:
-  `logical_exp_series`, `C_series`, `S_series` and `scalar_exp_series` sum
-  term by term in 40-digit `decimal` arithmetic, stop once the added 2x2
-  core term's max-norm is below 1e-16, and refuse an eigenvalue with
-  |lambda| > 50 (`SeriesNotConverged`).
-
-Every function takes one Q x Q argument or a stack (..., Q, Q) and
-returns the same shape; every slice must lie in span{I, N}.
-
-The context keeps the 2 x 2 cores of I, N, A, B and Pi over the frame and
-lifts a dense Q x Q field only when it is read. A product in span{I, N} is
-the elementwise product of eigenvalue pairs, so `verify_euler_suite` and
-`scalar_exp_residual` check their identities on (..., 2) pair arrays of the
-context's cores with the pair functions the closed forms use (`_exp_pair`,
-`_C_pair`, `_S_pair`), and build no Q x Q matrix; dense stacks come only
-from the public functions. For a residual core a I2 + b J they report
-K max(|a|, |b|), with
-K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|): never below the max-norm of
-the lifted residual a I + b N, though no bound on the residual of dense
-Q x Q products, which round on their own. A context computes its pairs and
-K once. The basis enters only through K, so the Euler suite's pair
-arithmetic, a function of the context's pairs and the samples, is done once
-per process and scaled by K; the scalar oracle's is done on every call.
+A context holds the 2 x 2 cores of I, N, A, B and Pi and lifts a dense
+Q x Q field only when it is read. `verify_euler_suite` and
+`scalar_exp_residual` check on the cores' eigenvalue pairs and build no
+Q x Q matrix. For a residual core a I2 + b J they report
+K max(|a|, |b|), K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|), never
+below the max-norm of the lifted residual a I + b N.
 """
 
 from __future__ import annotations
@@ -60,7 +44,7 @@ from math import isfinite, pi
 
 import numpy as np
 
-from .basis import TruthBasis
+from .basis import TruthBasis, _readonly
 from .errors import NonCommuting, SeriesNotConverged
 from .operators import lift
 from .srn import A_CORE, B_CORE
@@ -74,14 +58,9 @@ EULER_KS = (2, 3, 5)
 IDENTITY_TOL = 1e-8
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
 def _lifted(core: str) -> cached_property:
     """The dense, read-only Q x Q lift of the named core, built on first read and kept."""
-    return cached_property(lambda ctx: _frozen(lift(ctx.basis, getattr(ctx, core))))
+    return cached_property(lambda ctx: _readonly(lift(ctx.basis, getattr(ctx, core))))
 
 
 @dataclass(frozen=True)
@@ -106,21 +85,21 @@ class LogicAlgebraContext:
     N = _lifted("N_core")
     A = _lifted("A_core")
     B = _lifted("B_core")
-    _core_pairs = cached_property(lambda ctx: _frozen(_context_pairs(ctx)))
+    _core_pairs = cached_property(lambda ctx: _readonly(_context_pairs(ctx)))
     _bound = cached_property(lambda ctx: _lift_bound(ctx.basis))
 
     @cached_property
     def Pi(self) -> np.ndarray:
         # i pi times the lift of Pi_core / (i pi), which is B_core exactly in
         # a context from make_context: Pi rounds as the dense B i pi does
-        return _frozen(1j * pi * lift(self.basis, self.Pi_core / (1j * pi)))
+        return _readonly(1j * pi * lift(self.basis, self.Pi_core / (1j * pi)))
 
 
 # The cores of I and N, the gates ID and NOT: I2 and the swap J, whose
 # columns are the frame columns of the outputs (t, f) and (f, t).
-_I_CORE = _frozen(np.array([[1, 0], [0, 1]], dtype=complex))
-_N_CORE = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
-_PI_CORE = _frozen(1j * pi * B_CORE)
+_I_CORE = _readonly(np.array([[1, 0], [0, 1]], dtype=complex))
+_N_CORE = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
+_PI_CORE = _readonly(1j * pi * B_CORE)
 
 
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .basis import TruthBasis
+from .basis import TruthBasis, _readonly
 from .errors import DimensionMismatch
 from .scalar_logic import TRUE, TruthTable
 
@@ -75,9 +75,10 @@ class Gate:
 
     __array_ufunc__ = None
 
-    def __init__(self, outputs: np.ndarray, duals: np.ndarray, arity: int):
-        self.outputs, self.duals, self.arity = outputs, duals, arity
-        self.shape = (*outputs.shape[:-1], duals.shape[1] ** arity)
+    def __init__(self, outputs: np.ndarray, duals: np.ndarray):
+        self.outputs, self.duals = outputs, duals
+        self.arity = outputs.shape[-1].bit_length() - 1  # 2^k output columns
+        self.shape = (*outputs.shape[:-1], duals.shape[1] ** self.arity)
 
     def __matmul__(self, v):
         if isinstance(v, Gate):
@@ -119,10 +120,9 @@ def gate_operator(basis: TruthBasis, tables: TruthTable | Iterable[TruthTable]) 
     order; an empty sequence or mixed arities raise ValueError.
     """
     if isinstance(tables, TruthTable):
-        return Gate(basis.frame[:, _frame_columns((tables.outputs,))[0]], basis.duals, tables.arity)
-    columns = _frame_columns(tuple(t.outputs for t in tables))
+        return Gate(basis.frame[:, _frame_columns((tables.outputs,))[0]], basis.duals)
     # (Q, G, 2^k) -> (G, Q, 2^k)
-    return Gate(basis.frame[:, columns].swapaxes(0, 1), basis.duals, columns.shape[1].bit_length() - 1)
+    return Gate(basis.frame[:, _frame_columns(tuple(t.outputs for t in tables))].swapaxes(0, 1), basis.duals)
 
 
 @functools.lru_cache(maxsize=64)
@@ -136,9 +136,7 @@ def _frame_columns(outputs: tuple[tuple[int, ...], ...]) -> np.ndarray:
     arities = sorted({len(outs).bit_length() - 1 for outs in outputs})
     if len(arities) != 1:
         raise ValueError(f"a gate stack needs tables of one arity, got arities {arities}")
-    columns = np.array([[0 if out == TRUE else 1 for out in outs] for outs in outputs])
-    columns.setflags(write=False)
-    return columns
+    return _readonly(np.array([[0 if out == TRUE else 1 for out in outs] for outs in outputs]))
 
 
 # Fixed-arity names, kept for callers written against them.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruthBasis
+from .basis import TruthBasis, _readonly
 from .operators import Gate, gate_operator, lift
 from .scalar_logic import NOT
 
@@ -49,10 +49,8 @@ ALPHA, BETA = solve_srn_coefficients()
 
 
 # alpha*I + beta*N has the core alpha*I2 + beta*J over the frame
-A_CORE = np.array([[ALPHA, BETA], [BETA, ALPHA]])
-B_CORE = np.array([[BETA, ALPHA], [ALPHA, BETA]])
-A_CORE.setflags(write=False)
-B_CORE.setflags(write=False)
+A_CORE = _readonly(np.array([[ALPHA, BETA], [BETA, ALPHA]]))
+B_CORE = _readonly(np.array([[BETA, ALPHA], [ALPHA, BETA]]))
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,13 @@ class SrnPair:
 
 def sqrt_not(basis: TruthBasis) -> SrnPair:
     """The two roots as dense, read-only Q x Q matrices."""
-    a = lift(basis, A_CORE)
-    b = lift(basis, B_CORE)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return SrnPair(A=a, B=b)
+    return SrnPair(A=_readonly(lift(basis, A_CORE)), B=_readonly(lift(basis, B_CORE)))
 
 
 def factored_roots(basis: TruthBasis) -> SrnPair:
     """The two roots as monadic Gates with outputs S core (A s and A n, B s
     and B n): no Q x Q matrix."""
-    return SrnPair(A=Gate(basis.frame @ A_CORE, basis.duals, 1), B=Gate(basis.frame @ B_CORE, basis.duals, 1))
+    return SrnPair(A=Gate(basis.frame @ A_CORE, basis.duals), B=Gate(basis.frame @ B_CORE, basis.duals))
 
 
 _IDENTITIES = ("A2_minus_N", "B2_minus_N", "AB_minus_I", "BA_minus_I", "A_minus_conj_B", "B_minus_NA", "A_minus_NB")

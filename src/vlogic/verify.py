@@ -2,19 +2,11 @@
 
 Backs the `vlogic verify` subcommand. Each section reports named max-norm
 residuals (or booleans for structural checks) and the run passes only if
-every section does. A run makes one pass per arity: the gates of each
-arity are one stacked `Gate`, applied only to factored product inputs
-(`Gate.on_product`), both for the truth-table checks and for the
-diagnosis section's probe (As)^{(x)k}, which reads the signatures as one
-array per arity and classifies their rows with one distance matrix per
-arity, building no per-gate object. The tautology checks apply L, D and C
-as one stack and NOT once. A run builds no dense Q x Q matrix and
-no Q^k vector: the roots of NOT are factored `Gate`s (`srn.factored_roots`)
-and the Euler suite and the scalar oracle read the context's 2 x 2 cores,
-so its memory grows as O(Q). What depends on no basis is derived once per
-process: the expected truth-table columns, the gates' frame-column
-indices, the scalar oracle's series sums, and the Euler suite's pair
-arithmetic, which a basis only scales.
+every section does. A run builds no dense Q x Q matrix and no Q^k vector:
+the gates of each arity are one stacked `Gate` applied to factored
+product inputs (`Gate.on_product`), the roots of NOT are factored `Gate`s
+and the Euler checks read the context's 2 x 2 cores, so its memory grows
+as O(Q).
 """
 
 from __future__ import annotations

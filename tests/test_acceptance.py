@@ -17,7 +17,7 @@ from vlogic import (
     S_of,
     canonical_basis,
     classify,
-    enumerate_dyadic_signatures,
+    enumerate_signatures,
     gate_operator,
     logical_exp,
     make_context,
@@ -189,7 +189,7 @@ def test_criterion_5_diagnosis():
                 res = classify(probe(gate_operator(b, table), b, 2), 2)
                 ok = ok and res.verdict == name
                 worst = max(worst, res.distance)
-    signatures, classes = enumerate_dyadic_signatures(canonical_basis("DIM4"))
+    signatures, classes = enumerate_signatures(canonical_basis("DIM4"), sl.ALL_DYADIC_TABLES)
     named = set(sl.NAMED_DYADIC_GATES)
     named_distinct = all(len([g for g in cls if g in named]) <= 1 for cls in classes)
     collision = any(len(cls) >= 2 for cls in classes)

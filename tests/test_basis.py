@@ -1,11 +1,14 @@
 """Truth-basis construction, duals, canonical sets, random generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlogic import canonical_basis, make_basis, random_basis
+from vlogic import TruthBasis, canonical_basis, make_basis, operators, random_basis, srn
+from vlogic import scalar_logic as sl
 from vlogic.errors import (
     BadEpsilon,
     DimensionMismatch,
@@ -91,6 +94,14 @@ def test_make_basis_rejects_nan(s, n):
         make_basis(s, n)
 
 
+@pytest.mark.parametrize("gap", [5e-5, 1e-6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_nearly_dependent_overlaps_are_rejected(gap, sign):
+    # past |eps| = 1 - 1e-4 the checks' rounding would exceed their fixed tolerance
+    with pytest.raises(NearlyDependent):
+        random_basis(8, sign * (1 - gap), seed=1)
+
+
 def test_random_basis_errors():
     with pytest.raises(QTooSmall):
         random_basis(1, 0.0, 0)
@@ -156,10 +167,19 @@ def test_vectors_are_immutable():
 def test_vectors_are_read_only_views():
     s, n = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8])
     b = make_basis(s, n)
+    # a basis stores its frame, duals and overlap; the rest is derived
+    assert [f.name for f in dataclasses.fields(TruthBasis)] == ["frame", "duals", "epsilon"]
+    assert b.dim == b.frame.shape[0] == 3
     assert np.shares_memory(b.s, b.frame) and np.shares_memory(b.n, b.frame)
     assert np.shares_memory(b.y, b.duals) and np.shares_memory(b.z, b.duals)
     fields = (b.s, b.n, b.y, b.z, b.frame, b.duals)
-    for v in fields:
+    # every other array the library keeps or hands out is read-only too
+    roots = srn.sqrt_not(b)
+    kept_elsewhere = (
+        srn.A_CORE, srn.B_CORE, roots.A, roots.B,
+        operators._frame_columns((sl.NOT.outputs,)), operators._frame_columns((sl.AND.outputs, sl.OR.outputs)),
+    )
+    for v in (*fields, *kept_elsewhere):
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 2.0

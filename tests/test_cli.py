@@ -48,6 +48,13 @@ def test_basis_bad_epsilon_exits_1(capsys):
     assert "epsilon" in err
 
 
+def test_basis_nearly_dependent_epsilon_exits_1(capsys):
+    code, out, err = run(capsys, "basis", "--dim", "8", "--epsilon", "0.99999")
+    assert code == 1
+    assert out == ""
+    assert "too close to 1" in err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["op", "--gate", "IMPL"])  # missing --basis

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vlogic.diagnosis
 from vlogic import scalar_logic as sl
-from vlogic import classify, enumerate_dyadic_signatures, gate_operator, probe, random_basis, sqrt_not
+from vlogic import classify, enumerate_signatures, gate_operator, probe, random_basis, sqrt_not
 from vlogic.diagnosis import (
     AMBIGUOUS,
     DEFAULT_CLASSIFY_TOL,
@@ -24,7 +24,6 @@ from vlogic.diagnosis import (
     UNKNOWN,
     classify_dyadic,
     classify_monadic,
-    enumerate_signatures,
     probe_dyadic,
     probe_monadic,
     symbolic_dyadic_signature,
@@ -231,7 +230,7 @@ def test_conjugate_probe_negates_imaginary_parts(dim4):
 
 def test_enumeration_matches_symbolic_oracle(dim4):
     for b in (dim4, random_basis(8, 0.6, 1)):
-        signatures, _ = enumerate_dyadic_signatures(b)
+        signatures, _ = enumerate_signatures(b, sl.ALL_DYADIC_TABLES)
         for table in sl.ALL_DYADIC_TABLES:
             expected = symbolic_signature(table)
             assert signatures[table.name].coefficients == pytest.approx(expected, abs=TOL)
@@ -239,7 +238,7 @@ def test_enumeration_matches_symbolic_oracle(dim4):
 
 
 def test_enumeration_collision_structure(dim4):
-    signatures, classes = enumerate_dyadic_signatures(dim4)
+    signatures, classes = enumerate_signatures(dim4, sl.ALL_DYADIC_TABLES)
     assert len(signatures) == 16
     named = set(sl.NAMED_DYADIC_GATES)
     # the seven named gates land in pairwise distinct classes

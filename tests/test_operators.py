@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import vlogic
 from vlogic import scalar_logic as sl
 from vlogic import Gate, gate_operator, max_norm, probe, random_basis
 from vlogic.errors import DimensionMismatch, VectorLogicError
@@ -338,3 +339,35 @@ def test_gate_on_product_rejects_wrong_factors(dim4):
         for factors in ((frame,), (frame, frame, frame), (frame, np.ones((5, 2))), (frame, np.ones(4))):
             with pytest.raises(DimensionMismatch):
                 gate.on_product(*factors)
+
+
+def test_gate_derives_its_arity_from_its_outputs(ternary_tables):
+    # Gate(outputs, duals) rebuilds every gate and stack of arity 1-3 bit for bit
+    b = random_basis(3, 0.35, seed=7)
+    rng = np.random.default_rng(7)
+    for tables in (list(sl.MONADIC_GATES.values()), list(sl.ALL_DYADIC_TABLES), ternary_tables):
+        for g in (*(gate_operator(b, t) for t in tables), gate_operator(b, tables)):
+            rebuilt = Gate(g.outputs, g.duals)
+            assert (rebuilt.arity, rebuilt.shape) == (g.arity, g.shape)
+            v = rng.standard_normal((g.shape[-1], 2)) + 1j * rng.standard_normal((g.shape[-1], 2))
+            factors = [rng.standard_normal((3, 2)) for _ in range(g.arity)]
+            for got, want in (
+                (rebuilt @ v, g @ v),
+                (rebuilt.on_product(*factors), g.on_product(*factors)),
+                (np.asarray(rebuilt), np.asarray(g)),
+            ):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_public_names_are_pinned():
+    assert vlogic.__all__ == [
+        "TruthBasis", "canonical_basis", "make_basis", "random_basis",
+        "DiagnosisResult", "GateSignature", "classify", "enumerate_signatures", "probe",
+        "C_of", "C_series", "IdentityReport", "LogicAlgebraContext", "S_of", "S_series",
+        "logical_exp", "logical_exp_series", "make_context", "verify_euler_suite",
+        "Gate", "gate_operator", "max_norm",
+        "AND", "CID", "CNOT", "EQUI", "FALSE", "ID", "IMPL", "NAND", "NOR",
+        "NOT", "OR", "TRUE", "XOR", "TruthTable", "evaluate",
+        "SrnPair", "solve_srn_coefficients", "sqrt_not",
+    ]
+    assert all(hasattr(vlogic, name) for name in vlogic.__all__)

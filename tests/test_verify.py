@@ -24,8 +24,10 @@ from vlogic import (
     random_basis,
 )
 from vlogic import scalar_logic as sl
+from vlogic.basis import DEPENDENCE_THRESHOLD
 from vlogic.verify import (
     RESIDUAL_TOL,
+    basis_residuals,
     diagnosis_section,
     run_full_verification,
     tautology_residuals,
@@ -269,6 +271,22 @@ def test_full_verification_sections_pass(dim, seed):
         for key, r in section.get("residuals", {}).items():
             assert r < section["tolerance"], (name, key, r)
     assert report["pass"]
+
+
+@pytest.mark.parametrize("gap", [1.05e-4, 1.5e-4, 1e-3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bases_near_the_dependence_threshold_pass_every_check(gap, sign):
+    # every basis make_basis accepts passes the fixed tolerances, up to the
+    # threshold; the points stay strictly inside it, as s @ n rounds
+    for dim, seed in itertools.product((4, 16, 64), (1, 2, 3, 4)):
+        b = random_basis(dim, sign * (1 - gap), seed)
+        assert abs(b.epsilon) < DEPENDENCE_THRESHOLD
+        residuals = {
+            **basis_residuals(b), **truth_table_residuals(b), **tautology_residuals(b),
+            **vlogic.srn.identity_report(vlogic.srn.factored_roots(b), b),
+        }
+        assert max(residuals.values()) < RESIDUAL_TOL, (dim, seed, residuals)
+        assert diagnosis_section(b)["roundtrip_failures"] == [], (dim, seed)
 
 
 def test_run_verification_script(monkeypatch, capsys):
