@@ -19,6 +19,7 @@ coefficients along s and n exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import DimensionMismatch, UnsupportedArity
-from .operators import _kron_power, gate_operator
+from .operators import _kron, gate_operator
 from .scalar_logic import MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, TruthTable
 from .srn import ALPHA, BETA
 
@@ -69,7 +70,7 @@ def _root_of_true(basis: TruthBasis) -> np.ndarray:
 def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
     """(As)^{(x)k} as a Q^k x 2 real view, its real and imaginary parts side
     by side, so a real oracle is read once and never cast to complex."""
-    return _kron_power(_root_of_true(basis)[None, :], arity)[0].view(np.float64).reshape(-1, 2)
+    return functools.reduce(_kron, [_root_of_true(basis)[None, :]] * arity)[0].view(np.float64).reshape(-1, 2)
 
 
 def _coefficients(out: np.ndarray, basis: TruthBasis) -> tuple[np.ndarray, np.ndarray]:

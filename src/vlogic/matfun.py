@@ -17,13 +17,15 @@ C(Pi v) = cos(pi v) I and S(Pi v) = i sin(pi v) B.
 
 span{I, N} = {S (a I2 + b J) Y^T} with S = [s n], Y = [y z] and J the 2x2
 swap. Each function is evaluated on the core's eigenvalues
-lambda+ = a + b and lambda- = a - b and lifted back to Q x Q once.
+lambda+ = a + b and lambda- = a - b and lifted back to Q x Q once, as
+lambda+ P+ + lambda- P- with P+- = (I2 +- J)/2 the spectral projectors of J.
 `logical_exp`, `C_of` and `S_of` are complex128 closed forms;
 `logical_exp_series`, `C_series`, `S_series` and `scalar_exp_series` are
-the paper's truncated series summed in 40-digit `decimal`, the
-platform-independent oracle, and refuse |lambda| > 50
-(`SeriesNotConverged`). Each takes one Q x Q argument or a stack
-(..., Q, Q), every slice in span{I, N} (else `NonCommuting`).
+the paper's truncated series summed in 40-digit `decimal` on the same
+float eigenvalues, the platform-independent oracle, and refuse
+|lambda| > 50 (`SeriesNotConverged`). Each takes one Q x Q argument or a
+stack (..., Q, Q), finite (else ValueError), every slice in span{I, N}
+(else `NonCommuting`).
 
 A context holds the 2 x 2 cores of I, N, A, B and Pi and lifts a dense
 Q x Q field only when it is read. `verify_euler_suite` and
@@ -45,7 +47,7 @@ from math import isfinite, pi
 import numpy as np
 
 from .basis import TruthBasis, _readonly
-from .errors import NonCommuting, SeriesNotConverged
+from .errors import DimensionMismatch, NonCommuting, SeriesNotConverged
 from .operators import lift
 from .srn import A_CORE, B_CORE
 
@@ -85,14 +87,9 @@ class LogicAlgebraContext:
     N = _lifted("N_core")
     A = _lifted("A_core")
     B = _lifted("B_core")
+    Pi = _lifted("Pi_core")
     _core_pairs = cached_property(lambda ctx: _readonly(_context_pairs(ctx)))
     _bound = cached_property(lambda ctx: _lift_bound(ctx.basis))
-
-    @cached_property
-    def Pi(self) -> np.ndarray:
-        # i pi times the lift of Pi_core / (i pi), which is B_core exactly in
-        # a context from make_context: Pi rounds as the dense B i pi does
-        return _readonly(1j * pi * lift(self.basis, self.Pi_core / (1j * pi)))
 
 
 # The cores of I and N, the gates ID and NOT: I2 and the swap J, whose
@@ -107,54 +104,52 @@ def make_context(basis: TruthBasis) -> LogicAlgebraContext:
     return LogicAlgebraContext(basis, _I_CORE, _N_CORE, A_CORE, B_CORE, _PI_CORE)
 
 
-def _symmetrized(c: np.ndarray) -> np.ndarray:
-    """(c + J c J) / 2 for each 2 x 2 core c: the part that commutes with J."""
-    return (c + c[..., ::-1, ::-1]) / 2
-
-
-def _core(ctx: LogicAlgebraContext, x):
-    """The entries a, b of the core a*I2 + b*J of each Q x Q slice of X.
-
-    The core is Y^T X S symmetrized, (c + J c J)/2, the part of c that
-    commutes with J. Only then does the span check see a part of X that
-    does not commute with N: the raw projection c reproduces every X inside
-    span{s, n}, so X = s y^T (core [[1, 0], [0, 0]]) would pass the check
-    and give wrong numbers. Raises NonCommuting if any slice is further
-    than COMMUTATOR_TOL * max(1, max-norm of the slice) from span{I, N}:
-    the rounding error of the projection grows with |X|.
-    """
-    x = np.asarray(x, dtype=complex)
-    # O(Q^2) per slice with no Q x Q temporary
-    core = _symmetrized(ctx.basis.duals @ x @ ctx.basis.frame)
-    resid = np.abs(x - lift(ctx.basis, core)).max(axis=(-2, -1))
-    if not np.all(resid <= COMMUTATOR_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))):
-        raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid.max():.3e})")
-    return core[..., 0, 0], core[..., 0, 1]
+def _eigenpairs(core: np.ndarray) -> np.ndarray:
+    """(a + b, a - b) for each 2 x 2 core c, shape (..., 2): the eigenvalues
+    of a I2 + b J = (c + J c J) / 2, the part of c that commutes with J."""
+    c = (core + core[..., ::-1, ::-1]) / 2
+    a, b = c[..., 0, 0], c[..., 0, 1]
+    return np.stack([a + b, a - b], axis=-1)
 
 
 def _pairs(ctx: LogicAlgebraContext, x) -> np.ndarray:
-    """The eigenvalue pairs (a + b, a - b) of the cores of X, shape (..., 2)."""
-    a, b = _core(ctx, x)
-    return np.stack([a + b, a - b], axis=-1)
+    """The eigenvalue pairs of the cores Y^T X S of X, shape (..., 2).
+
+    X is checked against the lift of its pairs, not of its raw core, which
+    reproduces every X inside span{s, n}, s y^T too. Raises
+    DimensionMismatch unless X is Q x Q or (..., Q, Q), ValueError if an
+    entry is not finite, and NonCommuting if any slice is further than
+    COMMUTATOR_TOL * max(1, max-norm of the slice) from span{I, N}: the
+    rounding error of the projection grows with |X|.
+    """
+    x = np.asarray(x, dtype=complex)
+    q = ctx.basis.dim
+    if x.ndim < 2 or x.shape[-2:] != (q, q):
+        raise DimensionMismatch(f"argument must be {q}x{q} or a stack (..., {q}, {q}), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("argument has an entry that is not finite")
+    # O(Q^2) per slice with no Q x Q temporary
+    lam = _eigenpairs(ctx.basis.duals @ x @ ctx.basis.frame)
+    resid = np.abs(x - _lift_eigen(ctx, lam)).max(axis=(-2, -1))
+    if not np.all(resid <= COMMUTATOR_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))):
+        raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid.max():.3e})")
+    return lam
 
 
 def _context_pairs(ctx: LogicAlgebraContext) -> np.ndarray:
-    """The eigenvalue pairs of the context's I, N, A, B and Pi, shape (5, 2),
-    from their symmetrized cores, so a wrong core shows in every residual
-    computed from them."""
-    core = _symmetrized(np.stack((ctx.I_core, ctx.N_core, ctx.A_core, ctx.B_core, ctx.Pi_core), dtype=complex))
-    a, b = core[:, 0, 0], core[:, 0, 1]
-    return np.stack([a + b, a - b], axis=-1)
+    """The eigenvalue pairs of the context's I, N, A, B and Pi, shape (5, 2):
+    a wrong core shows in every residual computed from them."""
+    return _eigenpairs(np.stack((ctx.I_core, ctx.N_core, ctx.A_core, ctx.B_core, ctx.Pi_core), dtype=complex))
+
+
+# J's spectral projectors P+ = (I2 + J)/2 and P- = (I2 - J)/2
+_PROJECTORS = _readonly(np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]]) / 2)
 
 
 def _lift_eigen(ctx: LogicAlgebraContext, lam) -> np.ndarray:
-    """S (a I2 + b J) Y^T = a I + b N for each pair lam = (a + b, a - b)
-    (..., 2), the matrix whose core has eigenvalues lambda+ (J = +1) and
-    lambda- (J = -1)."""
-    core = np.empty(lam.shape[:-1] + (2, 2), dtype=complex)
-    core[..., 0, 0] = core[..., 1, 1] = (lam[..., 0] + lam[..., 1]) / 2
-    core[..., 0, 1] = core[..., 1, 0] = (lam[..., 0] - lam[..., 1]) / 2
-    return lift(ctx.basis, core)
+    """The lift of lambda+ P+ + lambda- P- = a I2 + b J for each pair
+    lam = (a + b, a - b) (..., 2)."""
+    return lift(ctx.basis, (lam[..., None, None] * _PROJECTORS).sum(axis=-3))
 
 
 def _exp_pair(lam: np.ndarray) -> np.ndarray:
@@ -260,13 +255,10 @@ def _eigen_series(lam_p, lam_m, kind: str) -> tuple[complex, complex]:
 
 
 def _series(ctx: LogicAlgebraContext, x, kind: str) -> np.ndarray:
-    a, b = _core(ctx, x)
-    lam = np.empty(a.shape + (2,), complex)
+    lam = _pairs(ctx, x)  # each pair is replaced by its series values
     with decimal.localcontext(_DIGITS):
-        for i in np.ndindex(a.shape):
-            ad, bd = _dec(a[i]), _dec(b[i])
-            lam_p, lam_m = (ad[0] + bd[0], ad[1] + bd[1]), (ad[0] - bd[0], ad[1] - bd[1])
-            lam[i] = _eigen_series(lam_p, lam_m, kind)
+        for i in np.ndindex(lam.shape[:-1]):
+            lam[i] = _eigen_series(*map(_dec, lam[i]), kind)
     return _lift_eigen(ctx, lam)
 
 

@@ -44,19 +44,11 @@ def _kron(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (x[:, None, :, None] * m[None, :, None, :]).reshape(x.shape[0] * m.shape[0], -1)
 
 
-def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
-    """m (x) ... (x) m with k >= 1 factors."""
-    out = m
-    for _ in range(k - 1):
-        out = _kron(out, m)
-    return out
-
-
 class Gate:
     """A k-ary gate held matrix-free: its Q x 2^k output columns of the frame
     and the 2 x Q duals, standing for the Q x Q^k matrix outputs
     ([y z]^T)^{(x)k}. A stack of G gates has outputs (G, Q, 2^k) and shape
-    (G, Q, Q^k).
+    (G, Q, Q^k). Any other shapes raise DimensionMismatch.
 
     `gate @ v` takes v of shape (Q^k,) or (Q^k, m), real or complex, and
     contracts the duals with each Kronecker factor of v in turn (mixed-product
@@ -64,8 +56,8 @@ class Gate:
     applies all its gates to the same v, giving (G, Q) or (G, Q, m).
     `gate @ gate`, `m @ gate` and numpy ufunc arithmetic on a gate raise
     TypeError rather than densifying it unasked. `np.asarray(gate)` builds the
-    dense matrix, and so does any numpy function that converts its arguments
-    (np.kron, np.allclose).
+    dense matrix as gate.on_product(I_Q, ..., I_Q), and so does any numpy
+    function that converts its arguments (np.kron, np.allclose).
 
     `gate.on_product(f_1, ..., f_k)` is gate @ (f_1 (x) ... (x) f_k) for k
     factors of shape (Q, m_i): outputs ((duals f_1) (x) ... (x) (duals f_k))
@@ -76,8 +68,11 @@ class Gate:
     __array_ufunc__ = None
 
     def __init__(self, outputs: np.ndarray, duals: np.ndarray):
-        self.outputs, self.duals = outputs, duals
-        self.arity = outputs.shape[-1].bit_length() - 1  # 2^k output columns
+        k = outputs.shape[-1].bit_length() - 1 if outputs.ndim >= 2 else 0  # 2^k output columns
+        if not (k >= 1 and outputs.shape[-1] == 2**k and duals.shape == (2, outputs.shape[-2])):
+            raise DimensionMismatch(f"a gate takes outputs (..., Q, 2^k), k >= 1, and duals (2, Q), got "
+                                    f"{outputs.shape} and {duals.shape}")
+        self.outputs, self.duals, self.arity = outputs, duals, k
         self.shape = (*outputs.shape[:-1], duals.shape[1] ** self.arity)
 
     def __matmul__(self, v):
@@ -110,7 +105,7 @@ class Gate:
         if copy is False:
             raise ValueError("a Gate stores no dense matrix to share")
         # numpy casts the result to a requested dtype itself
-        return self.outputs @ _kron_power(self.duals, self.arity)
+        return self.on_product(*[np.eye(self.duals.shape[1])] * self.arity)
 
 
 def gate_operator(basis: TruthBasis, tables: TruthTable | Iterable[TruthTable]) -> Gate:

@@ -12,6 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 
 from .errors import UnknownGate
 
@@ -22,8 +23,8 @@ _SYM = {TRUE: "T", FALSE: "F"}
 
 
 def _check_truth(w: int) -> int:
-    if w not in (TRUE, FALSE):
-        raise ValueError(f"truth value must be +1 or -1, got {w!r}")
+    if isinstance(w, bool) or not isinstance(w, Integral) or w not in (TRUE, FALSE):
+        raise ValueError(f"truth value must be the integer +1 or -1, got {w!r}")
     return w
 
 

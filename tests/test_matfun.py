@@ -30,7 +30,7 @@ from vlogic import (
     random_basis,
     verify_euler_suite,
 )
-from vlogic.errors import NonCommuting, SeriesNotConverged
+from vlogic.errors import DimensionMismatch, NonCommuting, SeriesNotConverged
 from vlogic.scalar_logic import ID, NOT
 from vlogic.matfun import COMMUTATOR_TOL, scalar_exp_series
 from vlogic.operators import lift
@@ -409,6 +409,19 @@ def test_rejects_argument_in_frame_that_does_not_commute_with_n(basis):
                 function(c, x)
 
 
+@pytest.mark.parametrize("function", [*CLOSED_FORMS.values(), *SERIES.values()])
+def test_rejects_arguments_of_the_wrong_shape_or_not_finite(ctx, function):
+    for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((4, 3)), np.zeros((2, 3, 4))):
+        with pytest.raises(DimensionMismatch):
+            function(ctx, bad)
+    # set by item, since inf * ctx.I itself warns (inf * 0)
+    for value in (math.inf, -math.inf, math.nan, complex(0, math.inf)):
+        for x in (np.array(ctx.I), np.stack([ctx.I, ctx.N])):
+            x[(0,) * x.ndim] = value
+            with pytest.raises(ValueError, match="not finite"):
+                function(ctx, x)
+
+
 def test_span_check_scales_with_the_argument():
     # the projection's rounding error grows with |X|: the arguments Pi v,
     # Pi 2v, Pi 3v, Pi 5v the Euler suite reaches at v = 1e5 lie up to ~2e-10
@@ -721,9 +734,10 @@ def test_context_lifts_its_cores_lazily_and_bit_for_bit():
     assert not {"I", "N", "A", "B", "Pi"} & set(vars(c))
     roots = vlogic.srn.sqrt_not(b)
     dense_i, dense_n = vlogic.operators.gate_operator(b, (ID, NOT)) @ np.eye(16, dtype=complex)
-    for m, expected in ((c.I, dense_i), (c.N, dense_n), (c.A, roots.A), (c.B, roots.B), (c.Pi, 1j * math.pi * roots.B)):
+    for m, expected in ((c.I, dense_i), (c.N, dense_n), (c.A, roots.A), (c.B, roots.B), (c.Pi, lift(b, c.Pi_core))):
         assert m.dtype == complex and m.tobytes() == expected.tobytes()
         assert not m.flags.writeable
+    assert max_norm(c.Pi - 1j * math.pi * roots.B) <= 1e-14 * max_norm(c.Pi)
     assert c.Pi is c.Pi  # kept after the first read
     # a wrong core is wrong in the dense field too
     assert max_norm(replace(c, Pi_core=2 * c.Pi_core).Pi - 2 * c.Pi) < 1e-15

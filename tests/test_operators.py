@@ -14,7 +14,6 @@ from vlogic import scalar_logic as sl
 from vlogic import Gate, gate_operator, max_norm, probe, random_basis
 from vlogic.errors import DimensionMismatch, VectorLogicError
 from vlogic.serialize import matrix_to_dict
-from vlogic.operators import _kron_power
 
 TOL = 1e-10
 
@@ -231,7 +230,7 @@ def test_gate_dense_matrix_is_outputs_times_kron_power(dim4):
     # np.asarray(gate) is the matrix the library has always serialized
     for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES):
         gate = gate_operator(dim4, table)
-        expected = gate.outputs @ _kron_power(dim4.duals, table.arity)
+        expected = gate.outputs @ functools.reduce(np.kron, [dim4.duals] * table.arity)
         np.testing.assert_array_equal(np.asarray(gate), expected)
         assert np.asarray(gate, dtype=complex).dtype == complex
 
@@ -339,6 +338,20 @@ def test_gate_on_product_rejects_wrong_factors(dim4):
         for factors in ((frame,), (frame, frame, frame), (frame, np.ones((5, 2))), (frame, np.ones(4))):
             with pytest.raises(DimensionMismatch):
                 gate.on_product(*factors)
+
+
+def test_gate_rejects_shapes_it_cannot_apply(dim4):
+    # three output columns are no 2^k, one column is arity 0, and the duals are 2 x Q
+    frame, duals = dim4.frame, dim4.duals
+    for outputs, d in (
+        (frame[:, [0, 1, 0]], duals),
+        (frame[:, [0]], duals),
+        (frame, np.vstack((duals, duals[:1]))),
+        (frame[0], duals),
+        (frame[:3], duals),
+    ):
+        with pytest.raises(DimensionMismatch, match=r"\(2, Q\)"):
+            Gate(outputs, d)
 
 
 def test_gate_derives_its_arity_from_its_outputs(ternary_tables):

@@ -1,5 +1,6 @@
 """The +/-1 arithmetic of the gates: tables vs closed forms vs identities."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +54,19 @@ def test_truth_value_validation():
         sl.TruthTable("BAD", (1, -1, 1))
     with pytest.raises(ValueError):
         sl.TruthTable("BAD", (1, 0))
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, np.True_, np.float64(-1.0)], ids=repr)
+def test_truth_values_are_the_integers_plus_and_minus_one(bad):
+    with pytest.raises(ValueError, match="integer"):
+        sl.TruthTable("x", (bad, sl.FALSE))
+    with pytest.raises(ValueError, match="integer"):
+        sl.evaluate(sl.AND, bad, sl.TRUE)
+
+
+def test_numpy_integers_are_truth_values():
+    t = sl.TruthTable("x", (np.int64(1), np.int8(-1)))
+    assert t.pattern == "TF" and sl.evaluate(sl.AND, np.int64(1), np.int32(-1)) == sl.FALSE
 
 
 @pytest.mark.parametrize("name", [name for name in sl.CLOSED_FORMS if name in sl.MONADIC_GATES])
