@@ -17,7 +17,10 @@ of two commits shows which families a change moves. The families:
 - bases: the frames and duals of canonical and random bases;
 - context: the dense I, N, A and B of contexts;
 - closed_forms and series: `logical_exp`, `C_of`, `S_of` and their
-  `*_series` oracles on lifts (`operators.lift`) of fixed cores.
+  `*_series` oracles on lifts (`operators.lift`) of fixed cores;
+- euler: the residuals and metadata of `verify_euler_suite` at the default
+  samples and at v = (0.1, 2.5) with k = (0, 4), and `scalar_exp_residual`,
+  on contexts.
 
 Uses only the standard library and numpy.
 """
@@ -105,6 +108,15 @@ def _functions(d: _Digest, functions) -> None:
                 d.add(f(ctx, x))
 
 
+def _euler(d: _Digest) -> None:
+    for b in _BASES:
+        ctx = matfun.make_context(b)
+        for v, ks in ((matfun.EULER_V_SAMPLES, matfun.EULER_KS), ((0.1, 2.5), (0, 4))):
+            report = matfun.verify_euler_suite(ctx, v, ks)
+            d.add([report.residuals, report.metadata])
+        d.add(matfun.scalar_exp_residual(ctx))
+
+
 def main() -> int:
     families = {
         "verify": _verify,
@@ -114,6 +126,7 @@ def main() -> int:
         "context": _context,
         "closed_forms": lambda d: _functions(d, (matfun.logical_exp, matfun.C_of, matfun.S_of)),
         "series": lambda d: _functions(d, (matfun.logical_exp_series, matfun.C_series, matfun.S_series)),
+        "euler": _euler,
     }
     out = {}
     for name, compute in families.items():

@@ -130,8 +130,10 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
 
     The references of each arity are at least 0.5 apart, so for tol <= 0.25
     a signature within tol of a reference classifies as that gate, never as
-    AMBIGUOUS.
+    AMBIGUOUS. Raises ValueError for a tol that is not finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     ((verdict, best, second_name, second),) = _nearest([sig.coefficients], arity, tol)
     return DiagnosisResult(verdict, sig, best, second_name, second)
 

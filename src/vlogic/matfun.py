@@ -24,8 +24,8 @@ lambda+ P+ + lambda- P- with P+- = (I2 +- J)/2 the spectral projectors of J.
 the paper's truncated series summed in 40-digit `decimal` on the same
 float eigenvalues, the platform-independent oracle, and refuse
 |lambda| > 50 (`SeriesNotConverged`). Each takes one Q x Q argument or a
-stack (..., Q, Q), finite (else ValueError), every slice in span{I, N}
-(else `NonCommuting`).
+stack (..., Q, Q), finite and with finite eigenvalues (else ValueError),
+every slice in span{I, N} (else `NonCommuting`).
 
 A context holds the 2 x 2 cores of I, N, A, B and Pi and lifts a dense
 Q x Q field only when it is read. `verify_euler_suite` and
@@ -41,7 +41,7 @@ import cmath
 import decimal
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import isfinite, pi
 
 import numpy as np
@@ -118,9 +118,9 @@ def _pairs(ctx: LogicAlgebraContext, x) -> np.ndarray:
     X is checked against the lift of its pairs, not of its raw core, which
     reproduces every X inside span{s, n}, s y^T too. Raises
     DimensionMismatch unless X is Q x Q or (..., Q, Q), ValueError if an
-    entry is not finite, and NonCommuting if any slice is further than
-    COMMUTATOR_TOL * max(1, max-norm of the slice) from span{I, N}: the
-    rounding error of the projection grows with |X|.
+    entry or an eigenvalue is not finite, and NonCommuting if any slice is
+    further than COMMUTATOR_TOL * max(1, max-norm of the slice) from
+    span{I, N}: the rounding error of the projection grows with |X|.
     """
     x = np.asarray(x, dtype=complex)
     q = ctx.basis.dim
@@ -128,8 +128,12 @@ def _pairs(ctx: LogicAlgebraContext, x) -> np.ndarray:
         raise DimensionMismatch(f"argument must be {q}x{q} or a stack (..., {q}, {q}), got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("argument has an entry that is not finite")
-    # O(Q^2) per slice with no Q x Q temporary
-    lam = _eigenpairs(ctx.basis.duals @ x @ ctx.basis.frame)
+    # O(Q^2) per slice with no Q x Q temporary; near the float limit the
+    # projection of a finite X can overflow, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = _eigenpairs(ctx.basis.duals @ x @ ctx.basis.frame)
+    if not np.isfinite(lam).all():
+        raise ValueError("argument has an eigenvalue that is not finite: its core Y^T X S overflows")
     resid = np.abs(x - _lift_eigen(ctx, lam)).max(axis=(-2, -1))
     if not np.all(resid <= COMMUTATOR_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))):
         raise NonCommuting(f"argument is not in span{{I, N}} (distance max-norm {resid.max():.3e})")
@@ -215,9 +219,9 @@ def _mul(z, w):
     return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
-def _check_modulus(*lams) -> None:
-    """Raise SeriesNotConverged if an eigenvalue (Decimal (re, im) pair) has |lambda| > _MAX_EIGENVALUE."""
-    modulus = max(abs(complex(float(re), float(im))) for re, im in lams)
+def _check_modulus(lam) -> None:
+    """Raise SeriesNotConverged if an eigenvalue among the complex floats lam has |lambda| > _MAX_EIGENVALUE."""
+    modulus = float(np.abs(lam).max(initial=0.0))
     if modulus > _MAX_EIGENVALUE:
         raise SeriesNotConverged(f"|lambda| = {modulus:.6g} > {_MAX_EIGENVALUE}: too large for 40 digits")
 
@@ -230,10 +234,8 @@ def _eigen_series(lam_p, lam_m, kind: str) -> tuple[complex, complex]:
     exponent of term j-1. C and S step by lambda^2 on lambda+ and by
     -lambda^2 on lambda- (N^m is 1 and (-1)^m there). The stop rule
     measures the 2x2 core term max(|t+ + t-|, |t+ - t-|) / 2 of each added
-    term after the zeroth. Raises SeriesNotConverged, before summing, if an
-    eigenvalue has |lambda| > _MAX_EIGENVALUE.
+    term after the zeroth. The caller has checked |lambda| <= _MAX_EIGENVALUE.
     """
-    _check_modulus(lam_p, lam_m)
     if kind == "exp":
         (pr, pi_), (mr, mi), exponent, stride = _ONE, _ONE, 0, 1
         (spr, spi), (smr, smi) = lam_p, lam_m
@@ -256,6 +258,7 @@ def _eigen_series(lam_p, lam_m, kind: str) -> tuple[complex, complex]:
 
 def _series(ctx: LogicAlgebraContext, x, kind: str) -> np.ndarray:
     lam = _pairs(ctx, x)  # each pair is replaced by its series values
+    _check_modulus(lam)
     with decimal.localcontext(_DIGITS):
         for i in np.ndindex(lam.shape[:-1]):
             lam[i] = _eigen_series(*map(_dec, lam[i]), kind)
@@ -282,7 +285,15 @@ def scalar_exp_series(x: complex) -> complex:
     the exp series on the core x*I2, whose two eigenvalues are both x."""
     with decimal.localcontext(_DIGITS):
         lam = _dec(x)
+        _check_modulus(x)
         return _eigen_series(lam, lam, "exp")[0]
+
+
+@cache
+def _scalar_exp_sums() -> np.ndarray:
+    """e^{i pi v} by `scalar_exp_series` for each v of EULER_V_SAMPLES: a
+    constant of the samples, never of a context, so it is summed once."""
+    return _readonly(np.array([scalar_exp_series(1j * pi * v) for v in EULER_V_SAMPLES]))
 
 
 @dataclass(frozen=True)
@@ -411,14 +422,11 @@ def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
     return tuple(out)
 
 
-def scalar_exp_residual(ctx: LogicAlgebraContext, v_samples, scalars) -> float:
-    """The largest residual of logical_exp(A Pi v) = scalar I over the pairs
-    (v, scalar) of v_samples and scalars, with the suite's bound and on the
-    eigenvalue pairs of the context's I, A and Pi: no Q x Q matrix. Samples
-    and scalars of unequal length raise ValueError; no samples give 0.0."""
-    v, scalars = np.array(v_samples, dtype=float), np.array(scalars, dtype=complex)
-    if len(v) != len(scalars):
-        raise ValueError(f"{len(v)} v samples but {len(scalars)} scalars: need one scalar per sample")
+def scalar_exp_residual(ctx: LogicAlgebraContext) -> float:
+    """The largest residual of logical_exp(A Pi v) = e^{i pi v} I over
+    EULER_V_SAMPLES, e^{i pi v} by the scalar series (`_scalar_exp_sums`),
+    with the suite's bound and on the eigenvalue pairs of the context's I, A
+    and Pi: no Q x Q matrix."""
     I, _, A, _, Pi = ctx._core_pairs
-    d = _exp_pair(A * Pi * v[:, None]) - scalars[:, None] * I
-    return float(_pair_residual(ctx._bound, d).max(initial=0.0))
+    d = _exp_pair(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - _scalar_exp_sums()[:, None] * I
+    return float(_pair_residual(ctx._bound, d).max())

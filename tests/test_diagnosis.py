@@ -95,6 +95,16 @@ def test_classify_unknown_signature():
     assert res.distance >= 0.05
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_classify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # at a NaN, zero or negative tol every signature would read UNKNOWN, at
+    # an infinite one AMBIGUOUS
+    sig = GateSignature(*MONADIC_LITERALS["CID"], residual=0.0)
+    for arity in (1, 2):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            classify(sig, arity, tol=tol)
+
+
 @pytest.mark.parametrize(
     "coefficients",
     [(np.nan,) * 4, (0.0, 1.0, 0.5, np.nan), (np.nan, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0)],

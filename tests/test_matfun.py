@@ -15,7 +15,6 @@ import pytest
 
 import vlogic.operators
 import vlogic.srn
-import vlogic.verify
 from vlogic import matfun
 from vlogic import (
     C_of,
@@ -107,6 +106,19 @@ def test_series_cap(ctx):
     # one slice beyond the bound refuses the whole stack
     with pytest.raises(SeriesNotConverged):
         C_series(ctx, np.stack([ctx.Pi * 0.5, ctx.Pi * 16]))
+
+
+def test_series_bound_is_checked_before_any_slice_is_summed(ctx, monkeypatch):
+    calls = []
+    summed = matfun._eigen_series
+    monkeypatch.setattr(matfun, "_eigen_series", lambda *args: calls.append(args) or summed(*args))
+    S_series(ctx, np.stack([ctx.Pi * 0.5, ctx.Pi * 0.25]))
+    assert len(calls) == 2
+    calls.clear()
+    # the last slice has |lambda| = 16 pi
+    with pytest.raises(SeriesNotConverged):
+        S_series(ctx, np.stack([ctx.Pi * 0.5, ctx.Pi * 0.25, ctx.Pi * 16]))
+    assert calls == []
 
 
 def test_series_converges_within_cap(ctx):
@@ -422,6 +434,16 @@ def test_rejects_arguments_of_the_wrong_shape_or_not_finite(ctx, function):
                 function(ctx, x)
 
 
+@pytest.mark.parametrize("function", [*CLOSED_FORMS.values(), *SERIES.values()])
+def test_rejects_a_finite_argument_whose_eigenvalues_overflow(ctx, function):
+    # every entry of the core Y^T X S is 1.7e308, so a + b overflows
+    x = lift(ctx.basis, np.full((2, 2), 1.7e308))
+    assert np.isfinite(x).all()
+    for arg in (x, np.stack([ctx.I, x])):
+        with pytest.raises(ValueError, match="eigenvalue that is not finite"):
+            function(ctx, arg)
+
+
 def test_span_check_scales_with_the_argument():
     # the projection's rounding error grows with |X|: the arguments Pi v,
     # Pi 2v, Pi 3v, Pi 5v the Euler suite reaches at v = 1e5 lie up to ~2e-10
@@ -565,7 +587,7 @@ def test_pair_checks_read_the_context():
 def test_scalar_oracle_sums_once_and_still_reads_the_context(monkeypatch):
     # the kept sums equal fresh ones bit for bit
     fresh = [scalar_exp_series(1j * math.pi * v) for v in EULER_V_SAMPLES]
-    kept = vlogic.verify._scalar_exp_sums()
+    kept = matfun._scalar_exp_sums()
     assert np.array(kept).view(np.uint64).tolist() == np.array(fresh).view(np.uint64).tolist()
 
     # once warm, no call sums a series, and a wrong context still fails
@@ -682,19 +704,6 @@ def test_library_suite_accepts_empty_samples():
     worst = report.metadata["worst_argument"]
     assert worst["g_great_euler"] == {"v": 1.0}
     assert all(worst[name] is None for name in worst if name != "g_great_euler")
-
-
-def test_scalar_exp_residual_checks_its_inputs():
-    # one scalar per sample: one or two scalars for six samples are an error,
-    # not a numpy broadcast
-    c = make_context(random_basis(4, 0.0, 1))
-    sums = [scalar_exp_series(1j * math.pi * v) for v in EULER_V_SAMPLES]
-    assert matfun.scalar_exp_residual(c, EULER_V_SAMPLES, sums) < RESIDUAL_TOL
-    for scalars in (sums[:1], sums[:2]):
-        with pytest.raises(ValueError, match="one scalar per sample"):
-            matfun.scalar_exp_residual(c, EULER_V_SAMPLES, scalars)
-    # no samples, like an identity with no sample in the suite
-    assert matfun.scalar_exp_residual(c, [], []) == 0.0
 
 
 def test_context_computes_its_pairs_and_bound_once(monkeypatch):
