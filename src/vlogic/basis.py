@@ -13,6 +13,12 @@ Every gate, root of NOT and series value is a small core carried by the
 frame S = [s n] (Q x 2) and its duals Y^T = [y z]^T (2 x Q), Y^T S = I2.
 A basis stores both, read-only, and its overlap; dim, s, n, y and z are
 derived from them, s, n, y and z as views of their columns and rows.
+
+A stack of B bases of one dim, built by `make_basis` from s and n of shape
+(B, Q), has the same fields with a leading basis axis: frame (B, Q, 2),
+duals (B, 2, Q) and B overlaps. The frame layer (`operators.gate_operator`,
+`Gate.on_product`, the roots of NOT and the per-basis checks of `verify`)
+takes a stack wherever it takes a basis, and gives one result per member.
 """
 
 from __future__ import annotations
@@ -43,39 +49,56 @@ def _readonly(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _named(names, residuals: np.ndarray) -> dict[str, float] | list[dict[str, float]]:
+    """{name: residual} from the residuals (n,) of one basis, or one such
+    dict per member from the residuals (B, n) of a stack."""
+    rows = residuals.tolist()
+    return dict(zip(names, rows)) if residuals.ndim == 1 else [dict(zip(names, row)) for row in rows]
+
+
 @dataclass(frozen=True)
 class TruthBasis:
-    """Built by `make_basis`; s, n, y and z are read-only views."""
+    """Built by `make_basis`; s, n, y and z are read-only views. A stack
+    has a leading basis axis on each field and a list of overlaps."""
 
     frame: np.ndarray  # [s n], Q x 2
     duals: np.ndarray  # [y z]^T, 2 x Q
     epsilon: float  # <s, n>
 
-    dim = property(lambda b: b.frame.shape[0])
-    s = property(lambda b: b.frame[:, 0])
-    n = property(lambda b: b.frame[:, 1])
-    y = property(lambda b: b.duals[0])
-    z = property(lambda b: b.duals[1])
+    dim = property(lambda b: b.frame.shape[-2])
+    s = property(lambda b: b.frame[..., 0])
+    n = property(lambda b: b.frame[..., 1])
+    y = property(lambda b: b.duals[..., 0, :])
+    z = property(lambda b: b.duals[..., 1, :])
 
 
 def make_basis(s, n) -> TruthBasis:
-    """Build a TruthBasis from unit vectors s, n, computing the duals."""
-    s = np.asarray(s, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if s.ndim != 1 or n.ndim != 1 or s.shape != n.shape:
-        raise DimensionMismatch(f"s and n must be equal-length vectors, got shapes {s.shape} and {n.shape}")
-    if s.size < 2:
+    """Build a TruthBasis from unit vectors s, n, computing the duals; s and
+    n of shape (B, Q) build a stack of B bases, each checked alike."""
+    try:
+        s = np.asarray(s, dtype=float)
+        n = np.asarray(n, dtype=float)
+    except ValueError as exc:  # a ragged stack among them
+        raise DimensionMismatch(f"s and n must be real vectors or stacks (B, Q) of them: {exc}") from None
+    if s.ndim not in (1, 2) or s.shape != n.shape or s.size == 0 and s.ndim == 2:
+        raise DimensionMismatch(f"s and n must be equal-length vectors or non-empty stacks (B, Q) of them, "
+                                f"got shapes {s.shape} and {n.shape}")
+    if s.shape[-1] < 2:
         raise QTooSmall("truth vectors need dimension >= 2")
-    for name, v in (("s", s), ("n", n)):
-        norm = math.sqrt(v @ v)  # np.linalg.norm's value for a real vector
+    x = np.concatenate((s, n), axis=-1).reshape(*s.shape[:-1], 2, -1)  # rows s and n; a copy of the caller's
+    # one product per vector and per overlap, the values v @ v and s @ n have
+    for i, square in enumerate((x[..., None, :] @ x[..., :, None]).ravel().tolist()):
+        norm = math.sqrt(square)  # np.linalg.norm's value for a real vector
         if not abs(norm - 1.0) <= DEFAULT_TOL:
-            raise NotUnitNorm(f"|{name}| = {norm!r}; pre-normalize to unit length")
-    eps = float(s @ n)
-    if abs(eps) > DEPENDENCE_THRESHOLD:
-        raise NearlyDependent(f"|<s,n>| = {abs(eps)} too close to 1")
-    frame = np.column_stack((s, n))  # a copy: the caller's later writes never reach the basis
-    duals = np.array((s - eps * n, n - eps * s)) / (1.0 - eps * eps)  # y and z as in the module docstring
-    return TruthBasis(_readonly(frame), _readonly(duals), eps)
+            raise NotUnitNorm(f"|{'sn'[i % 2]}| = {norm!r}; pre-normalize to unit length")
+    eps = s[..., None, :] @ n[..., :, None]
+    overlaps = eps.ravel().tolist()
+    for overlap in overlaps:
+        if abs(overlap) > DEPENDENCE_THRESHOLD:
+            raise NearlyDependent(f"|<s,n>| = {abs(overlap)} too close to 1")
+    frame = x.swapaxes(-1, -2).copy()
+    duals = (x - eps * x[..., ::-1, :]) / (1.0 - eps * eps)  # y and z as in the module docstring
+    return TruthBasis(_readonly(frame), _readonly(duals), overlaps[0] if s.ndim == 1 else overlaps)
 
 
 _CANONICAL = {
@@ -101,6 +124,11 @@ def random_basis(dim: int, epsilon: float = 0.0, seed: int = 0) -> TruthBasis:
     Gram-Schmidt on standard-normal vectors, then n is tilted toward s to
     realize the requested overlap.
     """
+    return make_basis(*_random_vectors(dim, epsilon, seed))
+
+
+def _random_vectors(dim: int, epsilon: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit vectors s and n of `random_basis`, not yet a basis."""
     if dim < 2:
         raise QTooSmall(f"dim must be >= 2, got {dim}")
     if not abs(epsilon) < 1.0:
@@ -119,4 +147,4 @@ def random_basis(dim: int, epsilon: float = 0.0, seed: int = 0) -> TruthBasis:
             continue
         perp /= norm
         n = epsilon * s + math.sqrt(1.0 - epsilon * epsilon) * perp
-        return make_basis(s, n)
+        return s, n

@@ -161,20 +161,28 @@ def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str
     return out
 
 
-def _enumerate(basis: TruthBasis, tables: Sequence[TruthTable]) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
-    """`enumerate_signatures` on arrays and with no per-gate object: the
-    (G, 4) signature coefficients and (G,) residuals of the tables, in
-    order, and their collision classes."""
+def _probe_outputs(basis: TruthBasis, tables: Sequence[TruthTable]) -> np.ndarray:
+    """The complex outputs (G, Q) of the tables' gates, one stack of one
+    arity, on the probe input, applied through its factors As."""
     gate = gate_operator(basis, tables)
     a_s = _root_of_true(basis)[:, None]
-    c, residuals = _coefficients(gate.on_product(*[a_s] * gate.arity)[..., 0], basis)
-    coefficients = np.concatenate((c.real, c.imag), axis=1)
-    # one rounding of every signature's coefficients for the collision keys
+    return gate.on_product(*[a_s] * gate.arity)[..., 0]
+
+
+def _signature_coefficients(basis: TruthBasis, tables: Sequence[TruthTable]) -> np.ndarray:
+    """The (G, 4) signature coefficients of the tables, in order: what
+    `enumerate_signatures` reads, without the residuals."""
+    c = _probe_outputs(basis, tables) @ basis.duals.T
+    return np.concatenate((c.real, c.imag), axis=1)
+
+
+def _collision_classes(tables: Sequence[TruthTable], coefficients: np.ndarray) -> list[list[str]]:
+    """The names of the tables grouped by their signature coefficients (G, 4),
+    rounded once for the keys, largest class first."""
     groups: dict[tuple, list[str]] = {}
     for table, key in zip(tables, np.round(coefficients, 9).tolist()):
         groups.setdefault(tuple(key), []).append(table.name)
-    classes = sorted(groups.values(), key=lambda names: (-len(names), names))
-    return coefficients, residuals, classes
+    return sorted(groups.values(), key=lambda names: (-len(names), names))
 
 
 def enumerate_signatures(
@@ -194,11 +202,12 @@ def enumerate_signatures(
     tables = list(tables)
     if not tables:
         return {}, []
-    coefficients, residuals, classes = _enumerate(basis, tables)
+    c, residuals = _coefficients(_probe_outputs(basis, tables), basis)
+    coefficients = np.concatenate((c.real, c.imag), axis=1)
     signatures = {
         t.name: GateSignature(*c, residual=r) for t, c, r in zip(tables, coefficients.tolist(), residuals.tolist())
     }
-    return signatures, classes
+    return signatures, _collision_classes(tables, coefficients)
 
 
 # Fixed-arity names, kept for callers written against them.

@@ -11,7 +11,10 @@ it without forming the matrix. Given a sequence of G tables of one arity it
 returns them as one stacked `Gate` of shape (G, Q, Q^k), the (..., Q, Q)
 stack idiom of `matfun`, so one `@` applies every gate of the stack.
 `gate.on_product(f_1, ..., f_k)` applies a gate or a stack to a Kronecker
-product of Q-row factors without forming it.
+product of Q-row factors without forming it. Over a stack of B bases
+(`basis.make_basis`) a gate has a leading basis axis, outputs (B, Q, 2^k)
+or (B, G, Q, 2^k) and duals (B, 2, Q); `on_product` applies each member's
+gates to its own factors (B, Q, m) or to shared ones (Q, m).
 
 The logical identity I and negation N are the monadic gates ID and NOT,
 sy^T + nz^T and ny^T + sz^T over any basis, orthonormal or not. The
@@ -39,21 +42,32 @@ def lift(basis: TruthBasis, core) -> np.ndarray:
     return basis.frame @ core @ basis.duals
 
 
+def _apply(op, x: np.ndarray) -> np.ndarray:
+    """op x for Q-row blocks x (..., Q, m): a monadic Gate, over one basis or
+    a stack, as outputs (duals x), the rule of `@` and `on_product`;
+    anything else, such as a dense (..., Q, Q) matrix, by @."""
+    return op.outputs @ (op.duals @ x) if isinstance(op, Gate) else op @ x
+
+
 def _kron(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x (x) m by broadcasting: row i*p + j, column a*q + b is x[i, a] m[j, b]."""
-    return (x[:, None, :, None] * m[None, :, None, :]).reshape(x.shape[0] * m.shape[0], -1)
+    """x (x) m by broadcasting: row i*p + j, column a*q + b is x[..., i, a] m[..., j, b],
+    for each member of any leading axes, such as a basis stack's."""
+    return (x[..., None, :, None] * m[..., None, :, None, :]).reshape(x.shape[:-2] + (x.shape[-2] * m.shape[-2], -1))
 
 
 class Gate:
     """A k-ary gate held matrix-free: its Q x 2^k output columns of the frame
     and the 2 x Q duals, standing for the Q x Q^k matrix outputs
     ([y z]^T)^{(x)k}. A stack of G gates has outputs (G, Q, 2^k) and shape
-    (G, Q, Q^k). Any other shapes raise DimensionMismatch.
+    (G, Q, Q^k). Over a stack of B bases the duals are (B, 2, Q) and the
+    outputs and shape gain the same leading axis B. Any other shapes raise
+    DimensionMismatch.
 
     `gate @ v` takes v of shape (Q^k,) or (Q^k, m), real or complex, and
     contracts the duals with each Kronecker factor of v in turn (mixed-product
     rule, Van Loan 2000): O(Q^k m) time and no array larger than v. A stack
-    applies all its gates to the same v, giving (G, Q) or (G, Q, m).
+    applies all its gates to the same v, giving (G, Q) or (G, Q, m). `@`
+    takes the gates of one basis; a basis stack's go through `on_product`.
     `gate @ gate`, `m @ gate` and numpy ufunc arithmetic on a gate raise
     TypeError rather than densifying it unasked. `np.asarray(gate)` builds the
     dense matrix as gate.on_product(I_Q, ..., I_Q), and so does any numpy
@@ -62,18 +76,22 @@ class Gate:
     `gate.on_product(f_1, ..., f_k)` is gate @ (f_1 (x) ... (x) f_k) for k
     factors of shape (Q, m_i): outputs ((duals f_1) (x) ... (x) (duals f_k))
     by the same rule, of shape (..., Q, prod m_i). It costs O(Q 2^k prod m_i)
-    per gate and never forms an input of Q^k rows.
+    per gate and never forms an input of Q^k rows. Over a basis stack a
+    factor is (B, Q, m_i), one block per member, or (Q, m_i) for all.
     """
 
     __array_ufunc__ = None
 
     def __init__(self, outputs: np.ndarray, duals: np.ndarray):
-        k = outputs.shape[-1].bit_length() - 1 if outputs.ndim >= 2 else 0  # 2^k output columns
-        if not (k >= 1 and outputs.shape[-1] == 2**k and duals.shape == (2, outputs.shape[-2])):
-            raise DimensionMismatch(f"a gate takes outputs (..., Q, 2^k), k >= 1, and duals (2, Q), got "
-                                    f"{outputs.shape} and {duals.shape}")
+        k = outputs.shape[-1].bit_length() - 1 if outputs.ndim >= duals.ndim else 0  # 2^k output columns
+        if not (
+            k >= 1 and outputs.shape[-1] == 2**k and duals.ndim in (2, 3)
+            and duals.shape[-2:] == (2, outputs.shape[-2]) and outputs.shape[:duals.ndim - 2] == duals.shape[:-2]
+        ):
+            raise DimensionMismatch(f"a gate takes outputs (..., Q, 2^k), k >= 1, and duals (2, Q), or over B "
+                                    f"bases (B, ..., Q, 2^k) and (B, 2, Q), got {outputs.shape} and {duals.shape}")
         self.outputs, self.duals, self.arity = outputs, duals, k
-        self.shape = (*outputs.shape[:-1], duals.shape[1] ** self.arity)
+        self.shape = (*outputs.shape[:-1], duals.shape[-1] ** self.arity)
 
     def __matmul__(self, v):
         if isinstance(v, Gate):
@@ -93,31 +111,37 @@ class Gate:
     def on_product(self, *factors) -> np.ndarray:
         if len(factors) != self.arity:
             raise DimensionMismatch(f"an arity-{self.arity} gate takes {self.arity} factors, got {len(factors)}")
-        q = self.duals.shape[1]
+        q, bases = self.duals.shape[-1], self.duals.shape[:-2]
         coefficients = []
         for f in map(np.asarray, factors):
-            if f.ndim != 2 or f.shape[0] != q:
-                raise DimensionMismatch(f"each factor must have shape ({q}, m), got {f.shape}")
+            if f.shape[-2:-1] != (q,) or f.shape[:-2] not in ((), bases):
+                stacked = f" or ({bases[0]}, {q}, m)" if bases else ""
+                raise DimensionMismatch(f"each factor must have shape ({q}, m){stacked}, got {f.shape}")
             coefficients.append(self.duals @ f)
-        return self.outputs @ functools.reduce(_kron, coefficients)
+        product = functools.reduce(_kron, coefficients)
+        # one product per basis, shared by the basis's stack of gates; the
+        # result is laid out in its own index order, whatever the outputs'
+        product = product.reshape(bases + (1,) * (self.outputs.ndim - self.duals.ndim) + product.shape[-2:])
+        return np.matmul(self.outputs, product, order="C")
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a Gate stores no dense matrix to share")
         # numpy casts the result to a requested dtype itself
-        return self.on_product(*[np.eye(self.duals.shape[1])] * self.arity)
+        return self.on_product(*[np.eye(self.duals.shape[-1])] * self.arity)
 
 
 def gate_operator(basis: TruthBasis, tables: TruthTable | Iterable[TruthTable]) -> Gate:
     """The k-ary gate of a truth table: the frame column of each output.
 
     A sequence of tables of one arity gives their gates as one stack, in
-    order; an empty sequence or mixed arities raise ValueError.
+    order; an empty sequence or mixed arities raise ValueError. A basis
+    stack gives each member's gates along a leading basis axis.
     """
     if isinstance(tables, TruthTable):
-        return Gate(basis.frame[:, _frame_columns((tables.outputs,))[0]], basis.duals)
-    # (Q, G, 2^k) -> (G, Q, 2^k)
-    return Gate(basis.frame[:, _frame_columns(tuple(t.outputs for t in tables))].swapaxes(0, 1), basis.duals)
+        return Gate(basis.frame[..., _frame_columns((tables.outputs,))[0]], basis.duals)
+    # (..., Q, G, 2^k) -> (..., G, Q, 2^k)
+    return Gate(basis.frame[..., _frame_columns(tuple(t.outputs for t in tables))].swapaxes(-3, -2), basis.duals)
 
 
 @functools.lru_cache(maxsize=64)

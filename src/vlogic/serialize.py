@@ -79,6 +79,8 @@ def basis_from_dict(d: dict) -> TruthBasis:
         s, n = _numbers(d["s"]), _numbers(d["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise VectorLogicError(f"bad basis JSON: {exc}") from exc
+    if s.ndim != 1 or n.ndim != 1:  # a file holds one basis, never a stack
+        raise VectorLogicError(f"bad basis JSON: s and n must be vectors, got shapes {s.shape} and {n.shape}")
     return make_basis(s, n)
 
 

@@ -13,7 +13,9 @@ Over the frame S = [s n] each root is S core Y^T with the 2 x 2 core
 alpha*I2 + beta*J (A) or beta*I2 + alpha*J (B), J the swap: `A_CORE` and
 `B_CORE`. `factored_roots` keeps each root as the monadic `Gate` with
 outputs S core, so A @ v costs O(Q m) for a Q x m block; `sqrt_not` lifts
-the dense Q x Q matrices (S core) Y^T.
+the dense Q x Q matrices (S core) Y^T. `factored_roots` and
+`identity_report` take a stack of bases too (`basis.make_basis`), and the
+report then has one dict per member.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruthBasis, _readonly
-from .operators import Gate, gate_operator, lift
+from .basis import TruthBasis, _named, _readonly
+from .operators import Gate, _apply, gate_operator, lift
 from .scalar_logic import NOT
 
 
@@ -66,15 +68,16 @@ def sqrt_not(basis: TruthBasis) -> SrnPair:
 
 def factored_roots(basis: TruthBasis) -> SrnPair:
     """The two roots as monadic Gates with outputs S core (A s and A n, B s
-    and B n): no Q x Q matrix."""
+    and B n): no Q x Q matrix. A basis stack gives each member's roots."""
     return SrnPair(A=Gate(basis.frame @ A_CORE, basis.duals), B=Gate(basis.frame @ B_CORE, basis.duals))
 
 
 _IDENTITIES = ("A2_minus_N", "B2_minus_N", "AB_minus_I", "BA_minus_I", "A_minus_conj_B", "B_minus_NA", "A_minus_NB")
 
 
-def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:
-    """Named residuals of the defining SRN identities for this basis.
+def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float] | list[dict[str, float]]:
+    """Named residuals of the defining SRN identities for this basis, or for
+    each member of a basis stack and its roots.
 
     The roots may be dense or factored, but each must be S core Y^T with
     S = [s n] and Y^T S = I2, as from `sqrt_not`, `factored_roots` or a lift
@@ -87,13 +90,14 @@ def identity_report(pair: SrnPair, basis: TruthBasis) -> dict[str, float]:
     Q x 2 differences reads all seven; factored roots make every product O(Q).
     """
     frame = basis.frame
-    roots_s = np.concatenate((pair.A @ frame, pair.B @ frame), axis=1)
-    a_s, b_s = roots_s[:, :2], roots_s[:, 2:]
-    a_roots, b_roots = pair.A @ roots_s, pair.B @ roots_s  # [A A S, A B S], [B A S, B B S]
-    negated = gate_operator(basis, NOT) @ np.concatenate((frame, roots_s), axis=1)
-    n_s, n_a_s, n_b_s = negated[:, :2], negated[:, 2:4], negated[:, 4:]
+    roots_s = np.concatenate((_apply(pair.A, frame), _apply(pair.B, frame)), axis=-1)
+    a_s, b_s = roots_s[..., :2], roots_s[..., 2:]
+    a_roots, b_roots = _apply(pair.A, roots_s), _apply(pair.B, roots_s)  # [A A S, A B S], [B A S, B B S]
+    negated = _apply(gate_operator(basis, NOT), np.concatenate((frame, roots_s), axis=-1))
+    n_s, n_a_s, n_b_s = negated[..., :2], negated[..., 2:4], negated[..., 4:]
     differences = np.array((
-        a_roots[:, :2] - n_s, b_roots[:, 2:] - n_s, a_roots[:, 2:] - frame, b_roots[:, :2] - frame,
+        a_roots[..., :2] - n_s, b_roots[..., 2:] - n_s, a_roots[..., 2:] - frame, b_roots[..., :2] - frame,
         a_s - np.conj(b_s), b_s - n_a_s, a_s - n_b_s,
     ))
-    return dict(zip(_IDENTITIES, np.abs(differences).max(axis=(1, 2)).tolist()))
+    # (7, ..., Q, 2) -> (..., 7)
+    return _named(_IDENTITIES, np.abs(differences).max(axis=(-2, -1)).T)

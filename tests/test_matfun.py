@@ -2,7 +2,9 @@
 
 import decimal
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -798,3 +800,82 @@ def test_scaling_the_kept_residual_by_k_equals_scaling_inline(k):
     rng = np.random.default_rng(int(k * 4))
     d = (rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))) * 10.0 ** rng.integers(-17, 2, size=(500, 1))
     assert k * float(matfun._pair_residual(1.0, d).max()) == float(matfun._pair_residual(k, d).max())
+
+
+def test_closed_forms_raise_where_the_result_overflows():
+    # e^1000 overflows, and cosh(1e307) and sinh(1e307): each was an all-NaN
+    # matrix after RuntimeWarnings (inf - inf in the lift), which pytest here
+    # turns into errors; on a near-dependent basis the lift of the finite
+    # e^709 overflows too
+    ctx = make_context(canonical_basis("DIM4"))
+    oblique = make_context(random_basis(4, 0.9, 1))
+    huge = lift(oblique.basis, 1e307 * np.eye(2))
+    near = make_context(random_basis(4, 0.9999, 1))
+    for function, c, x in (
+        (logical_exp, ctx, 1000 * ctx.I),
+        (C_of, oblique, huge),
+        (S_of, oblique, huge),
+        (logical_exp, near, 709 * near.I),
+    ):
+        for arg in (x, np.stack([c.I, x])):
+            with pytest.raises(ValueError, match="result is not finite"):
+                function(c, arg)
+    # just inside the range of float64 nothing changes
+    assert np.isfinite(logical_exp(ctx, 709 * ctx.I)).all()
+
+
+def test_context_pairs_of_the_module_cores_are_computed_once():
+    # every make_context passes the module's read-only cores; another core
+    # still gets its own pairs
+    a, b = make_context(random_basis(4, 0.0, 1)), make_context(random_basis(16, 0.35, 2))
+    assert a._core_pairs is b._core_pairs
+    assert not a._core_pairs.flags.writeable
+    wrong = replace(a, I_core=1.001 * a.I_core)
+    assert wrong._core_pairs is not a._core_pairs
+    assert wrong._core_pairs[0].tolist() == [1.001 + 0j, 1.001 + 0j]
+    assert wrong._core_pairs[1:].tobytes() == a._core_pairs[1:].tobytes()
+
+
+def test_scalar_oracle_pair_arithmetic_is_done_once_per_process(monkeypatch):
+    # as for the Euler suite: a warm oracle on another basis reads the kept
+    # residual times its K, bit for bit the unfolded K max(...)
+    scalar_oracle_residual(make_context(random_basis(4, 0.0, 1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair arithmetic done again")
+
+    for q, eps in ((2, 0.0), (32, 0.35), (64, -0.9)):
+        c = make_context(random_basis(q, eps, 5))
+        I, _, A, _, Pi = c._core_pairs
+        d = matfun._exp_pair(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - matfun._scalar_exp_sums()[:, None] * I
+        unfolded = float(matfun._pair_residual(c._bound, d).max())
+        with monkeypatch.context() as m:
+            m.setattr(matfun, "_exp_pair", refuse)
+            assert matfun.scalar_exp_residual(c) == unfolded
+
+
+def test_euler_suite_walks_its_arguments_only_to_name_a_failure(monkeypatch):
+    calls = []
+    arguments = matfun._arguments
+    monkeypatch.setattr(matfun, "_arguments", lambda *a: calls.append(a) or arguments(*a))
+    c = make_context(random_basis(8, 0.35, 1))
+    for _ in range(3):
+        assert verify_euler_suite(c, EULER_V_SAMPLES, ks=EULER_KS).passed
+    assert len(calls) <= 1  # at most the first call of these samples computes their largest |w|
+    calls.clear()
+    with pytest.raises(ValueError, match=re.escape("Pi*v at v = 1e+100 is too large")):
+        verify_euler_suite(c, [0.5, 1e100])
+    assert [list(v) for v, _ in calls][-1] == [0.5, 1e100]
+
+
+def test_per_process_constants_are_not_computed_at_import():
+    # the caches fill on first use, so importing the CLI costs no more
+    code = (
+        "import vlogic.cli, vlogic.matfun as m; "
+        "print([f.cache_info().currsize for f in (m._module_pairs, m._scalar_exp_pair_residual, "
+        "m._largest_argument, m._euler_pair_residuals, m._scalar_exp_sums)])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(matfun.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0]"
