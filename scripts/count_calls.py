@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
-"""Count what one `run_full_verification` costs, by counters that the
-host's speed does not move.
+"""Count what one `run_full_verification` and one diagnosis cost, by
+counters that the host's speed does not move.
 
 Usage: PYTHONPATH=src python scripts/count_calls.py [Q ...]
 
-Q defaults to 4 16 32, the dims of the benchmark's `verify` workload. For
-each Q it makes one warm-up run, which fills the per-process caches, and
-then one run per counter, all with seed 1. It prints one JSON object per
-line, {"dim": Q, "calls": ..., "peak_bytes": ..., "allocated_bytes": ...}:
+Two operations are counted at each Q, all with seed 1:
+
+- verify: `run_full_verification(Q)`, at Q = 4 16 32 by default, the dims
+  of the benchmark's `verify` workload;
+- diagnose: `classify(probe(gate_operator(b, t), b, k), k)` on
+  `random_basis(Q)` for the monadic NOT and the dyadic AND, at Q = 8 32
+  64 by default, the dims of the benchmark's `diagnose` workload.
+
+Given Qs replace both defaults. Each operation makes one warm-up run,
+which fills the per-process caches, and then one run per counter. It
+prints one JSON object per line, {"op": ..., "dim": Q, "gate": ...,
+"calls": ..., "peak_bytes": ..., "allocated_bytes": ...} ("gate" only for
+diagnose):
 
 - calls: cProfile's total, every call of a Python or built-in function;
 - peak_bytes: the tracemalloc peak, above the traced memory at the start;
@@ -29,29 +38,46 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from vlogic import AND, NOT, classify, gate_operator, probe, random_basis  # noqa: E402
 from vlogic.verify import run_full_verification  # noqa: E402
 
-DIMS = (4, 16, 32)
+VERIFY_DIMS = (4, 16, 32)
+DIAGNOSE_DIMS = (8, 32, 64)
 SEED = 1
 
 
-def calls(dim: int) -> int:
+def diagnose(b, table):
+    return classify(probe(gate_operator(b, table), b, table.arity), table.arity)
+
+
+def operations(verify_dims, diagnose_dims):
+    """(label, function, args) of each counted operation. The args are
+    positional, so that calling the function allocates nothing more."""
+    for dim in verify_dims:
+        yield {"op": "verify", "dim": dim}, run_full_verification, (dim, SEED)
+    for dim in diagnose_dims:
+        b = random_basis(dim, 0.0, SEED)
+        for table in (NOT, AND):
+            yield {"op": "diagnose", "dim": dim, "gate": table.name}, diagnose, (b, table)
+
+
+def calls(fn, args) -> int:
     profile = cProfile.Profile()
-    profile.runcall(run_full_verification, dim=dim, seed=SEED)
+    profile.runcall(fn, *args)
     return pstats.Stats(profile).total_calls
 
 
-def peak_bytes(dim: int) -> int:
+def peak_bytes(fn, args) -> int:
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        run_full_verification(dim=dim, seed=SEED)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
 
 
-def allocated_bytes(dim: int) -> int:
+def allocated_bytes(fn, args) -> int:
     rises = [0, 0]  # total, traced memory at the last event
 
     def on_event(frame, event, arg):
@@ -65,7 +91,7 @@ def allocated_bytes(dim: int) -> int:
         rises[1] = tracemalloc.get_traced_memory()[0]
         sys.setprofile(on_event)
         try:
-            run_full_verification(dim=dim, seed=SEED)
+            fn(*args)
         finally:
             sys.setprofile(None)
         return rises[0]
@@ -75,14 +101,14 @@ def allocated_bytes(dim: int) -> int:
 
 def main(argv: list[str]) -> int:
     try:
-        dims = [int(a) for a in argv] or list(DIMS)
+        dims = [int(a) for a in argv]
     except ValueError:
         print(f"count_calls.py: each Q must be a whole number, got {argv}", file=sys.stderr)
         return 1
-    for dim in dims:
-        run_full_verification(dim=dim, seed=SEED)
-        print(json.dumps({"dim": dim, "calls": calls(dim), "peak_bytes": peak_bytes(dim),
-                          "allocated_bytes": allocated_bytes(dim)}))
+    for label, fn, args in operations(dims or VERIFY_DIMS, dims or DIAGNOSE_DIMS):
+        fn(*args)
+        print(json.dumps({**label, "calls": calls(fn, args), "peak_bytes": peak_bytes(fn, args),
+                          "allocated_bytes": allocated_bytes(fn, args)}))
     return 0
 
 

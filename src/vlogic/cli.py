@@ -98,8 +98,8 @@ def cmd_sqrt_not(args) -> int:
 def cmd_diagnose(args) -> int:
     b = _load_basis(args.basis)
     oracle = matrix_from_dict(load_json(args.oracle))
-    # without --arity, the k of a Q x Q^k oracle; probe rejects any other shape
-    arity = args.arity or next(k for k in count(1) if b.dim**k >= oracle.shape[1])
+    # the k of a Q x Q^k oracle; probe rejects any other shape
+    arity = next(k for k in count(1) if b.dim**k >= oracle.shape[1])
     sig = diagnosis.probe(oracle, b, arity)
     result = diagnosis.classify(sig, arity, tol=args.tol)
     payload = {
@@ -160,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="identify a hidden gate from one probe")
     p.add_argument("--oracle", required=True)
     p.add_argument("--basis", required=True)
-    p.add_argument("--arity", type=int, choices=[1, 2])
     common(p, diagnosis.DEFAULT_CLASSIFY_TOL)
     p.set_defaults(func=cmd_diagnose)
 

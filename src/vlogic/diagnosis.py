@@ -87,10 +87,12 @@ def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     The oracle is anything with .shape and @ (a matrix-free Gate, a dense
     array); anything else goes through np.asarray. A stack of gates is no
     oracle: `enumerate_signatures` probes stacks. An arity below 1 raises
-    UnsupportedArity.
+    UnsupportedArity, and a basis stack DimensionMismatch.
     """
     if arity < 1:
         raise UnsupportedArity(f"a probed gate has arity at least 1, got {arity}")
+    if basis.frame.ndim != 2:
+        raise DimensionMismatch(f"probe takes one basis, not a stack of frames {basis.frame.shape}: probe each")
     if not (hasattr(oracle, "shape") and hasattr(oracle, "__matmul__")):
         oracle = np.asarray(oracle)
     shape = (basis.dim, basis.dim**arity)

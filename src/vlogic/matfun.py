@@ -28,19 +28,18 @@ stack (..., Q, Q), finite and with finite eigenvalues (else ValueError),
 every slice in span{I, N} (else `NonCommuting`). The closed forms also
 raise ValueError where the result overflows, as e^1000 does.
 
-A context holds the 2 x 2 cores of I, N, A, B and Pi and lifts a dense
-Q x Q field only when it is read. `verify_euler_suite` and
-`scalar_exp_residual` check on the cores' eigenvalue pairs and build no
-Q x Q matrix. For a residual core a I2 + b J they report
-K max(|a|, |b|), K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|), never
-below the max-norm of the lifted residual a I + b N.
+A context holds its basis and one read-only array of the eigenvalue pairs
+of I, N, A, B and Pi, computed at import, and lifts a dense Q x Q field
+only when it is read. `verify_euler_suite` and `scalar_exp_residual` check
+on the pairs and build no Q x Q matrix. For a residual core a I2 + b J
+they report K max(|a|, |b|), K = max_i (|s_i| + |n_i|) max_j (|y_j| + |z_j|),
+never below the max-norm of the lifted residual a I + b N.
 """
 
 from __future__ import annotations
 
 import cmath
 import decimal
-import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cache, cached_property, lru_cache
@@ -62,59 +61,51 @@ EULER_KS = (2, 3, 5)
 IDENTITY_TOL = 1e-8
 
 
-def _lifted(core: str) -> cached_property:
-    """The dense, read-only Q x Q lift of the named core, built on first read and kept."""
-    return cached_property(lambda ctx: _readonly(lift(ctx.basis, getattr(ctx, core))))
-
-
-@dataclass(frozen=True)
-class LogicAlgebraContext:
-    """A basis with the 2 x 2 cores over its frame of the logical I, N, the
-    two SRNs A and B, and Pi: each matrix is [s n] core [y z]^T.
-
-    .I, .N, .A, .B and .Pi are the dense, read-only Q x Q lifts, built on
-    first read and kept; the Euler suite and the scalar oracle read only the
-    cores' eigenvalue pairs and the bound K, each also computed once. A
-    context with a wrong core is wrong in all of them.
-    """
-
-    basis: TruthBasis
-    I_core: np.ndarray
-    N_core: np.ndarray
-    A_core: np.ndarray
-    B_core: np.ndarray
-    Pi_core: np.ndarray  # B_core * i * pi, the core of the matrix stand-in for pi
-
-    I = _lifted("I_core")
-    N = _lifted("N_core")
-    A = _lifted("A_core")
-    B = _lifted("B_core")
-    Pi = _lifted("Pi_core")
-    _core_pairs = cached_property(lambda ctx: _context_pairs(ctx))
-    _bound = cached_property(lambda ctx: _lift_bound(ctx.basis))
-
-
-# The cores of I and N, the gates ID and NOT: I2 and the swap J, whose
-# columns are the frame columns of the outputs (t, f) and (f, t).
-_I_CORE = _readonly(np.array([[1, 0], [0, 1]], dtype=complex))
-_N_CORE = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
-_PI_CORE = _readonly(1j * pi * B_CORE)
-
-
-_CORES = (_I_CORE, _N_CORE, A_CORE, B_CORE, _PI_CORE)
-
-
-def make_context(basis: TruthBasis) -> LogicAlgebraContext:
-    """The context of a basis: its cores are the same for every basis."""
-    return LogicAlgebraContext(basis, *_CORES)
-
-
 def _eigenpairs(core: np.ndarray) -> np.ndarray:
     """(a + b, a - b) for each 2 x 2 core c, shape (..., 2): the eigenvalues
     of a I2 + b J = (c + J c J) / 2, the part of c that commutes with J."""
     c = (core + core[..., ::-1, ::-1]) / 2
     a, b = c[..., 0, 0], c[..., 0, 1]
     return np.stack([a + b, a - b], axis=-1)
+
+
+# The eigenvalue pairs of I, N, A, B and Pi over every basis, from their
+# cores: I2 and the swap J (the gates ID and NOT), A_CORE, B_CORE and
+# B_CORE * i * pi, the core of the matrix stand-in for pi.
+_PAIRS = _readonly(_eigenpairs(np.stack((np.eye(2), np.eye(2)[::-1], A_CORE, B_CORE, 1j * pi * B_CORE))))
+
+
+def _lifted(row: int) -> cached_property:
+    """The dense, read-only Q x Q lift of the context's pair `row`, built on first read and kept."""
+    return cached_property(lambda ctx: _readonly(_lift_eigen(ctx, ctx.pairs[row])))
+
+
+@dataclass(frozen=True)
+class LogicAlgebraContext:
+    """A basis with the eigenvalue pairs, shape (5, 2), of the logical I, N,
+    the two SRNs A and B, and Pi: each matrix is [s n] (a I2 + b J) [y z]^T
+    for its pair (a + b, a - b).
+
+    .I, .N, .A, .B and .Pi are the dense, read-only Q x Q lifts, built on
+    first read and kept; the Euler suite and the scalar oracle read only the
+    pairs and the bound K, computed once. A context with a wrong pair is
+    wrong in all of them.
+    """
+
+    basis: TruthBasis
+    pairs: np.ndarray
+
+    I = _lifted(0)
+    N = _lifted(1)
+    A = _lifted(2)
+    B = _lifted(3)
+    Pi = _lifted(4)
+    _bound = cached_property(lambda ctx: _lift_bound(ctx.basis))
+
+
+def make_context(basis: TruthBasis) -> LogicAlgebraContext:
+    """The context of a basis: its pairs, read-only, are the same for every basis."""
+    return LogicAlgebraContext(basis, _PAIRS)
 
 
 def _pairs(ctx: LogicAlgebraContext, x) -> np.ndarray:
@@ -145,22 +136,6 @@ def _pairs(ctx: LogicAlgebraContext, x) -> np.ndarray:
     return lam
 
 
-def _context_pairs(ctx: LogicAlgebraContext) -> np.ndarray:
-    """The eigenvalue pairs of the context's I, N, A, B and Pi, shape (5, 2):
-    a wrong core shows in every residual computed from them. The module's
-    cores, which `make_context` passes, are read-only, so their pairs are
-    computed once per process."""
-    cores = (ctx.I_core, ctx.N_core, ctx.A_core, ctx.B_core, ctx.Pi_core)
-    if all(map(operator.is_, cores, _CORES)):
-        return _module_pairs()
-    return _readonly(_eigenpairs(np.stack(cores, dtype=complex)))
-
-
-@cache
-def _module_pairs() -> np.ndarray:
-    return _readonly(_eigenpairs(np.stack(_CORES, dtype=complex)))
-
-
 # J's spectral projectors P+ = (I2 + J)/2 and P- = (I2 - J)/2
 _PROJECTORS = _readonly(np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]]) / 2)
 
@@ -169,10 +144,6 @@ def _lift_eigen(ctx: LogicAlgebraContext, lam) -> np.ndarray:
     """The lift of lambda+ P+ + lambda- P- = a I2 + b J for each pair
     lam = (a + b, a - b) (..., 2)."""
     return lift(ctx.basis, (lam[..., None, None] * _PROJECTORS).sum(axis=-3))
-
-
-def _exp_pair(lam: np.ndarray) -> np.ndarray:
-    return np.exp(lam)
 
 
 def _C_pair(lam: np.ndarray) -> np.ndarray:
@@ -197,7 +168,7 @@ def _closed_form(ctx: LogicAlgebraContext, f, x) -> np.ndarray:
 
 def logical_exp(ctx: LogicAlgebraContext, g) -> np.ndarray:
     """e^G with the logical identity as zeroth term: exp on each core eigenvalue."""
-    return _closed_form(ctx, _exp_pair, g)
+    return _closed_form(ctx, np.exp, g)
 
 
 def C_of(ctx: LogicAlgebraContext, x) -> np.ndarray:
@@ -375,7 +346,7 @@ def verify_euler_suite(
         if not (k >= 0 and float(k).is_integer()):
             raise ValueError(f"k must be a non-negative integer, got {k!r}")
     ks = [int(k) for k in ks]
-    bound, pairs = ctx._bound, ctx._core_pairs
+    bound, pairs = ctx._bound, ctx.pairs
     # K max(|a|, |b|) of Pi's core is never below the max-norm of Pi; the
     # largest |w| passes both checks exactly when every argument does, so
     # the arguments are walked only to name the first that fails
@@ -434,7 +405,7 @@ def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
     v_samples = v.tolist()
     x = Pi * v[:, None]
     c, s = _C_pair(x), _S_pair(x)
-    e_pos, e_neg = _exp_pair(A * x), _exp_pair(-A * x)
+    e_pos, e_neg = np.exp(A * x), np.exp(-A * x)
     c_plus_as = c + A * s
     # k along axis 0, v along axis 1, and I X^k is I at k = 0;
     # (e), (f): va along axis 0, vb along axis 1
@@ -452,7 +423,7 @@ def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
         "d_S_from_exponentials": (s - 0.5 * B * (e_pos - e_neg), by_v),
         "e_cosine_addition": (_C_pair(xs) - (ca * cb + N * sa * sb), by_ab),
         "f_sine_addition": (_S_pair(xs) - (sa * cb + sb * ca), by_ab),
-        "g_great_euler": (_exp_pair(A * Pi)[None] + I, (("v", (1.0,)),)),
+        "g_great_euler": (np.exp(A * Pi)[None] + I, (("v", (1.0,)),)),
         "h_de_moivre": (c_plus_as**k * I - (_C_pair(xk) + A * _S_pair(xk)), by_kv),
     }
     out = []
@@ -471,7 +442,7 @@ def scalar_exp_residual(ctx: LogicAlgebraContext) -> float:
     EULER_V_SAMPLES, e^{i pi v} by the scalar series (`_scalar_exp_sums`),
     with the suite's bound and on the eigenvalue pairs of the context's I, A
     and Pi: no Q x Q matrix."""
-    return ctx._bound * _scalar_exp_pair_residual(ctx._core_pairs.tobytes())
+    return ctx._bound * _scalar_exp_pair_residual(ctx.pairs.tobytes())
 
 
 @lru_cache(maxsize=32)
@@ -480,5 +451,5 @@ def _scalar_exp_pair_residual(pairs: bytes) -> float:
     of the (5, 2) array): no basis enters, so, as for `_euler_pair_residuals`,
     each distinct key is computed once and the caller scales by K."""
     I, _, A, _, Pi = np.frombuffer(pairs, dtype=complex).reshape(5, 2)
-    d = _exp_pair(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - _scalar_exp_sums()[:, None] * I
+    d = np.exp(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - _scalar_exp_sums()[:, None] * I
     return float(_pair_residual(1.0, d).max())

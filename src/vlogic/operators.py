@@ -96,6 +96,8 @@ class Gate:
     def __matmul__(self, v):
         if isinstance(v, Gate):
             raise TypeError("gate @ gate is not supported; apply np.asarray to one side to densify it")
+        if self.duals.ndim != 2:
+            raise DimensionMismatch(f"@ takes the gates of one basis, not duals {self.duals.shape}: use on_product")
         v = np.asarray(v)
         if v.ndim not in (1, 2) or v.shape[0] != self.shape[-1]:
             shape = "x".join(map(str, self.shape))

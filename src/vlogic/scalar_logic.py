@@ -2,8 +2,7 @@
 
 Truth values are integers: true -> +1, false -> -1. Truth tables are the
 canonical gate representation, of any arity (they cover all 16 dyadic
-gates); the closed-form polynomials exist only for the named gates and are
-kept as a redundant cross-check.
+gates).
 """
 
 from __future__ import annotations
@@ -103,18 +102,3 @@ def gate(name: str) -> TruthTable:
         return NAMED_GATES[name.upper()]
     except KeyError:
         raise UnknownGate(f"unknown gate {name!r}") from None
-
-
-# Closed-form polynomials over {+1,-1}; redundant checks against the tables.
-
-CLOSED_FORMS = {
-    "ID": lambda w: w,
-    "NOT": lambda w: -w,
-    "CID": lambda w: w * w,
-    "CNOT": lambda w: -(w * w),
-    "IMPL": lambda u, v: (-u + v) // 2 + (1 - ((-u + v) // 2) ** 2) * u * v,
-    "OR": lambda u, v: (u + v) // 2 - (1 - ((u + v) // 2) ** 2) * u * v,
-    "AND": lambda u, v: (u + v) // 2 + (1 - ((u + v) // 2) ** 2) * u * v,
-    "EQUI": lambda u, v: u * v,
-    "XOR": lambda u, v: -u * v,
-}

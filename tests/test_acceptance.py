@@ -248,9 +248,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     doc = load_json(str(oracle_file))
     doc["re"][0][0] += 0.2  # corrupt one entry
     dump_json(doc, str(oracle_file))
-    code = main(
-        ["diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "2"]
-    )
+    code = main(["diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file)])
     out = capsys.readouterr().out
     verdict = json.loads(out)["verdict"]
     corrupt_ok = code == 2 and verdict == "UNKNOWN"

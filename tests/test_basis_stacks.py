@@ -7,7 +7,7 @@ import pytest
 
 import vlogic.srn
 import vlogic.verify
-from vlogic import Gate, TruthBasis, gate_operator, make_basis, random_basis
+from vlogic import Gate, TruthBasis, gate_operator, make_basis, probe, random_basis
 from vlogic import scalar_logic as sl
 from vlogic.errors import DimensionMismatch, NearlyDependent, NotUnitNorm, VectorLogicError
 from vlogic.serialize import basis_from_dict, basis_to_dict
@@ -115,6 +115,18 @@ def test_stacks_of_mixed_dims_or_no_member_are_refused():
     for factors in ((frame[:1], frame), (np.ones((3, 4, 2)), frame), (np.ones((2, 5, 2)), frame)):
         with pytest.raises(DimensionMismatch):
             gate.on_product(*factors)
+
+
+def test_the_one_basis_paths_refuse_a_stack_with_a_typed_error():
+    # `@` and `probe` take one basis; over a stack each raises a typed error
+    b4 = random_basis(4, 0.0, 1)
+    stack = stack_of([b4, random_basis(4, 0.35, 2)])
+    for table, width in ((sl.NOT, 4), (sl.AND, 16)):
+        with pytest.raises(DimensionMismatch, match="on_product"):
+            gate_operator(stack, table) @ np.ones(width)
+    for oracle in (gate_operator(b4, sl.AND), np.asarray(gate_operator(b4, sl.AND))):
+        with pytest.raises(DimensionMismatch, match="one basis"):
+            probe(oracle, stack, 2)
 
 
 def test_a_basis_file_holds_one_basis():

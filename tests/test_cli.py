@@ -115,9 +115,7 @@ def test_diagnose_hidden_xor(capsys, tmp_path):
     oracle_file = tmp_path / "hidden.json"
     run(capsys, "basis", "--canonical", "SET1", "--out", str(basis_file))
     run(capsys, "op", "--basis", str(basis_file), "--gate", "XOR", "--out", str(oracle_file))
-    code, payload = run_json(
-        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "2"
-    )
+    code, payload = run_json(capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file))
     assert code == 0
     assert payload["verdict"] == "XOR"
 
@@ -162,13 +160,13 @@ def test_diagnose_arity_inferred(capsys, tmp_path):
 
 
 def test_diagnose_wrong_arity_exits_1(capsys, tmp_path):
+    # a width that is no power of Q gives no arity: Q x 3 at Q = 2
     basis_file = tmp_path / "set1.json"
     oracle_file = tmp_path / "hidden.json"
     run(capsys, "basis", "--canonical", "SET1", "--out", str(basis_file))
-    run(capsys, "op", "--basis", str(basis_file), "--gate", "NOT", "--out", str(oracle_file))
-    code, out, err = run(
-        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "2"
-    )
+    oracle = matrix_to_dict(gate_operator(canonical_basis("SET1"), NOT))
+    oracle_file.write_text(json.dumps({**oracle, "cols": 3, "re": [row + [0.0] for row in oracle["re"]]}))
+    code, out, err = run(capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file))
     assert code == 1
     assert out == ""
     assert err.startswith("vlogic: error")
@@ -196,9 +194,7 @@ def test_diagnose_corrupted_oracle_unknown(capsys, tmp_path):
     doc = load_json(str(oracle_file))
     doc["re"][0][0] += 0.25
     dump_json(doc, str(oracle_file))
-    code, payload = run_json(
-        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "2"
-    )
+    code, payload = run_json(capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file))
     assert code == 2
     assert payload["verdict"] == "UNKNOWN"
 
@@ -288,9 +284,7 @@ def test_non_finite_oracle_exits_1(capsys, tmp_path):
     oracle_file = tmp_path / "nan.json"
     run(capsys, "basis", "--canonical", "SET1", "--out", str(basis_file))
     oracle_file.write_text(json.dumps({"rows": 2, "cols": 2, "re": [[float("nan"), 0.0], [0.0, 1.0]]}))
-    code, out, err = run(
-        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "1"
-    )
+    code, out, err = run(capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file))
     assert code == 1
     assert out == ""
     assert err.startswith("vlogic: error")
@@ -453,9 +447,7 @@ def test_diagnose_oracle_size_must_be_whole(capsys, tmp_path, rows, code):
     run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
     oracle = matrix_to_dict(gate_operator(canonical_basis("DIM4"), NOT))
     oracle_file.write_text(json.dumps({**oracle, "rows": rows}))
-    result, out, err = run(
-        capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file), "--arity", "1"
-    )
+    result, out, err = run(capsys, "diagnose", "--oracle", str(oracle_file), "--basis", str(basis_file))
     assert result == code, err
     if code:
         assert out == ""

@@ -1,4 +1,4 @@
-"""scripts/count_calls.py: deterministic counters of a verification run."""
+"""scripts/count_calls.py: deterministic counters of a verification run and of a diagnosis."""
 
 import json
 import subprocess
@@ -17,12 +17,17 @@ def test_count_calls_prints_the_counters_of_each_dim():
     code, out, err = count_calls("2", "4")
     assert code == 0, err
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [list(row) for row in rows] == [["dim", "calls", "peak_bytes", "allocated_bytes"]] * 2
-    assert [row["dim"] for row in rows] == [2, 4]
+    counters = ["calls", "peak_bytes", "allocated_bytes"]
+    assert [list(row) for row in rows] == [["op", "dim", *counters]] * 2 + [["op", "dim", "gate", *counters]] * 4
+    assert [(row["op"], row["dim"], row.get("gate")) for row in rows] == [
+        ("verify", 2, None), ("verify", 4, None),
+        ("diagnose", 2, "NOT"), ("diagnose", 2, "AND"), ("diagnose", 4, "NOT"), ("diagnose", 4, "AND"),
+    ]
     for row in rows:
-        assert all(isinstance(row[key], int) and row[key] > 0 for key in ("calls", "peak_bytes", "allocated_bytes"))
-    # the run's calls do not depend on Q
+        assert all(isinstance(row[key], int) and row[key] > 0 for key in counters)
+    # neither operation's calls depend on Q
     assert rows[0]["calls"] == rows[1]["calls"]
+    assert [row["calls"] for row in rows[2:4]] == [row["calls"] for row in rows[4:]]
 
 
 def test_count_calls_rejects_a_dim_that_is_no_number():

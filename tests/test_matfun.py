@@ -35,12 +35,23 @@ from vlogic.errors import DimensionMismatch, NonCommuting, SeriesNotConverged
 from vlogic.scalar_logic import ID, NOT
 from vlogic.matfun import COMMUTATOR_TOL, scalar_exp_series
 from vlogic.operators import lift
+from vlogic.srn import A_CORE, B_CORE
 from vlogic.verify import EULER_KS, EULER_V_SAMPLES, RESIDUAL_TOL, scalar_oracle_residual
 
 SUITE_TOL = 1e-8
 
 CLOSED_FORMS = {"exp": logical_exp, "C": C_of, "S": S_of}
 SERIES = {"exp": logical_exp_series, "C": C_series, "S": S_series}
+FIELDS = ("I", "N", "A", "B", "Pi")  # the rows of a context's pairs
+
+
+def with_pairs(ctx, **wrong):
+    """ctx with the named rows of its pairs replaced: the context of a wrong
+    core, stated exactly, as every core lies in span{I2, J}."""
+    pairs = ctx.pairs.copy()
+    for name, pair in wrong.items():
+        pairs[FIELDS.index(name)] = pair
+    return replace(ctx, pairs=pairs)
 
 
 @pytest.fixture
@@ -542,8 +553,8 @@ def test_euler_suite_rejects_argument_too_large_for_tol(ctx, v):
 
 def test_euler_suite_argument_bound_follows_tol(ctx):
     # the largest argument is Pi 2v, with rounding error |Pi 2v| 2^-52 = 1e-9,
-    # |Pi| being bounded by K max(|a|, |b|) of Pi's core a I2 + b J
-    a, b = ctx.Pi_core[0]
+    # |Pi| being bounded by K max(|a|, |b|) of Pi's core a I2 + b J = i pi B_CORE
+    a, b = (1j * math.pi * B_CORE)[0]
     v = 1e-9 * 2.0**52 / (2 * matfun._lift_bound(ctx.basis) * max(abs(a), abs(b)))
     verify_euler_suite(ctx, [v], ks=(2,), tol=1.1e-9)
     with pytest.raises(ValueError, match=re.escape("Pi*k*v at k*v = ")):
@@ -567,22 +578,23 @@ def test_series_at_huge_argument_do_not_converge(ctx, v):
 
 def test_pair_checks_read_the_context():
     # the pair suite and the scalar oracle take I, N, A, B and Pi from the
-    # context's cores, so a context with a wrong core fails them
+    # context's pairs, so a context with a wrong core fails them
     c = make_context(random_basis(8, 0.35, 2))
+    I, _, A, B, Pi = c.pairs
     assert verify_euler_suite(c, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
     assert scalar_oracle_residual(c) < RESIDUAL_TOL
     for wrong, failing in (
-        (replace(c, Pi_core=2 * c.Pi_core), "g_great_euler"),
-        (replace(c, A_core=c.A_core.conj()), "d_S_from_exponentials"),
-        (replace(c, N_core=c.I_core), "b_C2_minus_NS2_is_I"),
-        (replace(c, I_core=1.001 * c.I_core), "h_de_moivre"),
-        (replace(c, B_core=-c.B_core), "d_S_from_exponentials"),
+        (with_pairs(c, Pi=2 * Pi), "g_great_euler"),
+        (with_pairs(c, A=A.conj()), "d_S_from_exponentials"),
+        (with_pairs(c, N=I), "b_C2_minus_NS2_is_I"),
+        (with_pairs(c, I=1.001 * I), "h_de_moivre"),
+        (with_pairs(c, B=-B), "d_S_from_exponentials"),
     ):
         assert verify_euler_suite(wrong, EULER_V_SAMPLES, ks=(0, *EULER_KS)).residuals[failing] > 1e-4
     # the identities cannot tell i from -i; the scalar oracle can
-    swapped = replace(c, A_core=c.B_core, B_core=c.A_core)
+    swapped = with_pairs(c, A=B, B=A)
     assert verify_euler_suite(swapped, EULER_V_SAMPLES, ks=(0, *EULER_KS)).passed
-    for wrong in (swapped, replace(c, Pi_core=2 * c.Pi_core), replace(c, I_core=1.001 * c.I_core)):
+    for wrong in (swapped, with_pairs(c, Pi=2 * Pi), with_pairs(c, I=1.001 * I)):
         assert scalar_oracle_residual(wrong) > 1e-4
 
 
@@ -598,12 +610,9 @@ def test_scalar_oracle_sums_once_and_still_reads_the_context(monkeypatch):
 
     monkeypatch.setattr(matfun, "scalar_exp_series", refuse)
     c = make_context(random_basis(8, 0.35, 2))
+    I, _, A, B, Pi = c.pairs
     assert scalar_oracle_residual(c) < RESIDUAL_TOL
-    for wrong in (
-        replace(c, A_core=c.B_core, B_core=c.A_core),
-        replace(c, Pi_core=2 * c.Pi_core),
-        replace(c, I_core=1.001 * c.I_core),
-    ):
+    for wrong in (with_pairs(c, A=B, B=A), with_pairs(c, Pi=2 * Pi), with_pairs(c, I=1.001 * I)):
         assert scalar_oracle_residual(wrong) > 1e-4
 
 
@@ -709,24 +718,25 @@ def test_library_suite_accepts_empty_samples():
 
 
 def test_context_computes_its_pairs_and_bound_once(monkeypatch):
-    # the Euler suite and the scalar oracle of one context share them
+    # the pairs were computed at import; the Euler suite and the scalar
+    # oracle of one context share them and its bound, computed once
     calls = []
+    lift_bound = matfun._lift_bound
+    monkeypatch.setattr(matfun, "_lift_bound", lambda b: calls.append(b) or lift_bound(b))
 
-    def counted(name):
-        fn = getattr(matfun, name)
-        return lambda x: calls.append(name) or fn(x)
+    def refuse(*args):
+        raise AssertionError("pairs computed again")
 
-    for name in ("_context_pairs", "_lift_bound"):
-        monkeypatch.setattr(matfun, name, counted(name))
+    monkeypatch.setattr(matfun, "_eigenpairs", refuse)
     c = make_context(random_basis(8, 0.35, 2))
     for _ in range(2):
         assert verify_euler_suite(c, EULER_V_SAMPLES, ks=EULER_KS).passed
         assert scalar_oracle_residual(c) < RESIDUAL_TOL
-    assert sorted(calls) == ["_context_pairs", "_lift_bound"]
-    assert not c._core_pairs.flags.writeable
-    # another context of the same basis computes its own
-    assert scalar_oracle_residual(replace(c, I_core=1.001 * c.I_core)) > 1e-4
-    assert sorted(calls) == ["_context_pairs", "_context_pairs", "_lift_bound", "_lift_bound"]
+    assert calls == [c.basis]
+    assert not c.pairs.flags.writeable
+    # another context of the same basis computes its own bound
+    assert scalar_oracle_residual(with_pairs(c, I=1.001 * c.pairs[0])) > 1e-4
+    assert calls == [c.basis, c.basis]
 
 
 def test_scalar_series_sums_one_scalar_bit_identical_to_the_pair():
@@ -745,13 +755,18 @@ def test_context_lifts_its_cores_lazily_and_bit_for_bit():
     assert not {"I", "N", "A", "B", "Pi"} & set(vars(c))
     roots = vlogic.srn.sqrt_not(b)
     dense_i, dense_n = vlogic.operators.gate_operator(b, (ID, NOT)) @ np.eye(16, dtype=complex)
-    for m, expected in ((c.I, dense_i), (c.N, dense_n), (c.A, roots.A), (c.B, roots.B), (c.Pi, lift(b, c.Pi_core))):
+    dense_pi = lift(b, 1j * math.pi * B_CORE)
+    for m, expected in ((c.I, dense_i), (c.N, dense_n), (c.A, roots.A), (c.B, roots.B), (c.Pi, dense_pi)):
         assert m.dtype == complex and m.tobytes() == expected.tobytes()
         assert not m.flags.writeable
     assert max_norm(c.Pi - 1j * math.pi * roots.B) <= 1e-14 * max_norm(c.Pi)
     assert c.Pi is c.Pi  # kept after the first read
-    # a wrong core is wrong in the dense field too
-    assert max_norm(replace(c, Pi_core=2 * c.Pi_core).Pi - 2 * c.Pi) < 1e-15
+    # a wrong pair is wrong in its dense field and in no other
+    for row, name in enumerate(FIELDS):
+        wrong = with_pairs(c, **{name: 2 * c.pairs[row]})
+        assert max_norm(getattr(wrong, name) - 2 * getattr(c, name)) < 1e-15
+        for other in set(FIELDS) - {name}:
+            assert getattr(wrong, other).tobytes() == getattr(c, other).tobytes()
 
 
 def test_make_context_builds_nothing_of_size_q():
@@ -781,15 +796,16 @@ def test_euler_pair_arithmetic_is_done_once_per_process(monkeypatch):
         worst = verify_euler_suite(c4, [v], ks=()).metadata["worst_argument"]["a_exp_equals_C_plus_AS"]
         assert math.copysign(1.0, worst["v"]) == math.copysign(1.0, v)
 
-    for name in ("_exp_pair", "_C_pair", "_S_pair"):
+    for name in ("_C_pair", "_S_pair"):
         monkeypatch.setattr(matfun, name, refuse)
     c = make_context(random_basis(32, 0.35, 5))
+    I, _, A, B, _ = c.pairs
     k = matfun._lift_bound(c.basis)
     report = verify_euler_suite(c, EULER_V_SAMPLES, ks=EULER_KS)
-    kept = matfun._euler_pair_residuals(matfun._context_pairs(c).tobytes(), np.array(EULER_V_SAMPLES).tobytes(), EULER_KS)
+    kept = matfun._euler_pair_residuals(c.pairs.tobytes(), np.array(EULER_V_SAMPLES).tobytes(), EULER_KS)
     assert report.residuals == {name: k * r for name, r, _ in kept}
     assert report.passed
-    for wrong in (replace(c, I_core=1.001 * c.I_core), replace(c, A_core=c.B_core, B_core=c.A_core)):
+    for wrong in (with_pairs(c, I=1.001 * I), with_pairs(c, A=B, B=A)):
         with pytest.raises(AssertionError, match="done again"):
             verify_euler_suite(wrong, EULER_V_SAMPLES, ks=EULER_KS)
 
@@ -825,15 +841,18 @@ def test_closed_forms_raise_where_the_result_overflows():
 
 
 def test_context_pairs_of_the_module_cores_are_computed_once():
-    # every make_context passes the module's read-only cores; another core
-    # still gets its own pairs
+    # every make_context shares one read-only array, computed at import: the
+    # pairs of the cores of I, N, A, B and Pi, bit for bit
     a, b = make_context(random_basis(4, 0.0, 1)), make_context(random_basis(16, 0.35, 2))
-    assert a._core_pairs is b._core_pairs
-    assert not a._core_pairs.flags.writeable
-    wrong = replace(a, I_core=1.001 * a.I_core)
-    assert wrong._core_pairs is not a._core_pairs
-    assert wrong._core_pairs[0].tolist() == [1.001 + 0j, 1.001 + 0j]
-    assert wrong._core_pairs[1:].tobytes() == a._core_pairs[1:].tobytes()
+    assert a.pairs is b.pairs
+    assert not a.pairs.flags.writeable
+    cores = np.stack([np.eye(2), [[0, 1], [1, 0]], A_CORE, B_CORE, 1j * math.pi * B_CORE]).astype(complex)
+    assert a.pairs.tobytes() == matfun._eigenpairs(cores).tobytes()
+    assert a.pairs.tolist() == [[1, 1], [1, -1], [1, 1j], [1, -1j], [1j * math.pi, math.pi]]
+    # a context with a wrong core holds its own pairs
+    wrong = with_pairs(a, I=1.001 * a.pairs[0])
+    assert wrong.pairs[0].tolist() == [1.001 + 0j, 1.001 + 0j]
+    assert wrong.pairs[1:].tobytes() == a.pairs[1:].tobytes()
 
 
 def test_scalar_oracle_pair_arithmetic_is_done_once_per_process(monkeypatch):
@@ -846,11 +865,11 @@ def test_scalar_oracle_pair_arithmetic_is_done_once_per_process(monkeypatch):
 
     for q, eps in ((2, 0.0), (32, 0.35), (64, -0.9)):
         c = make_context(random_basis(q, eps, 5))
-        I, _, A, _, Pi = c._core_pairs
-        d = matfun._exp_pair(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - matfun._scalar_exp_sums()[:, None] * I
+        I, _, A, _, Pi = c.pairs
+        d = np.exp(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - matfun._scalar_exp_sums()[:, None] * I
         unfolded = float(matfun._pair_residual(c._bound, d).max())
         with monkeypatch.context() as m:
-            m.setattr(matfun, "_exp_pair", refuse)
+            m.setattr(matfun, "_scalar_exp_sums", refuse)
             assert matfun.scalar_exp_residual(c) == unfolded
 
 
@@ -872,10 +891,10 @@ def test_per_process_constants_are_not_computed_at_import():
     # the caches fill on first use, so importing the CLI costs no more
     code = (
         "import vlogic.cli, vlogic.matfun as m; "
-        "print([f.cache_info().currsize for f in (m._module_pairs, m._scalar_exp_pair_residual, "
+        "print([f.cache_info().currsize for f in (m._scalar_exp_pair_residual, "
         "m._largest_argument, m._euler_pair_residuals, m._scalar_exp_sums)])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(Path(matfun.__file__).parents[1])})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0, 0, 0, 0]"
+    assert done.stdout.strip() == "[0, 0, 0, 0]"

@@ -9,6 +9,20 @@ from vlogic import scalar_logic as sl
 
 truth = st.sampled_from([sl.TRUE, sl.FALSE])
 
+# Closed-form polynomials of the named gates over {+1,-1}: a cross-check
+# of the tables that exists only for these gates.
+CLOSED_FORMS = {
+    "ID": lambda w: w,
+    "NOT": lambda w: -w,
+    "CID": lambda w: w * w,
+    "CNOT": lambda w: -(w * w),
+    "IMPL": lambda u, v: (-u + v) // 2 + (1 - ((-u + v) // 2) ** 2) * u * v,
+    "OR": lambda u, v: (u + v) // 2 - (1 - ((u + v) // 2) ** 2) * u * v,
+    "AND": lambda u, v: (u + v) // 2 + (1 - ((u + v) // 2) ** 2) * u * v,
+    "EQUI": lambda u, v: u * v,
+    "XOR": lambda u, v: -u * v,
+}
+
 
 @pytest.mark.parametrize(
     "table,w,expected",
@@ -69,17 +83,17 @@ def test_numpy_integers_are_truth_values():
     assert t.pattern == "TF" and sl.evaluate(sl.AND, np.int64(1), np.int32(-1)) == sl.FALSE
 
 
-@pytest.mark.parametrize("name", [name for name in sl.CLOSED_FORMS if name in sl.MONADIC_GATES])
+@pytest.mark.parametrize("name", [name for name in CLOSED_FORMS if name in sl.MONADIC_GATES])
 @pytest.mark.parametrize("w", [1, -1])
 def test_monadic_closed_forms_match_tables(name, w):
-    assert sl.CLOSED_FORMS[name](w) == sl.evaluate(sl.MONADIC_GATES[name], w)
+    assert CLOSED_FORMS[name](w) == sl.evaluate(sl.MONADIC_GATES[name], w)
 
 
-@pytest.mark.parametrize("name", [name for name in sl.CLOSED_FORMS if name in sl.NAMED_DYADIC_GATES])
+@pytest.mark.parametrize("name", [name for name in CLOSED_FORMS if name in sl.NAMED_DYADIC_GATES])
 @pytest.mark.parametrize("u", [1, -1])
 @pytest.mark.parametrize("v", [1, -1])
 def test_dyadic_closed_forms_match_tables(name, u, v):
-    assert sl.CLOSED_FORMS[name](u, v) == sl.evaluate(sl.NAMED_DYADIC_GATES[name], u, v)
+    assert CLOSED_FORMS[name](u, v) == sl.evaluate(sl.NAMED_DYADIC_GATES[name], u, v)
 
 
 @given(u=truth, v=truth)
