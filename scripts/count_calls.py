@@ -10,13 +10,16 @@ Two operations are counted at each Q, all with seed 1:
   of the benchmark's `verify` workload;
 - diagnose: `classify(probe(gate_operator(b, t), b, k), k)` on
   `random_basis(Q)` for the monadic NOT and the dyadic AND, at Q = 8 32
-  64 by default, the dims of the benchmark's `diagnose` workload.
+  64 by default, the dims of the benchmark's `diagnose` workload;
+- diagnose_dense: `classify(probe(m, b, k), k)` on the same basis and
+  gates, where the dense matrix m = np.asarray(gate_operator(b, t)) is
+  built outside the count, as the CLI's JSON oracles are.
 
 Given Qs replace both defaults. Each operation makes one warm-up run,
 which fills the per-process caches, and then one run per counter. It
 prints one JSON object per line, {"op": ..., "dim": Q, "gate": ...,
 "calls": ..., "peak_bytes": ..., "allocated_bytes": ...} ("gate" only for
-diagnose):
+the diagnoses):
 
 - calls: cProfile's total, every call of a Python or built-in function;
 - peak_bytes: the tracemalloc peak, above the traced memory at the start;
@@ -36,6 +39,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vlogic import AND, NOT, classify, gate_operator, probe, random_basis  # noqa: E402
@@ -50,6 +55,10 @@ def diagnose(b, table):
     return classify(probe(gate_operator(b, table), b, table.arity), table.arity)
 
 
+def diagnose_dense(b, oracle, arity):
+    return classify(probe(oracle, b, arity), arity)
+
+
 def operations(verify_dims, diagnose_dims):
     """(label, function, args) of each counted operation. The args are
     positional, so that calling the function allocates nothing more."""
@@ -59,6 +68,9 @@ def operations(verify_dims, diagnose_dims):
         b = random_basis(dim, 0.0, SEED)
         for table in (NOT, AND):
             yield {"op": "diagnose", "dim": dim, "gate": table.name}, diagnose, (b, table)
+        for table in (NOT, AND):
+            oracle = np.asarray(gate_operator(b, table))
+            yield {"op": "diagnose_dense", "dim": dim, "gate": table.name}, diagnose_dense, (b, oracle, table.arity)
 
 
 def calls(fn, args) -> int:

@@ -12,8 +12,11 @@ of two commits shows which families a change moves. The families:
   1024} and seeds 1-3, as JSON;
 - gates: the dense matrix (`np.asarray`) of every monadic and dyadic gate
   and of 20 ternary gates;
-- signatures: `probe` of each of those gates, dense and matrix-free, and
-  the signatures and classes of `enumerate_signatures`;
+- signatures_dense: `probe` of the dense matrix of each of those gates,
+  and the signatures and classes of `enumerate_signatures`;
+- signatures_gate: `probe` of each of those gates as a matrix-free `Gate`,
+  which goes through the factors of the probe input rather than the Q^k
+  probe vector that a dense oracle meets, so its last bits may differ;
 - bases: the frames and duals of canonical and random bases;
 - context: the dense I, N, A and B of contexts;
 - closed_forms and series: `logical_exp`, `C_of`, `S_of` and their
@@ -70,10 +73,14 @@ def _dense_gates(d: _Digest) -> None:
         d.add(np.asarray(gate))
 
 
-def _signatures(d: _Digest) -> None:
+def _gate_signatures(d: _Digest) -> None:
     for b, t, gate in _gates():
-        for oracle in (gate, np.asarray(gate)):
-            d.add(dataclasses.astuple(diagnosis.probe(oracle, b, t.arity)))
+        d.add(dataclasses.astuple(diagnosis.probe(gate, b, t.arity)))
+
+
+def _dense_signatures(d: _Digest) -> None:
+    for b, t, gate in _gates():
+        d.add(dataclasses.astuple(diagnosis.probe(np.asarray(gate), b, t.arity)))
     for b in _BASES:
         for arity in (1, 2):
             signatures, classes = diagnosis.enumerate_signatures(b, scalar_logic.all_tables(arity))
@@ -121,7 +128,8 @@ def main() -> int:
     families = {
         "verify": _verify,
         "gates": _dense_gates,
-        "signatures": _signatures,
+        "signatures_dense": _dense_signatures,
+        "signatures_gate": _gate_signatures,
         "bases": _bases,
         "context": _context,
         "closed_forms": lambda d: _functions(d, (matfun.logical_exp, matfun.C_of, matfun.S_of)),

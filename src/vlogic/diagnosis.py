@@ -5,16 +5,16 @@ true vector of each input prefiltered by a square root of NOT (A s for a
 monadic gate, (A(x)A)(s(x)s) for a dyadic one). By the mixed-product rule
 that input is the Q^k vector (As)^{(x)k}, so a probe never builds the
 Q^k x Q^k matrix A^{(x)k}. `probe` receives its oracle as an opaque
-operator (a matrix-free Gate or a dense matrix), never as a gate name, and
-applies it with @ to the Q^k probe vector. `enumerate_signatures` builds
-its gates itself, as one stack of one arity, so it applies them to the
-Q x 1 factor As alone (`Gate.on_product`) and never forms the probe
-vector. The output's real and imaginary coefficients along s and n form a
-four-number signature that distinguishes all four monadic gates and the
-seven named dyadic gates; a diagnosis also reports the runner-up reference
-and its distance. Any basis will do, orthonormal or oblique: A s =
-alpha*s + beta*n holds in every basis, and the duals read the output's
-coefficients along s and n exactly.
+operator (a matrix-free Gate or a dense matrix), never as a gate name. A
+Gate, like the stack that `enumerate_signatures` builds, is applied to the
+k factors As of the probe input (`Gate.on_product`) in O(Q 2^k) and never
+meets the Q^k probe vector; a dense oracle, which is read whole anyway, is
+applied with @ to that vector. The output's real and imaginary
+coefficients along s and n form a four-number signature that distinguishes
+all four monadic gates and the seven named dyadic gates; a diagnosis also
+reports the runner-up reference and its distance. Any basis will do,
+orthonormal or oblique: A s = alpha*s + beta*n holds in every basis, and
+the duals read the output's coefficients along s and n exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import TruthBasis
 from .errors import DimensionMismatch, UnsupportedArity
-from .operators import _kron, gate_operator
+from .operators import Gate, _kron, gate_operator
 from .scalar_logic import MONADIC_GATES, NAMED_DYADIC_GATES, TRUE, TruthTable
 from .srn import ALPHA, BETA
 
@@ -61,16 +61,25 @@ class DiagnosisResult:
     runner_up_distance: float
 
 
+_ROOT_OF_TRUE = np.array((ALPHA, BETA))  # A s = alpha s + beta n, over the frame [s n]
+
+
 def _root_of_true(basis: TruthBasis) -> np.ndarray:
-    """A s = alpha s + beta n, a complex Q-vector: true prefiltered by a root
-    of NOT, in any basis, without forming the Q x Q root A."""
-    return basis.frame @ np.array((ALPHA, BETA))
+    """A s, a complex Q-vector: true prefiltered by a root of NOT, in any
+    basis, without forming the Q x Q root A."""
+    return basis.frame @ _ROOT_OF_TRUE
 
 
 def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
     """(As)^{(x)k} as a Q^k x 2 real view, its real and imaginary parts side
-    by side, so a real oracle is read once and never cast to complex."""
+    by side, so a real dense oracle is read once and never cast to complex."""
     return functools.reduce(_kron, [_root_of_true(basis)[None, :]] * arity)[0].view(np.float64).reshape(-1, 2)
+
+
+def _probe_outputs(gate: Gate, basis: TruthBasis) -> np.ndarray:
+    """The complex outputs (..., Q) of a Gate or a stack on the probe input, through its k factors As."""
+    a_s = _root_of_true(basis)[:, None]
+    return gate.on_product(*[a_s] * gate.arity)[..., 0]
 
 
 def _coefficients(out: np.ndarray, basis: TruthBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -78,28 +87,34 @@ def _coefficients(out: np.ndarray, basis: TruthBasis) -> tuple[np.ndarray, np.nd
     outside span{s, n}, shape (G,), of G complex probe outputs of shape
     (G, Q), all read with one product by the duals."""
     c = out @ basis.duals.T
-    return c, np.abs(out - c @ basis.frame.T).max(axis=1)
+    return c, np.maximum.reduce(np.abs(out - c @ basis.frame.T), axis=1)
 
 
 def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     """Signature of oracle @ (As)^{(x)k} for a hidden Q x Q^k gate of arity k.
 
-    The oracle is anything with .shape and @ (a matrix-free Gate, a dense
-    array); anything else goes through np.asarray. A stack of gates is no
-    oracle: `enumerate_signatures` probes stacks. An arity below 1 raises
-    UnsupportedArity, and a basis stack DimensionMismatch.
+    A Gate is applied to the k factors As of the probe input; any other
+    oracle, anything with .shape and @ (a dense array) or else np.asarray of
+    it, to the Q^k vector. A stack of gates is no oracle: `enumerate_signatures`
+    probes stacks. An arity below 1 raises UnsupportedArity, and a basis
+    stack DimensionMismatch.
     """
     if arity < 1:
         raise UnsupportedArity(f"a probed gate has arity at least 1, got {arity}")
     if basis.frame.ndim != 2:
         raise DimensionMismatch(f"probe takes one basis, not a stack of frames {basis.frame.shape}: probe each")
-    if not (hasattr(oracle, "shape") and hasattr(oracle, "__matmul__")):
+    gate = isinstance(oracle, Gate)
+    if not (gate or hasattr(oracle, "shape") and hasattr(oracle, "__matmul__")):
         oracle = np.asarray(oracle)
     shape = (basis.dim, basis.dim**arity)
     if oracle.shape != shape:
         raise DimensionMismatch(f"arity-{arity} oracle must be {shape[0]}x{shape[1]}, got {oracle.shape}")
-    out = oracle @ _probe_vector(basis, arity)  # (Q, 2): real and imaginary parts
-    c, residual = _coefficients((out[:, 0] + 1j * out[:, 1])[None], basis)
+    if gate:
+        out = _probe_outputs(oracle, basis)
+    else:
+        out = oracle @ _probe_vector(basis, arity)  # (Q, 2): real and imaginary parts
+        out = out[:, 0] + 1j * out[:, 1]
+    c, residual = _coefficients(out[None], basis)
     ((s, n),) = c.tolist()
     return GateSignature(s.real, n.real, s.imag, n.imag, residual=residual.item())
 
@@ -147,9 +162,9 @@ def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str
     if arity not in _REFERENCES:
         raise UnsupportedArity(f"no reference signatures for arity {arity}; known: {sorted(_REFERENCES)}")
     names, refs = _REFERENCES[arity]
-    # np.max propagates NaN, so a non-finite signature is far from every
+    # np.maximum propagates NaN, so a non-finite signature is far from every
     # reference and `not best < tol` sends it to UNKNOWN
-    dists = np.abs(np.asarray(coefficients, dtype=float)[:, None, :] - refs).max(axis=2)
+    dists = np.maximum.reduce(np.abs(np.asarray(coefficients, dtype=float)[:, None, :] - refs), axis=2)
     out = []
     for row in dists.tolist():
         (best, best_name), (second, second_name) = sorted(zip(row, names))[:2]
@@ -163,18 +178,10 @@ def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str
     return out
 
 
-def _probe_outputs(basis: TruthBasis, tables: Sequence[TruthTable]) -> np.ndarray:
-    """The complex outputs (G, Q) of the tables' gates, one stack of one
-    arity, on the probe input, applied through its factors As."""
-    gate = gate_operator(basis, tables)
-    a_s = _root_of_true(basis)[:, None]
-    return gate.on_product(*[a_s] * gate.arity)[..., 0]
-
-
 def _signature_coefficients(basis: TruthBasis, tables: Sequence[TruthTable]) -> np.ndarray:
     """The (G, 4) signature coefficients of the tables, in order: what
     `enumerate_signatures` reads, without the residuals."""
-    c = _probe_outputs(basis, tables) @ basis.duals.T
+    c = _probe_outputs(gate_operator(basis, tables), basis) @ basis.duals.T
     return np.concatenate((c.real, c.imag), axis=1)
 
 
@@ -192,19 +199,21 @@ def enumerate_signatures(
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
     """Probe signatures of the given gates of one arity, grouped into collision classes.
 
-    The gates are probed as one stacked `Gate`, applied to the probe input
-    (As)^{(x)k} through its factors (`Gate.on_product(As, ..., As)`), so
-    no Q^k vector is formed; one product by the duals reads all their
-    signatures. Mixed arities raise ValueError; no tables give ({}, []).
+    The gates are probed as one stacked `Gate` through the factors As of the
+    probe input, as `probe` probes one; one product by the duals reads all
+    their signatures. Mixed arities raise ValueError, and a basis stack
+    DimensionMismatch; no tables give ({}, []).
     Returns (name -> signature, collision classes); each class lists the
     gates sharing one signature, largest first, classes of size >= 2 being
     genuine one-probe ambiguities (e.g. the constant-true gate collides
     with XOR).
     """
+    if basis.frame.ndim != 2:
+        raise DimensionMismatch(f"enumerate_signatures takes one basis, not a stack of frames {basis.frame.shape}")
     tables = list(tables)
     if not tables:
         return {}, []
-    c, residuals = _coefficients(_probe_outputs(basis, tables), basis)
+    c, residuals = _coefficients(_probe_outputs(gate_operator(basis, tables), basis), basis)
     coefficients = np.concatenate((c.real, c.imag), axis=1)
     signatures = {
         t.name: GateSignature(*c, residual=r) for t, c, r in zip(tables, coefficients.tolist(), residuals.tolist())

@@ -7,7 +7,7 @@ import pytest
 
 import vlogic.srn
 import vlogic.verify
-from vlogic import Gate, TruthBasis, gate_operator, make_basis, probe, random_basis
+from vlogic import Gate, TruthBasis, enumerate_signatures, gate_operator, make_basis, probe, random_basis
 from vlogic import scalar_logic as sl
 from vlogic.errors import DimensionMismatch, NearlyDependent, NotUnitNorm, VectorLogicError
 from vlogic.serialize import basis_from_dict, basis_to_dict
@@ -127,6 +127,15 @@ def test_the_one_basis_paths_refuse_a_stack_with_a_typed_error():
     for oracle in (gate_operator(b4, sl.AND), np.asarray(gate_operator(b4, sl.AND))):
         with pytest.raises(DimensionMismatch, match="one basis"):
             probe(oracle, stack, 2)
+
+
+def test_enumerate_signatures_refuses_a_stack_with_a_typed_error():
+    # the rule names itself, not the factor shapes of the gate it builds
+    stack = stack_of([random_basis(4, 0.0, 1), random_basis(4, 0.35, 2)])
+    message = r"enumerate_signatures takes one basis, not a stack of frames \(2, 4, 2\)"
+    for tables in ([sl.AND, sl.OR], [sl.NOT], []):
+        with pytest.raises(DimensionMismatch, match=message):
+            enumerate_signatures(stack, tables)
 
 
 def test_a_basis_file_holds_one_basis():

@@ -18,16 +18,16 @@ def test_count_calls_prints_the_counters_of_each_dim():
     assert code == 0, err
     rows = [json.loads(line) for line in out.splitlines()]
     counters = ["calls", "peak_bytes", "allocated_bytes"]
-    assert [list(row) for row in rows] == [["op", "dim", *counters]] * 2 + [["op", "dim", "gate", *counters]] * 4
+    assert [list(row) for row in rows] == [["op", "dim", *counters]] * 2 + [["op", "dim", "gate", *counters]] * 8
+    diagnoses = [(op, gate) for op in ("diagnose", "diagnose_dense") for gate in ("NOT", "AND")]
     assert [(row["op"], row["dim"], row.get("gate")) for row in rows] == [
-        ("verify", 2, None), ("verify", 4, None),
-        ("diagnose", 2, "NOT"), ("diagnose", 2, "AND"), ("diagnose", 4, "NOT"), ("diagnose", 4, "AND"),
+        ("verify", 2, None), ("verify", 4, None), *[(op, dim, gate) for dim in (2, 4) for op, gate in diagnoses]
     ]
     for row in rows:
         assert all(isinstance(row[key], int) and row[key] > 0 for key in counters)
-    # neither operation's calls depend on Q
+    # no operation's calls depend on Q
     assert rows[0]["calls"] == rows[1]["calls"]
-    assert [row["calls"] for row in rows[2:4]] == [row["calls"] for row in rows[4:]]
+    assert [row["calls"] for row in rows[2:6]] == [row["calls"] for row in rows[6:]]
 
 
 def test_count_calls_rejects_a_dim_that_is_no_number():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vlogic.diagnosis
 from vlogic import scalar_logic as sl
-from vlogic import classify, enumerate_signatures, gate_operator, probe, random_basis, sqrt_not
+from vlogic import Gate, classify, enumerate_signatures, gate_operator, probe, random_basis, sqrt_not
 from vlogic.diagnosis import (
     AMBIGUOUS,
     DEFAULT_CLASSIFY_TOL,
@@ -304,10 +304,12 @@ def test_probe_and_classify_at_dim128():
         assert classify(sig, 2).verdict == name
 
 
-@pytest.mark.parametrize("dim,eps", [(2, 0.0), (4, 0.35), (8, 0.0), (8, 0.35)])
-def test_probe_gate_matches_probe_of_dense_matrix(dim, eps):
+@pytest.mark.parametrize("dim,eps", [(2, 0.0), (4, 0.35), (8, 0.0), (8, 0.35), (4, 0.9), (8, 0.9)])
+def test_probe_gate_matches_probe_of_dense_matrix(dim, eps, ternary_tables):
+    # the Gate through the factors of the probe input, the dense matrix
+    # through the Q^k probe vector
     b = random_basis(dim, eps, seed=dim)
-    for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES):
+    for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES, *ternary_tables):
         gate = gate_operator(b, table)
         sig, dense_sig = probe(gate, b, table.arity), probe(np.asarray(gate), b, table.arity)
         assert max(abs(c - e) for c, e in zip(sig.coefficients, dense_sig.coefficients)) < 1e-13
@@ -322,7 +324,7 @@ def test_probe_accepts_nested_lists(set1):
 
 
 def test_probe_of_structured_gate_at_dim512_stays_small():
-    # the dense Q x Q^2 gate would take 1 GiB; the probe vector is 4 MiB
+    # the dense Q x Q^2 gate would take 1 GiB, the Q^2 probe vector 4 MiB
     b = random_basis(512, 0.0, seed=5)
     gate = gate_operator(b, sl.IMPL)
     tracemalloc.start()
@@ -333,6 +335,43 @@ def test_probe_of_structured_gate_at_dim512_stays_small():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert classify(sig, 2).verdict == "IMPL"
+
+
+def test_probe_applies_a_gate_to_the_factors_of_its_input(monkeypatch, ternary_tables):
+    # a Gate oracle never meets the Q^k probe vector: with its @ refused,
+    # every gate still gets its symbolic signature and its verdict
+    def refuse(gate, v):
+        raise AssertionError(f"a {gate.shape} gate was applied to a vector of shape {np.shape(v)}")
+
+    b = random_basis(5, 0.35, seed=4)
+    monkeypatch.setattr(Gate, "__matmul__", refuse)
+    for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES, ternary_tables[150]):
+        sig = probe(gate_operator(b, table), b, table.arity)
+        expected = symbolic_signature(table)
+        assert sig.coefficients == pytest.approx(expected, abs=TOL) and sig.residual < TOL
+        if table.arity < 3:
+            # a named gate by its name, an unnamed one as its signature classifies
+            verdict = classify(sig, table.arity).verdict
+            assert verdict == classify(GateSignature(*expected, residual=0.0), table.arity).verdict
+            if table.name in sl.MONADIC_GATES or table.name in sl.NAMED_DYADIC_GATES:
+                assert verdict == table.name
+
+
+@pytest.mark.parametrize("dim,arity", [(1024, 2), (64, 3)])
+def test_probe_of_a_gate_never_builds_the_probe_vector(dim, arity, ternary_tables):
+    # the Q^k probe vector would take 16 MiB at Q = 1024, k = 2 and 4 MiB
+    # at Q = 64, k = 3; a Gate's probe holds O(Q 2^k)
+    b = random_basis(dim, 0.0, seed=dim)
+    table = sl.AND if arity == 2 else ternary_tables[150]
+    gate = gate_operator(b, table)
+    tracemalloc.start()
+    try:
+        sig = probe(gate, b, arity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sig.coefficients == pytest.approx(symbolic_signature(table), abs=TOL)
 
 
 def test_named_dyadic_gates_classify_at_dim1024():
