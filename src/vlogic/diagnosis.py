@@ -7,14 +7,15 @@ that input is the Q^k vector (As)^{(x)k}, so a probe never builds the
 Q^k x Q^k matrix A^{(x)k}. `probe` receives its oracle as an opaque
 operator (a matrix-free Gate or a dense matrix), never as a gate name. A
 Gate, like the stack that `enumerate_signatures` builds, is applied to the
-k factors As of the probe input (`Gate.on_product`) in O(Q 2^k) and never
-meets the Q^k probe vector; a dense oracle, which is read whole anyway, is
-applied with @ to that vector. The output's real and imaginary
-coefficients along s and n form a four-number signature that distinguishes
-all four monadic gates and the seven named dyadic gates; a diagnosis also
-reports the runner-up reference and its distance. Any basis will do,
-orthonormal or oblique: A s = alpha*s + beta*n holds in every basis, and
-the duals read the output's coefficients along s and n exactly.
+k factors As of the probe input in O(Q 2^k), its duals contracted with As
+once, bit for bit what `Gate.on_product` gives, and never meets the Q^k
+probe vector; a dense oracle, which is read whole anyway, is applied with
+@ to that vector. The output's real and imaginary coefficients along s
+and n form a four-number signature that distinguishes all four monadic
+gates and the seven named dyadic gates; a diagnosis also reports the
+runner-up reference and its distance. Any basis will do, orthonormal or
+oblique: A s = alpha*s + beta*n holds in every basis, and the duals read
+the output's coefficients along s and n exactly.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
 
 
 def _probe_outputs(gate: Gate, basis: TruthBasis) -> np.ndarray:
-    """The complex outputs (..., Q) of a Gate or a stack on the probe input, through its k factors As."""
-    a_s = _root_of_true(basis)[:, None]
-    return gate.on_product(*[a_s] * gate.arity)[..., 0]
+    """The complex outputs (..., Q) of a Gate or a stack of one basis on the probe input: outputs
+    (duals As)^{(x)k}, with duals As formed once and no checks, gate.on_product(As, ..., As) bit for bit."""
+    d = gate.duals @ _root_of_true(basis)[:, None]
+    return np.matmul(gate.outputs, functools.reduce(_kron, [d] * gate.arity), order="C")[..., 0]
 
 
 def _coefficients(out: np.ndarray, basis: TruthBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -106,17 +108,18 @@ def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     gate = isinstance(oracle, Gate)
     if not (gate or hasattr(oracle, "shape") and hasattr(oracle, "__matmul__")):
         oracle = np.asarray(oracle)
-    shape = (basis.dim, basis.dim**arity)
-    if oracle.shape != shape:
-        raise DimensionMismatch(f"arity-{arity} oracle must be {shape[0]}x{shape[1]}, got {oracle.shape}")
+    q = basis.frame.shape[0]
+    if oracle.shape != (q, q**arity):
+        raise DimensionMismatch(f"arity-{arity} oracle must be {q}x{q**arity}, got {oracle.shape}")
     if gate:
         out = _probe_outputs(oracle, basis)
     else:
         out = oracle @ _probe_vector(basis, arity)  # (Q, 2): real and imaginary parts
         out = out[:, 0] + 1j * out[:, 1]
-    c, residual = _coefficients(out[None], basis)
-    ((s, n),) = c.tolist()
-    return GateSignature(s.real, n.real, s.imag, n.imag, residual=residual.item())
+    c = out @ basis.duals.T  # `_coefficients` of one output
+    s, n = c.tolist()
+    residual = float(np.maximum.reduce(np.abs(out - c @ basis.frame.T)))
+    return GateSignature(s.real, n.real, s.imag, n.imag, residual=residual)
 
 
 def symbolic_signature(table: TruthTable) -> tuple[float, float, float, float]:
@@ -136,10 +139,20 @@ def symbolic_signature(table: TruthTable) -> tuple[float, float, float, float]:
 # Reference signature of each named gate, by arity.
 MONADIC_REFERENCE_SIGNATURES = {name: symbolic_signature(t) for name, t in MONADIC_GATES.items()}
 DYADIC_REFERENCE_SIGNATURES = {name: symbolic_signature(t) for name, t in NAMED_DYADIC_GATES.items()}
-_REFERENCES = {
-    arity: (list(refs), np.array(list(refs.values())))
+
+
+class _References(dict):
+    """(names, (R, 4) signatures) of the references of each arity."""
+
+    def __missing__(self, arity):
+        raise UnsupportedArity(f"no reference signatures for arity {arity}; known: {sorted(self)}")
+
+
+_REFERENCES = _References(
+    (arity, (list(refs), np.array(list(refs.values()))))
     for arity, refs in ((1, MONADIC_REFERENCE_SIGNATURES), (2, DYADIC_REFERENCE_SIGNATURES))
-}
+)
+_RUNNER_UP_TIE = 1e-12  # distances this close tie for the runner-up
 
 
 def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) -> DiagnosisResult:
@@ -147,35 +160,37 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
 
     The references of each arity are at least 0.5 apart, so for tol <= 0.25
     a signature within tol of a reference classifies as that gate, never as
-    AMBIGUOUS. Raises ValueError for a tol that is not finite and positive.
+    AMBIGUOUS. Of the references within 1e-12 of the runner-up distance the
+    runner-up is the first by name, so last-bit rounding never picks it.
+    Raises ValueError for a tol that is not finite and positive.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-    ((verdict, best, second_name, second),) = _nearest([sig.coefficients], arity, tol)
-    return DiagnosisResult(verdict, sig, best, second_name, second)
+    names, refs = _REFERENCES[arity]
+    row = np.maximum.reduce(np.abs(np.subtract(sig.coefficients, refs)), axis=1)
+    verdict, best, runner_up, second = _verdict(row.tolist(), names, tol)
+    return DiagnosisResult(verdict, sig, best, runner_up, second)
 
 
 def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str, float]]:
-    """`classify`'s rule for each row of signature coefficients (m, 4), read
-    from one m x R distance matrix: (verdict, distance, runner-up name,
-    runner-up distance)."""
-    if arity not in _REFERENCES:
-        raise UnsupportedArity(f"no reference signatures for arity {arity}; known: {sorted(_REFERENCES)}")
+    """`classify`'s rule for each row of signature coefficients (m, 4), read from one m x R
+    distance matrix: (verdict, distance, runner-up name, runner-up distance) for each."""
     names, refs = _REFERENCES[arity]
+    dists = np.maximum.reduce(np.abs(np.asarray(coefficients, dtype=float)[:, None, :] - refs), axis=2)
+    return [_verdict(row, names, tol) for row in dists.tolist()]
+
+
+def _verdict(row: list[float], names: list[str], tol: float) -> tuple[str, float, str, float]:
+    """`classify`'s rule on one row of distances to the references named by names."""
     # np.maximum propagates NaN, so a non-finite signature is far from every
     # reference and `not best < tol` sends it to UNKNOWN
-    dists = np.maximum.reduce(np.abs(np.asarray(coefficients, dtype=float)[:, None, :] - refs), axis=2)
-    out = []
-    for row in dists.tolist():
-        (best, best_name), (second, second_name) = sorted(zip(row, names))[:2]
-        if not best < tol:
-            verdict = UNKNOWN
-        elif second < tol:
-            verdict = AMBIGUOUS
-        else:
-            verdict = best_name
-        out.append((verdict, best, second_name, second))
-    return out
+    (best, best_name), (second, runner_up), *others = sorted(zip(row, names))
+    for distance, name in others:  # a tie at the runner-up goes to the first name
+        if distance <= second + _RUNNER_UP_TIE and name < runner_up:
+            runner_up = name
+    if not best < tol:
+        return UNKNOWN, best, runner_up, second
+    return (AMBIGUOUS if second < tol else best_name), best, runner_up, second
 
 
 def _signature_coefficients(basis: TruthBasis, tables: Sequence[TruthTable]) -> np.ndarray:

@@ -33,3 +33,13 @@ def test_count_calls_prints_the_counters_of_each_dim():
 def test_count_calls_rejects_a_dim_that_is_no_number():
     code, out, err = count_calls("4", "x")
     assert code == 1 and out == "" and "whole number" in err
+
+
+def test_a_gate_diagnosis_makes_no_more_calls_than_a_dense_one():
+    # the matrix-free probe is the lean path: it skips Gate.on_product's
+    # checks, and the dense oracle's matrix is built outside the count
+    code, out, err = count_calls("8")
+    assert code == 0, err
+    calls = {(row["op"], row["gate"]): row["calls"] for row in map(json.loads, out.splitlines()) if "gate" in row}
+    for gate in ("NOT", "AND"):
+        assert calls["diagnose", gate] <= calls["diagnose_dense", gate], calls

@@ -451,3 +451,66 @@ def test_batched_nearest_applies_the_classify_rule():
             res = classify(GateSignature(*row, residual=0.0), arity)
             assert got == (res.verdict, res.distance, res.runner_up, res.runner_up_distance) or math.isnan(row[2])
         assert batched[-1][0] == UNKNOWN
+
+
+def _public_path_signatures(gate: Gate, b) -> list[tuple]:
+    """(re_s, re_n, im_s, im_n, residual) of each gate of a Gate or a stack, by
+    the public gate.on_product(As, ..., As) and `_coefficients`."""
+    a_s = vlogic.diagnosis._root_of_true(b)[:, None]
+    out = gate.on_product(*[a_s] * gate.arity)[..., 0].reshape(-1, b.dim)
+    c, residuals = vlogic.diagnosis._coefficients(out, b)
+    return [(s.real, n.real, s.imag, n.imag, r) for (s, n), r in zip(c.tolist(), residuals.tolist())]
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dim", [8, 32, 64])
+@pytest.mark.parametrize("eps", [0.0, 0.35], ids=["orthonormal", "oblique"])
+def test_probe_kernel_matches_on_product_bit_for_bit(dim, eps, ternary_tables):
+    # probe, enumerate_signatures and the verify section share one kernel
+    # that skips on_product's checks; its signatures and residuals are the
+    # public path's to the last bit, and classify is _nearest's row for them
+    b = random_basis(dim, eps, seed=dim)
+    tables = ternary_tables[::5]
+    for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES, tables[7]):
+        gate = gate_operator(b, table)
+        sig = probe(gate, b, table.arity)
+        (expected,) = _public_path_signatures(gate, b)
+        assert _bits((*sig.coefficients, sig.residual)) == _bits(expected), table.name
+        if table.arity == 3:
+            continue
+        res = classify(sig, table.arity)
+        (row,) = vlogic.diagnosis._nearest([sig.coefficients], table.arity, DEFAULT_CLASSIFY_TOL)
+        assert (res.verdict, res.distance, res.runner_up, res.runner_up_distance) == row
+    signatures, _ = enumerate_signatures(b, tables)
+    expected = _public_path_signatures(gate_operator(b, tables), b)
+    assert _bits([(*signatures[t.name].coefficients, signatures[t.name].residual) for t in tables]) == _bits(expected)
+    assert _bits(vlogic.diagnosis._signature_coefficients(b, tables)) == _bits([e[:4] for e in expected])
+
+
+@pytest.mark.parametrize("dim", [8, 32, 64])
+def test_runner_up_survives_a_one_ulp_change_of_any_coefficient(dim):
+    # every diagnosis has references tied at 0.5 for the runner-up; which
+    # of them is named must not hang on the last bit of a coefficient
+    for seed, eps in ((1, 0.0), (2, 0.35)):
+        b = random_basis(dim, eps, seed=seed)
+        for table in (*sl.MONADIC_GATES.values(), *sl.NAMED_DYADIC_GATES.values()):
+            sig = probe(gate_operator(b, table), b, table.arity)
+            runner_up = classify(sig, table.arity).runner_up
+            for i, c in enumerate(sig.coefficients):
+                for step in (-math.inf, math.inf):
+                    moved = list(sig.coefficients)
+                    moved[i] = float(np.nextafter(c, step))
+                    res = classify(GateSignature(*moved, residual=sig.residual), table.arity)
+                    assert (res.verdict, res.runner_up) == (table.name, runner_up)
+
+
+def test_runner_up_tie_goes_to_the_first_name():
+    # distances within 1e-12 of the runner-up distance tie; the raw
+    # distances are reported as they are
+    row = [0.0, 0.5 + 4e-13, 0.5, 0.7]
+    verdict, best, runner_up, second = vlogic.diagnosis._verdict(row, ["D", "B", "C", "A"], 1e-6)
+    assert (verdict, best, runner_up, second) == ("D", 0.0, "B", 0.5)
+    assert vlogic.diagnosis._verdict([0.0, 0.5 + 2e-12, 0.5, 0.7], ["D", "B", "C", "A"], 1e-6)[2] == "C"

@@ -124,15 +124,15 @@ def test_tautologies_apply_one_stack(monkeypatch):
 )
 def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build, failing):
     # the section applies one stacked probe per arity to the factors of its
-    # probe input, and no @ at all, so no Q^k probe vector; it agrees with a direct probe +
-    # classify of each gate; the substitute goes into both modules that
-    # build gates, so the section's probes see it
+    # probe input (the probe kernel), and no @ at all, so no Q^k probe vector;
+    # it agrees with a direct probe + classify of each gate; the substitute
+    # goes into both modules that build gates, so the section's probes see it
     applied, matmul_inputs = [], []
-    on_product, matmul = Gate.on_product, Gate.__matmul__
+    probe_outputs, matmul = vlogic.diagnosis._probe_outputs, Gate.__matmul__
 
-    def counted_product(gate, *factors):
+    def counted_probe(gate, basis):
         applied.append(gate.shape)
-        return on_product(gate, *factors)
+        return probe_outputs(gate, basis)
 
     def counted_matmul(gate, v):
         matmul_inputs.append(np.shape(v))
@@ -140,7 +140,7 @@ def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build,
 
     monkeypatch.setattr(vlogic.verify, "gate_operator", build)
     monkeypatch.setattr(vlogic.diagnosis, "gate_operator", build)
-    monkeypatch.setattr(Gate, "on_product", counted_product)
+    monkeypatch.setattr(vlogic.diagnosis, "_probe_outputs", counted_probe)
     monkeypatch.setattr(Gate, "__matmul__", counted_matmul)
     section = diagnosis_section(basis)
     q = basis.dim
