@@ -11,11 +11,11 @@ k factors As of the probe input in O(Q 2^k), its duals contracted with As
 once, bit for bit what `Gate.on_product` gives, and never meets the Q^k
 probe vector; a dense oracle, which is read whole anyway, is applied with
 @ to that vector. The output's real and imaginary coefficients along s
-and n form a four-number signature that distinguishes all four monadic
-gates and the seven named dyadic gates; a diagnosis also reports the
-runner-up reference and its distance. Any basis will do, orthonormal or
-oblique: A s = alpha*s + beta*n holds in every basis, and the duals read
-the output's coefficients along s and n exactly.
+and n, read by one product by the duals per output, alone or in a stack,
+form a four-number signature that distinguishes all four monadic gates
+and the seven named dyadic gates; a diagnosis also reports the runner-up
+reference and its distance. Any basis will do, orthonormal or oblique:
+in each, A s = alpha*s + beta*n and the duals read the s and n parts exactly.
 """
 
 from __future__ import annotations
@@ -84,14 +84,6 @@ def _probe_outputs(gate: Gate, basis: TruthBasis) -> np.ndarray:
     return np.matmul(gate.outputs, functools.reduce(_kron, [d] * gate.arity), order="C")[..., 0]
 
 
-def _coefficients(out: np.ndarray, basis: TruthBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The complex coefficients along s and n, shape (G, 2), and the residuals
-    outside span{s, n}, shape (G,), of G complex probe outputs of shape
-    (G, Q), all read with one product by the duals."""
-    c = out @ basis.duals.T
-    return c, np.maximum.reduce(np.abs(out - c @ basis.frame.T), axis=1)
-
-
 def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     """Signature of oracle @ (As)^{(x)k} for a hidden Q x Q^k gate of arity k.
 
@@ -116,7 +108,7 @@ def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     else:
         out = oracle @ _probe_vector(basis, arity)  # (Q, 2): real and imaginary parts
         out = out[:, 0] + 1j * out[:, 1]
-    c = out @ basis.duals.T  # `_coefficients` of one output
+    c = out @ basis.duals.T  # the read of `_signature_coefficients`, for one output
     s, n = c.tolist()
     residual = float(np.maximum.reduce(np.abs(out - c @ basis.frame.T)))
     return GateSignature(s.real, n.real, s.imag, n.imag, residual=residual)
@@ -193,11 +185,13 @@ def _verdict(row: list[float], names: list[str], tol: float) -> tuple[str, float
     return (AMBIGUOUS if second < tol else best_name), best, runner_up, second
 
 
-def _signature_coefficients(basis: TruthBasis, tables: Sequence[TruthTable]) -> np.ndarray:
-    """The (G, 4) signature coefficients of the tables, in order: what
-    `enumerate_signatures` reads, without the residuals."""
-    c = _probe_outputs(gate_operator(basis, tables), basis) @ basis.duals.T
-    return np.concatenate((c.real, c.imag), axis=1)
+def _signature_coefficients(basis: TruthBasis, tables: Sequence[TruthTable]) -> tuple[np.ndarray, np.ndarray]:
+    """The (G, 4) signature coefficients of the tables, in order, and their
+    (G, Q) probe outputs. Each output is read by its own product by the
+    duals, so every gate gets `probe`'s coefficients to the last bit."""
+    out = _probe_outputs(gate_operator(basis, tables), basis)
+    c = (out[:, None, :] @ basis.duals.T)[:, 0]
+    return np.concatenate((c.real, c.imag), axis=1), out
 
 
 def _collision_classes(tables: Sequence[TruthTable], coefficients: np.ndarray) -> list[list[str]]:
@@ -215,8 +209,8 @@ def enumerate_signatures(
     """Probe signatures of the given gates of one arity, grouped into collision classes.
 
     The gates are probed as one stacked `Gate` through the factors As of the
-    probe input, as `probe` probes one; one product by the duals reads all
-    their signatures. Mixed arities raise ValueError, and a basis stack
+    probe input and read by `_signature_coefficients`, so each gets `probe`'s
+    signature to the last bit. Mixed arities raise ValueError, and a basis stack
     DimensionMismatch; no tables give ({}, []).
     Returns (name -> signature, collision classes); each class lists the
     gates sharing one signature, largest first, classes of size >= 2 being
@@ -228,8 +222,9 @@ def enumerate_signatures(
     tables = list(tables)
     if not tables:
         return {}, []
-    c, residuals = _coefficients(_probe_outputs(gate_operator(basis, tables), basis), basis)
-    coefficients = np.concatenate((c.real, c.imag), axis=1)
+    coefficients, out = _signature_coefficients(basis, tables)
+    c = coefficients[:, :2] + 1j * coefficients[:, 2:]  # exact: the read's complex coefficients
+    residuals = np.maximum.reduce(np.abs(out - (c[:, None, :] @ basis.frame.T)[:, 0]), axis=1)
     signatures = {
         t.name: GateSignature(*c, residual=r) for t, c, r in zip(tables, coefficients.tolist(), residuals.tolist())
     }

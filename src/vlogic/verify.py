@@ -118,8 +118,8 @@ def diagnosis_section(b: TruthBasis) -> dict:
     monadic and named dyadic gates round-trip through `classify`, no two
     named dyadic gates share a signature, and some dyadic gates do (the
     one-probe ambiguities)."""
-    monadic = diagnosis._signature_coefficients(b, _TABLES["monadic"])
-    dyadic = diagnosis._signature_coefficients(b, ALL_DYADIC_TABLES)
+    monadic, _ = diagnosis._signature_coefficients(b, _TABLES["monadic"])
+    dyadic, _ = diagnosis._signature_coefficients(b, ALL_DYADIC_TABLES)
     classes = diagnosis._collision_classes(ALL_DYADIC_TABLES, dyadic)
     failures = diagnosis_roundtrip_failures(monadic, dyadic)
     named = set(NAMED_DYADIC_GATES)

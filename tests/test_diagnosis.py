@@ -455,10 +455,12 @@ def test_batched_nearest_applies_the_classify_rule():
 
 def _public_path_signatures(gate: Gate, b) -> list[tuple]:
     """(re_s, re_n, im_s, im_n, residual) of each gate of a Gate or a stack, by
-    the public gate.on_product(As, ..., As) and `_coefficients`."""
+    the public gate.on_product(As, ..., As), each output read by its own
+    products by the duals and by the frame."""
     a_s = vlogic.diagnosis._root_of_true(b)[:, None]
     out = gate.on_product(*[a_s] * gate.arity)[..., 0].reshape(-1, b.dim)
-    c, residuals = vlogic.diagnosis._coefficients(out, b)
+    c = (out[:, None, :] @ b.duals.T)[:, 0]
+    residuals = np.abs(out - (c[:, None, :] @ b.frame.T)[:, 0]).max(axis=1)
     return [(s.real, n.real, s.imag, n.imag, r) for (s, n), r in zip(c.tolist(), residuals.tolist())]
 
 
@@ -487,7 +489,27 @@ def test_probe_kernel_matches_on_product_bit_for_bit(dim, eps, ternary_tables):
     signatures, _ = enumerate_signatures(b, tables)
     expected = _public_path_signatures(gate_operator(b, tables), b)
     assert _bits([(*signatures[t.name].coefficients, signatures[t.name].residual) for t in tables]) == _bits(expected)
-    assert _bits(vlogic.diagnosis._signature_coefficients(b, tables)) == _bits([e[:4] for e in expected])
+    coefficients, _ = vlogic.diagnosis._signature_coefficients(b, tables)
+    assert _bits(coefficients) == _bits([e[:4] for e in expected])
+
+
+def test_a_gate_gets_the_same_signature_bits_alone_and_in_a_stack(ternary_tables):
+    # probe of one Gate, enumerate_signatures of a stack and the stacked read
+    # of verify's diagnosis section give every gate the same bytes, in every
+    # basis, whatever the size of the stack it is read in
+    groups = (list(sl.MONADIC_GATES.values()), list(sl.ALL_DYADIC_TABLES), ternary_tables)
+    differ = []
+    for dim, eps in itertools.product([2, 4, 8, 32, 64, 256], [0.0, 0.35, 0.9, -0.6]):
+        b = random_basis(dim, eps, seed=dim)
+        for tables in groups:
+            signatures, _ = enumerate_signatures(b, tables)
+            stacked, _ = vlogic.diagnosis._signature_coefficients(b, tables)
+            for table, row in zip(tables, stacked):
+                sig, listed = probe(gate_operator(b, table), b, table.arity), signatures[table.name]
+                alone = (*sig.coefficients, sig.residual)
+                if _bits(alone) != _bits((*listed.coefficients, listed.residual)) or _bits(alone[:4]) != _bits(row):
+                    differ.append((dim, eps, table.name))
+    assert not differ, f"{len(differ)} gates differ, first {differ[:3]}"
 
 
 @pytest.mark.parametrize("dim", [8, 32, 64])

@@ -269,7 +269,8 @@ def test_gate_apply_rejects_wrong_shapes(dim4):
 @pytest.mark.parametrize("dim", [2, 4, 8])
 @pytest.mark.parametrize("arity", [1, 2])
 def test_stacked_gate_matches_its_gates(dim, arity):
-    # a stack of G tables is its G gates along axis 0, under @ and np.asarray
+    # a stack of G tables is its G gates along axis 0, bit for bit, under @,
+    # on_product and np.asarray
     b = random_basis(dim, 0.35, seed=dim)
     rng = np.random.default_rng(dim)
     tables = list(sl.MONADIC_GATES.values()) if arity == 1 else list(sl.ALL_DYADIC_TABLES)
@@ -287,7 +288,13 @@ def test_stacked_gate_matches_its_gates(dim, arity):
         ):
             out = stack @ v
             assert out.shape == (len(stacked), dim, *v.shape[1:])
-            assert max_norm(out - np.stack([g @ v for g in gates])) < 1e-13
+            assert out.tobytes() == np.stack([g @ v for g in gates]).tobytes()
+        for factors in (
+            [rng.standard_normal((dim, 3)) for _ in range(arity)],
+            [rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)) for _ in range(arity)],
+        ):
+            out = stack.on_product(*factors)
+            assert out.tobytes() == np.stack([g.on_product(*factors) for g in gates]).tobytes()
 
 
 def test_stacked_gate_needs_tables_of_one_arity(dim4):

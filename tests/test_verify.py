@@ -372,7 +372,8 @@ def test_report_schema_is_pinned():
 
 
 def test_diagnosis_section_computes_only_what_it_reads(monkeypatch):
-    # no residuals outside span{s, n} and no monadic collision classes; the
+    # no residuals outside span{s, n} (computed only by probe and
+    # enumerate_signatures) and no monadic collision classes; the
     # coefficients are the ones enumerate_signatures reports, bit for bit
     grouped = []
     classes = vlogic.diagnosis._collision_classes
@@ -380,12 +381,13 @@ def test_diagnosis_section_computes_only_what_it_reads(monkeypatch):
     def refuse(*args):
         raise AssertionError("computed residuals the section does not read")
 
-    monkeypatch.setattr(vlogic.diagnosis, "_coefficients", refuse)
+    monkeypatch.setattr(vlogic.diagnosis, "enumerate_signatures", refuse)
+    monkeypatch.setattr(vlogic.diagnosis, "probe", refuse)
     monkeypatch.setattr(vlogic.diagnosis, "_collision_classes", lambda t, c: grouped.append(t) or classes(t, c))
     b = random_basis(8, 0.35, 2)
     assert diagnosis_section(b)["pass"]
     assert grouped == [sl.ALL_DYADIC_TABLES]
     monkeypatch.undo()
     sigs, _ = vlogic.diagnosis.enumerate_signatures(b, sl.ALL_DYADIC_TABLES)
-    coefficients = vlogic.diagnosis._signature_coefficients(b, sl.ALL_DYADIC_TABLES)
+    coefficients, _ = vlogic.diagnosis._signature_coefficients(b, sl.ALL_DYADIC_TABLES)
     assert coefficients.tolist() == [list(sigs[t.name].coefficients) for t in sl.ALL_DYADIC_TABLES]
