@@ -73,12 +73,14 @@ class TruthBasis:
 
 
 def make_basis(s, n) -> TruthBasis:
-    """Build a TruthBasis from unit vectors s, n, computing the duals; s and
-    n of shape (B, Q) build a stack of B bases, each checked alike."""
-    try:
-        s = np.asarray(s, dtype=float)
-        n = np.asarray(n, dtype=float)
-    except ValueError as exc:  # a ragged stack among them
+    """Build a TruthBasis from real unit vectors s, n, computing the duals;
+    s and n of shape (B, Q) build a stack of B bases, each checked alike."""
+    try:  # a ragged stack raises ValueError, and a complex entry is refused, never dropped
+        s, n = np.asarray(s), np.asarray(n)
+        if "c" in s.dtype.kind + n.dtype.kind:
+            raise TypeError(f"got dtypes {s.dtype} and {n.dtype}")
+        s, n = s.astype(float, copy=False), n.astype(float, copy=False)
+    except (ValueError, TypeError) as exc:
         raise DimensionMismatch(f"s and n must be real vectors or stacks (B, Q) of them: {exc}") from None
     if s.ndim not in (1, 2) or s.shape != n.shape or s.size == 0 and s.ndim == 2:
         raise DimensionMismatch(f"s and n must be equal-length vectors or non-empty stacks (B, Q) of them, "

@@ -62,25 +62,19 @@ class DiagnosisResult:
     runner_up_distance: float
 
 
-_ROOT_OF_TRUE = np.array((ALPHA, BETA))  # A s = alpha s + beta n, over the frame [s n]
-
-
-def _root_of_true(basis: TruthBasis) -> np.ndarray:
-    """A s, a complex Q-vector: true prefiltered by a root of NOT, in any
-    basis, without forming the Q x Q root A."""
-    return basis.frame @ _ROOT_OF_TRUE
+_ROOT_OF_TRUE = np.array((ALPHA, BETA))  # A s = alpha s + beta n: As is frame @ _ROOT_OF_TRUE, with no Q x Q A
 
 
 def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
     """(As)^{(x)k} as a Q^k x 2 real view, its real and imaginary parts side
     by side, so a real dense oracle is read once and never cast to complex."""
-    return functools.reduce(_kron, [_root_of_true(basis)[None, :]] * arity)[0].view(np.float64).reshape(-1, 2)
+    return functools.reduce(_kron, [(basis.frame @ _ROOT_OF_TRUE)[None, :]] * arity)[0].view(np.float64).reshape(-1, 2)
 
 
 def _probe_outputs(gate: Gate, basis: TruthBasis) -> np.ndarray:
     """The complex outputs (..., Q) of a Gate or a stack of one basis on the probe input: outputs
     (duals As)^{(x)k}, with duals As formed once and no checks, gate.on_product(As, ..., As) bit for bit."""
-    d = gate.duals @ _root_of_true(basis)[:, None]
+    d = gate.duals @ (basis.frame @ _ROOT_OF_TRUE)[:, None]
     return np.matmul(gate.outputs, functools.reduce(_kron, [d] * gate.arity), order="C")[..., 0]
 
 

@@ -42,7 +42,7 @@ import cmath
 import decimal
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from math import isfinite, pi
 
 import numpy as np
@@ -104,7 +104,10 @@ class LogicAlgebraContext:
 
 
 def make_context(basis: TruthBasis) -> LogicAlgebraContext:
-    """The context of a basis: its pairs, read-only, are the same for every basis."""
+    """The context of one basis: its pairs, read-only, are the same for
+    every basis. A basis stack raises DimensionMismatch."""
+    if basis.frame.ndim != 2:
+        raise DimensionMismatch(f"make_context takes one basis, not a stack of frames {basis.frame.shape}")
     return LogicAlgebraContext(basis, _PAIRS)
 
 
@@ -287,13 +290,6 @@ def scalar_exp_series(x: complex) -> complex:
         return _eigen_series(lam, lam, "exp")[0]
 
 
-@cache
-def _scalar_exp_sums() -> np.ndarray:
-    """e^{i pi v} by `scalar_exp_series` for each v of EULER_V_SAMPLES: a
-    constant of the samples, never of a context, so it is summed once."""
-    return _readonly(np.array([scalar_exp_series(1j * pi * v) for v in EULER_V_SAMPLES]))
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Named max-norm residuals from a verification run."""
@@ -337,7 +333,9 @@ def verify_euler_suite(
     Raises ValueError for a tol that is not finite and positive, for a k
     that is not a non-negative integer, and for a v whose argument
     w = Pi v, Pi k v or Pi (va + vb) is not finite or so large that its
-    rounding error |w| 2^-52 is not below tol.
+    rounding error |w| 2^-52 is not below tol. The largest |w| is exactly
+    max|v| max(2, k): |fl(k v)| = fl(k |v|) grows with |v|, and
+    |va + vb| <= 2 max|v|, with equality at va = vb.
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
@@ -346,12 +344,12 @@ def verify_euler_suite(
         if not (k >= 0 and float(k).is_integer()):
             raise ValueError(f"k must be a non-negative integer, got {k!r}")
     ks = [int(k) for k in ks]
-    bound, pairs = ctx._bound, ctx.pairs
+    bound, pairs, v = ctx._bound, ctx.pairs, np.array(v_samples)
     # K max(|a|, |b|) of Pi's core is never below the max-norm of Pi; the
     # largest |w| passes both checks exactly when every argument does, so
     # the arguments are walked only to name the first that fails
     pi_norm = float(_pair_residual(bound, pairs[4]))
-    largest = _largest_argument(tuple(v_samples), tuple(ks))
+    largest = float(np.maximum.reduce(np.abs(v), initial=0.0)) * max((2, *ks))
     if not (isfinite(largest * pi_norm) and largest * pi_norm * 2.0**-52 < tol):
         arguments = _arguments(v_samples, ks)
         for label, w in arguments:
@@ -365,7 +363,7 @@ def verify_euler_suite(
                 )
 
     named, worst = {}, {}
-    for name, r, argument in _euler_pair_residuals(pairs.tobytes(), np.array(v_samples).tobytes(), tuple(ks)):
+    for name, r, argument in _euler_pair_residuals(pairs.tobytes(), v.tobytes(), tuple(ks)):
         named[name] = bound * r
         worst[name] = None if argument is None else dict(argument)
     return IdentityReport(
@@ -382,13 +380,6 @@ def _arguments(v_samples, ks) -> list[tuple[str, float]]:
     arguments += [("k*v", k * v) for k in ks for v in v_samples]
     arguments += [("va+vb", va + vb) for va in v_samples for vb in v_samples]
     return arguments
-
-
-@lru_cache(maxsize=32)
-def _largest_argument(v_samples: tuple, ks: tuple) -> float:
-    """The largest |w| of the suite's arguments (0 for none, NaN if one is
-    NaN): a constant of the samples, so computed once for each."""
-    return float(np.abs([w for _, w in _arguments(v_samples, ks)]).max(initial=0.0))
 
 
 @lru_cache(maxsize=32)
@@ -439,7 +430,7 @@ def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
 
 def scalar_exp_residual(ctx: LogicAlgebraContext) -> float:
     """The largest residual of logical_exp(A Pi v) = e^{i pi v} I over
-    EULER_V_SAMPLES, e^{i pi v} by the scalar series (`_scalar_exp_sums`),
+    EULER_V_SAMPLES, e^{i pi v} by the scalar series (`scalar_exp_series`),
     with the suite's bound and on the eigenvalue pairs of the context's I, A
     and Pi: no Q x Q matrix."""
     return ctx._bound * _scalar_exp_pair_residual(ctx.pairs.tobytes())
@@ -449,7 +440,9 @@ def scalar_exp_residual(ctx: LogicAlgebraContext) -> float:
 def _scalar_exp_pair_residual(pairs: bytes) -> float:
     """max(|a|, |b|) of `scalar_exp_residual` on the context pairs (the bytes
     of the (5, 2) array): no basis enters, so, as for `_euler_pair_residuals`,
-    each distinct key is computed once and the caller scales by K."""
+    each distinct key, the six series sums too, is computed once and the
+    caller scales by K."""
     I, _, A, _, Pi = np.frombuffer(pairs, dtype=complex).reshape(5, 2)
-    d = np.exp(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - _scalar_exp_sums()[:, None] * I
+    sums = np.array([scalar_exp_series(1j * pi * v) for v in EULER_V_SAMPLES])
+    d = np.exp(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - sums[:, None] * I
     return float(_pair_residual(1.0, d).max())

@@ -86,6 +86,10 @@ def test_make_basis_errors():
     v = np.array([1.0, 0.0])
     with pytest.raises(NearlyDependent):
         make_basis(v, v)
+    # a complex entry is refused, never dropped: |1 + 0.5j| = 1.118 is no unit norm
+    for s in (np.array([1 + 0.5j, 0, 0, 0]), [1 + 0.5j, 0, 0, 0]):
+        with pytest.raises(DimensionMismatch, match="must be real"):
+            make_basis(s, [0, 1, 0, 0])
 
 
 @pytest.mark.parametrize("s,n", [([np.nan, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, np.nan])])

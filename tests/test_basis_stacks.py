@@ -7,7 +7,7 @@ import pytest
 
 import vlogic.srn
 import vlogic.verify
-from vlogic import Gate, TruthBasis, enumerate_signatures, gate_operator, make_basis, probe, random_basis
+from vlogic import Gate, TruthBasis, enumerate_signatures, gate_operator, make_basis, make_context, probe, random_basis
 from vlogic import scalar_logic as sl
 from vlogic.errors import DimensionMismatch, NearlyDependent, NotUnitNorm, VectorLogicError
 from vlogic.serialize import basis_from_dict, basis_to_dict
@@ -118,7 +118,8 @@ def test_stacks_of_mixed_dims_or_no_member_are_refused():
 
 
 def test_the_one_basis_paths_refuse_a_stack_with_a_typed_error():
-    # `@` and `probe` take one basis; over a stack each raises a typed error
+    # `@`, `probe` and `make_context` take one basis; over a stack each
+    # raises a typed error (a context's bound K over a stack means nothing)
     b4 = random_basis(4, 0.0, 1)
     stack = stack_of([b4, random_basis(4, 0.35, 2)])
     for table, width in ((sl.NOT, 4), (sl.AND, 16)):
@@ -127,6 +128,8 @@ def test_the_one_basis_paths_refuse_a_stack_with_a_typed_error():
     for oracle in (gate_operator(b4, sl.AND), np.asarray(gate_operator(b4, sl.AND))):
         with pytest.raises(DimensionMismatch, match="one basis"):
             probe(oracle, stack, 2)
+    with pytest.raises(DimensionMismatch, match=r"make_context takes one basis, not a stack of frames \(2, 4, 2\)"):
+        make_context(stack)
 
 
 def test_enumerate_signatures_refuses_a_stack_with_a_typed_error():

@@ -457,7 +457,7 @@ def _public_path_signatures(gate: Gate, b) -> list[tuple]:
     """(re_s, re_n, im_s, im_n, residual) of each gate of a Gate or a stack, by
     the public gate.on_product(As, ..., As), each output read by its own
     products by the duals and by the frame."""
-    a_s = vlogic.diagnosis._root_of_true(b)[:, None]
+    a_s = (b.frame @ vlogic.diagnosis._ROOT_OF_TRUE)[:, None]
     out = gate.on_product(*[a_s] * gate.arity)[..., 0].reshape(-1, b.dim)
     c = (out[:, None, :] @ b.duals.T)[:, 0]
     residuals = np.abs(out - (c[:, None, :] @ b.frame.T)[:, 0]).max(axis=1)

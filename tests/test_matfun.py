@@ -1,8 +1,10 @@
 """Logical exponential, matrix circular functions, and the Euler identity suite."""
 
 import decimal
+import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,19 +17,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vlogic
 import vlogic.operators
 import vlogic.srn
 from vlogic import matfun
 from vlogic import (
+    AND,
     C_of,
     C_series,
     S_of,
     S_series,
     canonical_basis,
+    classify,
+    gate_operator,
     logical_exp,
     logical_exp_series,
     make_context,
     max_norm,
+    probe,
     random_basis,
     verify_euler_suite,
 )
@@ -36,7 +43,7 @@ from vlogic.scalar_logic import ID, NOT
 from vlogic.matfun import COMMUTATOR_TOL, scalar_exp_series
 from vlogic.operators import lift
 from vlogic.srn import A_CORE, B_CORE
-from vlogic.verify import EULER_KS, EULER_V_SAMPLES, RESIDUAL_TOL, scalar_oracle_residual
+from vlogic.verify import EULER_KS, EULER_V_SAMPLES, RESIDUAL_TOL, run_full_verification, scalar_oracle_residual
 
 SUITE_TOL = 1e-8
 
@@ -400,11 +407,27 @@ def test_euler_suite_rejects_non_finite_v(ctx, v):
         verify_euler_suite(ctx, [0.5, v])
 
 
-@pytest.mark.parametrize("ks,label", [((2,), "k*v"), ((1,), "va+vb")])
-def test_euler_suite_rejects_overflowing_argument(ctx, ks, label):
-    # Pi v is finite, but Pi (2 v) is not: reached through k v or va + vb
-    v = 0.6 * sys.float_info.max / max_norm(ctx.Pi)
-    with pytest.raises(ValueError, match=re.escape(f"Pi*{label} is not finite")):
+@pytest.mark.parametrize(
+    "ks,label,v",
+    [
+        pytest.param((2,), "k*v", None, id="ks0-k*v"),
+        pytest.param((1,), "va+vb", None, id="ks1-va+vb"),
+        pytest.param((), "va+vb", None, id="no_k-va+vb"),
+        pytest.param((0,), "va+vb", None, id="k0-va+vb"),
+        pytest.param((0,), "v", math.nan, id="nan-v"),
+        pytest.param((), "v", math.inf, id="inf-v"),
+        pytest.param((2,), "v", -math.inf, id="-inf-v"),
+        pytest.param((), "v", 1e308, id="1e308-v"),
+    ],
+)
+def test_euler_suite_rejects_overflowing_argument(ctx, ks, label, v):
+    # Pi v is finite, but Pi (2 v) is not: reached through k v or va + vb,
+    # also with no k or k = 0, as the largest |w| is max|v| max(2, k); a v
+    # that is not finite, or 1e308, where Pi v overflows, is named itself
+    if v is None:
+        v = 0.6 * sys.float_info.max / max_norm(ctx.Pi)
+    w = v if label == "v" else 2 * v  # finite, but Pi w is not
+    with pytest.raises(ValueError, match=re.escape(f"argument Pi*{label} is not finite at {label} = {w!r}")):
         verify_euler_suite(ctx, [v], ks=ks)
 
 
@@ -599,21 +622,22 @@ def test_pair_checks_read_the_context():
 
 
 def test_scalar_oracle_sums_once_and_still_reads_the_context(monkeypatch):
-    # the kept sums equal fresh ones bit for bit
-    fresh = [scalar_exp_series(1j * math.pi * v) for v in EULER_V_SAMPLES]
-    kept = matfun._scalar_exp_sums()
-    assert np.array(kept).view(np.uint64).tolist() == np.array(fresh).view(np.uint64).tolist()
-
-    # once warm, no call sums a series, and a wrong context still fails
-    def refuse(x):
-        raise AssertionError("scalar series summed again")
-
-    monkeypatch.setattr(matfun, "scalar_exp_series", refuse)
+    # once warm, no call with the module pairs sums a series; a wrong context
+    # sums the six series once for its own pairs, and still fails
+    matfun._scalar_exp_pair_residual.cache_clear()
+    scalar_oracle_residual(make_context(random_basis(4, 0.0, 1)))
+    summed = []
+    series = matfun.scalar_exp_series
+    monkeypatch.setattr(matfun, "scalar_exp_series", lambda x: summed.append(x) or series(x))
     c = make_context(random_basis(8, 0.35, 2))
     I, _, A, B, Pi = c.pairs
     assert scalar_oracle_residual(c) < RESIDUAL_TOL
+    assert summed == []
     for wrong in (with_pairs(c, A=B, B=A), with_pairs(c, Pi=2 * Pi), with_pairs(c, I=1.001 * I)):
-        assert scalar_oracle_residual(wrong) > 1e-4
+        summed.clear()
+        for _ in range(2):
+            assert scalar_oracle_residual(wrong) > 1e-4
+        assert summed == [1j * math.pi * v for v in EULER_V_SAMPLES]
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16, 64])
@@ -709,12 +733,17 @@ def test_worst_argument_reproduces_the_worst_residual():
 
 
 def test_library_suite_accepts_empty_samples():
-    # only the CLI rejects an empty --v or --k; the library reports no worst argument
-    report = verify_euler_suite(make_context(random_basis(4, 0.0, 1)), [], ks=())
-    assert report.passed
-    worst = report.metadata["worst_argument"]
-    assert worst["g_great_euler"] == {"v": 1.0}
-    assert all(worst[name] is None for name in worst if name != "g_great_euler")
+    # only the CLI rejects an empty --v or --k; the library reports no worst
+    # argument for an identity with no sample. The largest |w| of these is
+    # max|v| max(2, k) = 0, with no k, k = 0 and v = -0.0 too
+    c = make_context(random_basis(4, 0.0, 1))
+    for v_samples, ks in (([], ()), ([], (0,)), ([], EULER_KS), ([-0.0], ()), ([-0.0], (0,)), ([-0.0, 0.0], EULER_KS)):
+        report = verify_euler_suite(c, v_samples, ks=ks)
+        assert report.passed
+        worst = report.metadata["worst_argument"]
+        assert worst["g_great_euler"] == {"v": 1.0}
+        no_sample = set(worst) - {"g_great_euler"} if not v_samples else {"h_de_moivre"} if not ks else set()
+        assert {name for name, arg in worst.items() if arg is None} == no_sample, (v_samples, ks)
 
 
 def test_context_computes_its_pairs_and_bound_once(monkeypatch):
@@ -863,13 +892,14 @@ def test_scalar_oracle_pair_arithmetic_is_done_once_per_process(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pair arithmetic done again")
 
+    sums = np.array([scalar_exp_series(1j * math.pi * v) for v in EULER_V_SAMPLES])
     for q, eps in ((2, 0.0), (32, 0.35), (64, -0.9)):
         c = make_context(random_basis(q, eps, 5))
         I, _, A, _, Pi = c.pairs
-        d = np.exp(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - matfun._scalar_exp_sums()[:, None] * I
+        d = np.exp(A * Pi * np.array(EULER_V_SAMPLES)[:, None]) - sums[:, None] * I
         unfolded = float(matfun._pair_residual(c._bound, d).max())
         with monkeypatch.context() as m:
-            m.setattr(matfun, "_scalar_exp_sums", refuse)
+            m.setattr(matfun, "scalar_exp_series", refuse)
             assert matfun.scalar_exp_residual(c) == unfolded
 
 
@@ -880,7 +910,7 @@ def test_euler_suite_walks_its_arguments_only_to_name_a_failure(monkeypatch):
     c = make_context(random_basis(8, 0.35, 1))
     for _ in range(3):
         assert verify_euler_suite(c, EULER_V_SAMPLES, ks=EULER_KS).passed
-    assert len(calls) <= 1  # at most the first call of these samples computes their largest |w|
+    assert calls == []  # the largest |w| is max|v| max(2, k), with no walk
     calls.clear()
     with pytest.raises(ValueError, match=re.escape("Pi*v at v = 1e+100 is too large")):
         verify_euler_suite(c, [0.5, 1e100])
@@ -891,10 +921,35 @@ def test_per_process_constants_are_not_computed_at_import():
     # the caches fill on first use, so importing the CLI costs no more
     code = (
         "import vlogic.cli, vlogic.matfun as m; "
-        "print([f.cache_info().currsize for f in (m._scalar_exp_pair_residual, "
-        "m._largest_argument, m._euler_pair_residuals, m._scalar_exp_sums)])"
+        "print([f.cache_info().currsize for f in (m._scalar_exp_pair_residual, m._euler_pair_residuals)])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(Path(matfun.__file__).parents[1])})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0, 0, 0]"
+    assert done.stdout.strip() == "[0, 0]"
+
+
+def test_every_per_process_cache_is_hit_by_the_traffic():
+    # a census of the functools caches defined in vlogic: each one earns its
+    # place only if a warm verify run and a Gate diagnosis hit it again
+    caches = {}
+    for module_info in pkgutil.iter_modules(vlogic.__path__):
+        module = importlib.import_module(f"vlogic.{module_info.name}")
+        for name, f in vars(module).items():
+            if hasattr(f, "cache_info") and f.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = f
+    assert sorted(caches) == [
+        "vlogic.matfun._euler_pair_residuals",
+        "vlogic.matfun._scalar_exp_pair_residual",
+        "vlogic.operators._frame_columns",
+    ]
+
+    def traffic():
+        run_full_verification(4)
+        b = random_basis(8, 0.0, 1)
+        classify(probe(gate_operator(b, AND), b, 2), 2)
+
+    traffic()
+    hits = {name: f.cache_info().hits for name, f in caches.items()}
+    traffic()
+    assert all(f.cache_info().hits > hits[name] for name, f in caches.items()), hits
