@@ -127,17 +127,10 @@ MONADIC_REFERENCE_SIGNATURES = {name: symbolic_signature(t) for name, t in MONAD
 DYADIC_REFERENCE_SIGNATURES = {name: symbolic_signature(t) for name, t in NAMED_DYADIC_GATES.items()}
 
 
-class _References(dict):
-    """(names, (R, 4) signatures) of the references of each arity."""
-
-    def __missing__(self, arity):
-        raise UnsupportedArity(f"no reference signatures for arity {arity}; known: {sorted(self)}")
-
-
-_REFERENCES = _References(
-    (arity, (list(refs), np.array(list(refs.values()))))
+_REFERENCES = {  # arity -> (names, (R, 4) signatures of the references)
+    arity: (list(refs), np.array(list(refs.values())))
     for arity, refs in ((1, MONADIC_REFERENCE_SIGNATURES), (2, DYADIC_REFERENCE_SIGNATURES))
-)
+}
 _RUNNER_UP_TIE = 1e-12  # distances this close tie for the runner-up
 
 
@@ -148,35 +141,21 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
     a signature within tol of a reference classifies as that gate, never as
     AMBIGUOUS. Of the references within 1e-12 of the runner-up distance the
     runner-up is the first by name, so last-bit rounding never picks it.
-    Raises ValueError for a tol that is not finite and positive.
+    A NaN signature is UNKNOWN. Raises ValueError for a tol that is not
+    finite and positive, UnsupportedArity for an arity with no references.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    if arity not in _REFERENCES:
+        raise UnsupportedArity(f"no reference signatures for arity {arity}; known: {sorted(_REFERENCES)}")
     names, refs = _REFERENCES[arity]
     row = np.maximum.reduce(np.abs(np.subtract(sig.coefficients, refs)), axis=1)
-    verdict, best, runner_up, second = _verdict(row.tolist(), names, tol)
-    return DiagnosisResult(verdict, sig, best, runner_up, second)
-
-
-def _nearest(coefficients, arity: int, tol: float) -> list[tuple[str, float, str, float]]:
-    """`classify`'s rule for each row of signature coefficients (m, 4), read from one m x R
-    distance matrix: (verdict, distance, runner-up name, runner-up distance) for each."""
-    names, refs = _REFERENCES[arity]
-    dists = np.maximum.reduce(np.abs(np.asarray(coefficients, dtype=float)[:, None, :] - refs), axis=2)
-    return [_verdict(row, names, tol) for row in dists.tolist()]
-
-
-def _verdict(row: list[float], names: list[str], tol: float) -> tuple[str, float, str, float]:
-    """`classify`'s rule on one row of distances to the references named by names."""
-    # np.maximum propagates NaN, so a non-finite signature is far from every
-    # reference and `not best < tol` sends it to UNKNOWN
-    (best, best_name), (second, runner_up), *others = sorted(zip(row, names))
+    (best, best_name), (second, runner_up), *others = sorted(zip(row.tolist(), names))
     for distance, name in others:  # a tie at the runner-up goes to the first name
         if distance <= second + _RUNNER_UP_TIE and name < runner_up:
             runner_up = name
-    if not best < tol:
-        return UNKNOWN, best, runner_up, second
-    return (AMBIGUOUS if second < tol else best_name), best, runner_up, second
+    verdict = UNKNOWN if not best < tol else AMBIGUOUS if second < tol else best_name
+    return DiagnosisResult(verdict, sig, best, runner_up, second)
 
 
 def _signature_coefficients(basis: TruthBasis, tables: Sequence[TruthTable]) -> tuple[np.ndarray, np.ndarray]:

@@ -339,9 +339,13 @@ def verify_euler_suite(
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-    v_samples = [float(v) for v in v_samples]
+    try:  # float() refuses an int beyond the float range
+        v_samples = [float(v) for v in v_samples]
+        k_max = float(max((2, *ks)))
+    except OverflowError:
+        raise ValueError("argument Pi*v or Pi*k*v is not finite: a v or k is beyond the float range") from None
     for k in ks:
-        if not (k >= 0 and float(k).is_integer()):
+        if not (k >= 0 and (isinstance(k, int) or float(k).is_integer())):
             raise ValueError(f"k must be a non-negative integer, got {k!r}")
     ks = [int(k) for k in ks]
     bound, pairs, v = ctx._bound, ctx.pairs, np.array(v_samples)
@@ -349,7 +353,7 @@ def verify_euler_suite(
     # largest |w| passes both checks exactly when every argument does, so
     # the arguments are walked only to name the first that fails
     pi_norm = float(_pair_residual(bound, pairs[4]))
-    largest = float(np.maximum.reduce(np.abs(v), initial=0.0)) * max((2, *ks))
+    largest = float(np.maximum.reduce(np.abs(v), initial=0.0)) * k_max
     if not (isfinite(largest * pi_norm) and largest * pi_norm * 2.0**-52 < tol):
         arguments = _arguments(v_samples, ks)
         for label, w in arguments:

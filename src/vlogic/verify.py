@@ -96,18 +96,16 @@ _NAMED_DYADIC_ROWS = np.array([[t.name for t in ALL_DYADIC_TABLES].index(name) f
 
 def diagnosis_roundtrip_failures(monadic: np.ndarray, dyadic: np.ndarray) -> list[str]:
     """Monadic and named dyadic gates whose probe signature, a row of the
-    coefficients of MONADIC_GATES or ALL_DYADIC_TABLES in order, misidentifies
-    or lies farther than RESIDUAL_TOL from its reference, by `classify`'s rule
-    at its default tol, one distance matrix per arity."""
+    coefficients of MONADIC_GATES or ALL_DYADIC_TABLES in order, is not within
+    RESIDUAL_TOL of its own reference in max-norm (NaN is not). As the
+    references of each arity are 0.5 apart and RESIDUAL_TOL is below
+    `classify`'s default tol, these are exactly the gates that it
+    misidentifies or names farther than RESIDUAL_TOL away."""
     failures = []
-    for arity, tables, coefficients in (
-        (1, MONADIC_GATES.values(), monadic),
-        (2, NAMED_DYADIC_GATES.values(), dyadic[_NAMED_DYADIC_ROWS]),
-    ):
-        nearest = diagnosis._nearest(coefficients, arity, diagnosis.DEFAULT_CLASSIFY_TOL)
-        for table, (verdict, distance, _, _) in zip(tables, nearest):
-            if verdict != table.name or distance > RESIDUAL_TOL:
-                failures.append(table.name)
+    for arity, coefficients in ((1, monadic), (2, dyadic[_NAMED_DYADIC_ROWS])):
+        names, refs = diagnosis._REFERENCES[arity]  # in the order of MONADIC_GATES and NAMED_DYADIC_GATES
+        distances = np.maximum.reduce(np.abs(coefficients - refs), axis=1)
+        failures += [name for name, distance in zip(names, distances.tolist()) if not distance <= RESIDUAL_TOL]
     return failures
 
 
@@ -115,7 +113,8 @@ def diagnosis_section(b: TruthBasis) -> dict:
     """One stacked probe of the monadic gates and one of the dyadic gates,
     each on the factors of its probe input, read as arrays of signature
     coefficients (`diagnosis._signature_coefficients`). Passes when the
-    monadic and named dyadic gates round-trip through `classify`, no two
+    monadic and named dyadic gates round-trip (each within RESIDUAL_TOL of
+    its own reference, `diagnosis_roundtrip_failures`), no two
     named dyadic gates share a signature, and some dyadic gates do (the
     one-probe ambiguities)."""
     monadic, _ = diagnosis._signature_coefficients(b, _TABLES["monadic"])

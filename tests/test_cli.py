@@ -311,6 +311,24 @@ def test_euler_negative_k_exits_1(capsys, tmp_path):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("flag", ["--k", "--v"])
+def test_euler_int_beyond_the_float_range_exits_1_without_a_traceback(tmp_path, flag):
+    # --k 1 and 400 zeros is an int that float() refuses; the process reports
+    # the suite's ValueError (--v parses it as inf, which is not finite)
+    basis_file = tmp_path / "dim4.json"
+    basis_file.write_text(json.dumps(basis_to_dict(canonical_basis("DIM4"))))
+    src = str(Path(vlogic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "vlogic.cli", "euler", "--basis", str(basis_file), flag, "1" + "0" * 400],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("vlogic: error:") and "not finite" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("v", ["1e100", "0.5,1e300"])
 def test_euler_too_large_v_exits_1(capsys, tmp_path, v):
     # finite, but |Pi v| 2^-52 is not below the suite tolerance

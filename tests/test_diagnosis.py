@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import runpy
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from vlogic.diagnosis import (
 )
 from vlogic.operators import dyadic_operator, monadic_operator
 from vlogic.errors import DimensionMismatch, UnsupportedArity, VectorLogicError
+from vlogic.verify import RESIDUAL_TOL, diagnosis_roundtrip_failures
 
 TOL = 1e-10
 
@@ -128,6 +130,11 @@ def test_references_pairwise_separated_by_half():
         for i, a in enumerate(refs):
             for b in refs[i + 1 :]:
                 assert max(abs(x - y) for x, y in zip(a, b)) >= 0.5
+    # the premises of verify's round trip by the distance to the own
+    # reference: within RESIDUAL_TOL of it, classify names that gate and
+    # no other reference comes within its default tol
+    assert RESIDUAL_TOL < DEFAULT_CLASSIFY_TOL
+    assert RESIDUAL_TOL + DEFAULT_CLASSIFY_TOL < 0.5
 
 
 @hypothesis.given(
@@ -198,7 +205,8 @@ def test_fixed_arity_names_match_generic(dim4):
 def test_classify_without_references_raises_typed_error():
     sig = GateSignature(1.0, 0.0, 0.0, 0.0, residual=0.0)
     for arity in (0, 3):
-        with pytest.raises(UnsupportedArity) as exc:
+        message = f"no reference signatures for arity {arity}; known: [1, 2]"
+        with pytest.raises(UnsupportedArity, match=re.escape(message)) as exc:
             classify(sig, arity)
         assert isinstance(exc.value, VectorLogicError)
         assert not isinstance(exc.value, KeyError)
@@ -438,19 +446,38 @@ def test_mixed_arities_raise(ternary_tables):
             enumerate_signatures(b, tables)
 
 
-def test_batched_nearest_applies_the_classify_rule():
-    # the round-trip check classifies many signatures with one distance
-    # matrix; each row gives what classify gives for that signature alone
+def test_roundtrip_failures_apply_the_classify_rule():
+    # verify's round trip reads each gate's distance to its own reference; it
+    # names exactly the gates that classify misidentifies or names farther
+    # than RESIDUAL_TOL away. Every row is tried in the slot of every gate
     rng = np.random.default_rng(7)
-    for arity, refs in ((1, MONADIC_REFERENCE_SIGNATURES), (2, DYADIC_REFERENCE_SIGNATURES)):
+    references = {1: MONADIC_REFERENCE_SIGNATURES, 2: DYADIC_REFERENCE_SIGNATURES}
+    candidates = {}
+    for arity, refs in references.items():
         rows = np.array(list(refs.values()))
-        rows = np.concatenate([rows, rows + rng.normal(scale=1e-7, size=rows.shape), rng.normal(size=(5, 4))])
-        rows[-1, 2] = math.nan
-        batched = vlogic.diagnosis._nearest(rows, arity, DEFAULT_CLASSIFY_TOL)
-        for row, got in zip(rows.tolist(), batched):
-            res = classify(GateSignature(*row, residual=0.0), arity)
-            assert got == (res.verdict, res.distance, res.runner_up, res.runner_up_distance) or math.isnan(row[2])
-        assert batched[-1][0] == UNKNOWN
+        noisy = np.concatenate([rows + rng.normal(scale=1e-7, size=rows.shape), rng.normal(size=(5, 4))])
+        noisy[-1, 2] = math.nan
+        midpoints = [(a + b) / 2 for a, b in itertools.combinations(rows, 2)]
+        non_finite = np.repeat(rows[:1], 3, axis=0)
+        non_finite[[0, 1, 2], [2, 0, 3]] = (math.nan, math.inf, -math.inf)
+        shifted = [rows + 1e-11, rows - 1e-11, rows + 2e-10, rows + 1e-7]
+        candidates[arity] = np.concatenate([rows, noisy, *shifted, midpoints, non_finite])
+    named_rows = [[t.name for t in sl.ALL_DYADIC_TABLES].index(name) for name in DYADIC_REFERENCE_SIGNATURES]
+    outcomes = set()
+    for shift in range(max(len(rows) for rows in candidates.values())):
+        monadic = np.take(candidates[1], shift + np.arange(4), axis=0, mode="wrap")
+        dyadic = np.full((len(sl.ALL_DYADIC_TABLES), 4), math.nan)  # the unnamed rows are not read
+        dyadic[named_rows] = np.take(candidates[2], shift + np.arange(7), axis=0, mode="wrap")
+        expected = []
+        for arity, rows in ((1, monadic), (2, dyadic[named_rows])):
+            for row, name in zip(rows.tolist(), references[arity]):
+                res = classify(GateSignature(*row, residual=0.0), arity)
+                fails = res.verdict != name or res.distance > RESIDUAL_TOL
+                outcomes.add((res.verdict == name, fails))
+                expected += [name] * fails
+        assert diagnosis_roundtrip_failures(monadic, dyadic) == expected, shift
+    # passes, fails on distance with the right name, and fails on the name
+    assert outcomes == {(True, False), (True, True), (False, True)}
 
 
 def _public_path_signatures(gate: Gate, b) -> list[tuple]:
@@ -473,7 +500,7 @@ def _bits(values) -> bytes:
 def test_probe_kernel_matches_on_product_bit_for_bit(dim, eps, ternary_tables):
     # probe, enumerate_signatures and the verify section share one kernel
     # that skips on_product's checks; its signatures and residuals are the
-    # public path's to the last bit, and classify is _nearest's row for them
+    # public path's to the last bit
     b = random_basis(dim, eps, seed=dim)
     tables = ternary_tables[::5]
     for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES, tables[7]):
@@ -481,11 +508,6 @@ def test_probe_kernel_matches_on_product_bit_for_bit(dim, eps, ternary_tables):
         sig = probe(gate, b, table.arity)
         (expected,) = _public_path_signatures(gate, b)
         assert _bits((*sig.coefficients, sig.residual)) == _bits(expected), table.name
-        if table.arity == 3:
-            continue
-        res = classify(sig, table.arity)
-        (row,) = vlogic.diagnosis._nearest([sig.coefficients], table.arity, DEFAULT_CLASSIFY_TOL)
-        assert (res.verdict, res.distance, res.runner_up, res.runner_up_distance) == row
     signatures, _ = enumerate_signatures(b, tables)
     expected = _public_path_signatures(gate_operator(b, tables), b)
     assert _bits([(*signatures[t.name].coefficients, signatures[t.name].residual) for t in tables]) == _bits(expected)
@@ -529,10 +551,18 @@ def test_runner_up_survives_a_one_ulp_change_of_any_coefficient(dim):
                     assert (res.verdict, res.runner_up) == (table.name, runner_up)
 
 
-def test_runner_up_tie_goes_to_the_first_name():
+def test_runner_up_tie_goes_to_the_first_name(monkeypatch):
     # distances within 1e-12 of the runner-up distance tie; the raw
-    # distances are reported as they are
-    row = [0.0, 0.5 + 4e-13, 0.5, 0.7]
-    verdict, best, runner_up, second = vlogic.diagnosis._verdict(row, ["D", "B", "C", "A"], 1e-6)
-    assert (verdict, best, runner_up, second) == ("D", 0.0, "B", 0.5)
-    assert vlogic.diagnosis._verdict([0.0, 0.5 + 2e-12, 0.5, 0.7], ["D", "B", "C", "A"], 1e-6)[2] == "C"
+    # distances are reported as they are. References D, B, C, A lie at
+    # these max-norm distances from the zero signature
+    zero = GateSignature(0.0, 0.0, 0.0, 0.0, residual=0.0)
+
+    def classify_at(distances):
+        refs = np.zeros((4, 4))
+        refs[:, 1] = distances
+        monkeypatch.setitem(vlogic.diagnosis._REFERENCES, 1, (["D", "B", "C", "A"], refs))
+        return classify(zero, 1)
+
+    res = classify_at([0.0, 0.5 + 4e-13, 0.5, 0.7])
+    assert (res.verdict, res.distance, res.runner_up, res.runner_up_distance) == ("D", 0.0, "B", 0.5)
+    assert classify_at([0.0, 0.5 + 2e-12, 0.5, 0.7]).runner_up == "C"

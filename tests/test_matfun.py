@@ -418,17 +418,28 @@ def test_euler_suite_rejects_non_finite_v(ctx, v):
         pytest.param((), "v", math.inf, id="inf-v"),
         pytest.param((2,), "v", -math.inf, id="-inf-v"),
         pytest.param((), "v", 1e308, id="1e308-v"),
+        pytest.param((10**400,), None, 0.5, id="int-k-beyond-floats"),
+        pytest.param((10**400,), None, 0.0, id="int-k-beyond-floats-v0"),
+        pytest.param((2,), None, 10**400, id="int-v-beyond-floats"),
+        pytest.param((), None, -(10**400), id="-int-v-beyond-floats"),
     ],
 )
 def test_euler_suite_rejects_overflowing_argument(ctx, ks, label, v):
     # Pi v is finite, but Pi (2 v) is not: reached through k v or va + vb,
     # also with no k or k = 0, as the largest |w| is max|v| max(2, k); a v
-    # that is not finite, or 1e308, where Pi v overflows, is named itself
+    # that is not finite, or 1e308, where Pi v overflows, is named itself;
+    # an int k or v that float() refuses is a ValueError, not OverflowError
     if v is None:
         v = 0.6 * sys.float_info.max / max_norm(ctx.Pi)
     w = v if label == "v" else 2 * v  # finite, but Pi w is not
-    with pytest.raises(ValueError, match=re.escape(f"argument Pi*{label} is not finite at {label} = {w!r}")):
+    message = f"argument Pi*{label} is not finite at {label} = {w!r}"
+    if label is None:
+        message = "argument Pi*v or Pi*k*v is not finite: a v or k is beyond the float range"
+    with pytest.raises(ValueError, match=re.escape(message)):
         verify_euler_suite(ctx, [v], ks=ks)
+    if label is None:  # with no v, too: the k has no float
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_euler_suite(ctx, [], ks=(*ks, 10**400))
 
 
 def test_euler_suite_rejects_negative_k(ctx):
