@@ -23,19 +23,29 @@ of two commits shows which families a change moves. The families:
   `*_series` oracles on lifts (`operators.lift`) of fixed cores;
 - euler: the residuals and metadata of `verify_euler_suite` at the default
   samples and at v = (0.1, 2.5) with k = (0, 4), and `scalar_exp_residual`,
-  on contexts.
+  on contexts;
+- cli: the exit code and stdout of `vlogic.cli.main`, run in this process
+  on each of those bases written to a temporary directory, for `sqrt-not`,
+  `euler` with its defaults and with `--v 0.1,2.5 --k 0,4`, and `diagnose`
+  of the NOT and AND oracles written by `op`: the payload bytes and pass
+  flags a user sees.
 
 Uses only the standard library and numpy.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from vlogic import canonical_basis, diagnosis, matfun, operators, random_basis, scalar_logic, verify
+from vlogic import canonical_basis, cli, diagnosis, matfun, operators, random_basis, scalar_logic, verify
+from vlogic.serialize import basis_to_dict, dump_json
 
 _BASES = [canonical_basis("DIM4"), *(random_basis(q, eps, seed) for q, eps, seed in ((8, 0.35, 3), (16, -0.9, 1)))]
 # cores a I2 + b J whose eigenvalues a + b and a - b stay within the series' bound
@@ -124,6 +134,22 @@ def _euler(d: _Digest) -> None:
         d.add(matfun.scalar_exp_residual(ctx))
 
 
+def _cli(d: _Digest) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        oracle = str(Path(tmp, "oracle.json"))
+        for i, b in enumerate(_BASES):
+            basis = str(Path(tmp, f"basis{i}.json"))
+            dump_json(basis_to_dict(b), basis)
+            runs = [["sqrt-not"], ["euler"], ["euler", "--v", "0.1,2.5", "--k", "0,4"]]
+            for gate in ("NOT", "AND"):  # op prints nothing: it writes the oracle that diagnose reads
+                runs += [["op", "--gate", gate, "--out", oracle], ["diagnose", "--oracle", oracle]]
+            for argv in runs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main([*argv, "--basis", basis])
+                d.add([code, out.getvalue()])
+
+
 def main() -> int:
     families = {
         "verify": _verify,
@@ -135,6 +161,7 @@ def main() -> int:
         "closed_forms": lambda d: _functions(d, (matfun.logical_exp, matfun.C_of, matfun.S_of)),
         "series": lambda d: _functions(d, (matfun.logical_exp_series, matfun.C_series, matfun.S_series)),
         "euler": _euler,
+        "cli": _cli,
     }
     out = {}
     for name, compute in families.items():

@@ -43,7 +43,10 @@ import decimal
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import isfinite, pi
+from numbers import Real
+from operator import lt
 
 import numpy as np
 
@@ -290,9 +293,14 @@ def scalar_exp_series(x: complex) -> complex:
         return _eigen_series(lam, lam, "exp")[0]
 
 
+def _passes(residuals: dict, tol) -> bool:
+    """The pass rule of every residual section: each residual r < tol, so NaN fails."""
+    return all(map(lt, residuals.values(), repeat(tol)))  # not tol.__gt__: int.__gt__(float) is NotImplemented
+
+
 @dataclass(frozen=True)
 class IdentityReport:
-    """Named max-norm residuals from a verification run."""
+    """Named max-norm residuals; the report and each entry pass when r < tolerance (NaN fails)."""
 
     residuals: dict[str, float]
     tolerance: float
@@ -300,13 +308,10 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
-        return all(r < self.tolerance for r in self.residuals.values())
+        return _passes(self.residuals, self.tolerance)
 
     def entries(self) -> list[dict]:
-        return [
-            {"identity": name, "residual": r, "pass": bool(r < self.tolerance)}
-            for name, r in self.residuals.items()
-        ]
+        return [{"identity": n, "residual": r, "pass": bool(r < self.tolerance)} for n, r in self.residuals.items()]
 
 
 def verify_euler_suite(
@@ -330,23 +335,27 @@ def verify_euler_suite(
     metadata["worst_argument"] names the argument of each identity's worst
     residual: {"v": v}, {"k": k, "v": v} or {"va": va, "vb": vb}.
 
-    Raises ValueError for a tol that is not finite and positive, for a k
-    that is not a non-negative integer, and for a v whose argument
-    w = Pi v, Pi k v or Pi (va + vb) is not finite or so large that its
-    rounding error |w| 2^-52 is not below tol. The largest |w| is exactly
-    max|v| max(2, k): |fl(k v)| = fl(k |v|) grows with |v|, and
-    |va + vb| <= 2 max|v|, with equality at va = vb.
+    Raises ValueError for a tol that is not finite and positive, a k that is
+    not a non-negative integer, a v that is not a real number (a string is
+    not), and a v whose argument w = Pi v, Pi k v or Pi (va + vb) is not
+    finite or so large that its rounding error |w| 2^-52 is not below tol.
+    The largest |w| is exactly max|v| max(2, k): |fl(k v)| = fl(k |v|) grows
+    with |v|, and |va + vb| <= 2 max|v|, with equality at va = vb.
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    for k in ks:
+        if not ((isinstance(k, int) or isinstance(k, Real) and float(k).is_integer()) and k >= 0):
+            raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    v_samples = list(v_samples)
+    for v in v_samples:
+        if not isinstance(v, (float, Real)):  # a float skips the ABC's check
+            raise ValueError(f"v must be a real number, got {v!r}")
     try:  # float() refuses an int beyond the float range
         v_samples = [float(v) for v in v_samples]
         k_max = float(max((2, *ks)))
     except OverflowError:
         raise ValueError("argument Pi*v or Pi*k*v is not finite: a v or k is beyond the float range") from None
-    for k in ks:
-        if not (k >= 0 and (isinstance(k, int) or float(k).is_integer())):
-            raise ValueError(f"k must be a non-negative integer, got {k!r}")
     ks = [int(k) for k in ks]
     bound, pairs, v = ctx._bound, ctx.pairs, np.array(v_samples)
     # K max(|a|, |b|) of Pi's core is never below the max-norm of Pi; the
@@ -404,7 +413,7 @@ def _euler_pair_residuals(pairs: bytes, v_bytes: bytes, ks: tuple) -> tuple:
     c_plus_as = c + A * s
     # k along axis 0, v along axis 1, and I X^k is I at k = 0;
     # (e), (f): va along axis 0, vb along axis 1
-    k = np.array(ks)[:, None, None]
+    k = np.array(ks, dtype=float)[:, None, None]
     xk = Pi * (k * v[:, None])
     xs = Pi * (v[:, None] + v[None, :])[..., None]
     ca, cb, sa, sb = c[:, None], c[None, :], s[:, None], s[None, :]

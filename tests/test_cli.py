@@ -329,6 +329,18 @@ def test_euler_int_beyond_the_float_range_exits_1_without_a_traceback(tmp_path, 
     assert "Traceback" not in done.stderr
 
 
+def test_euler_huge_k_at_v_zero_exits_0_with_strict_json(capsys, tmp_path):
+    # 2**64 is past int64: the suite's powers are floats, and (C(0) + A S(0))^k = I
+    basis_file = tmp_path / "dim4.json"
+    run(capsys, "basis", "--canonical", "DIM4", "--out", str(basis_file))
+    code, out, _ = run(capsys, "euler", "--basis", str(basis_file), "--v", "0", "--k", "18446744073709551616")
+    assert code == 0
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON constant {name}"))
+    assert payload["pass"] is True
+    assert payload["ks"] == [2**64]
+    assert payload["worst_argument"]["h_de_moivre"] == {"k": 2**64, "v": 0.0}
+
+
 @pytest.mark.parametrize("v", ["1e100", "0.5,1e300"])
 def test_euler_too_large_v_exits_1(capsys, tmp_path, v):
     # finite, but |Pi v| 2^-52 is not below the suite tolerance

@@ -40,7 +40,7 @@ from vlogic import (
 )
 from vlogic.errors import DimensionMismatch, NonCommuting, SeriesNotConverged
 from vlogic.scalar_logic import ID, NOT
-from vlogic.matfun import COMMUTATOR_TOL, scalar_exp_series
+from vlogic.matfun import COMMUTATOR_TOL, IdentityReport, scalar_exp_series
 from vlogic.operators import lift
 from vlogic.srn import A_CORE, B_CORE
 from vlogic.verify import EULER_KS, EULER_V_SAMPLES, RESIDUAL_TOL, run_full_verification, scalar_oracle_residual
@@ -267,6 +267,35 @@ def test_identity_report_entries(ctx):
     assert all(e["pass"] for e in entries)
 
 
+@pytest.mark.parametrize(
+    "r,passed",
+    [(math.nan, False), (math.inf, False), (SUITE_TOL, False), (math.nextafter(SUITE_TOL, 0), True), (0.0, True)],
+    ids=["nan", "inf", "at-tol", "below-tol", "zero"],
+)
+def test_identity_report_passes_only_below_the_tolerance(r, passed):
+    # one rule: strictly below, so a NaN or a residual equal to tol fails;
+    # each entry's flag and the report's pass agree
+    report = IdentityReport({"exact": 0.0, "checked": r}, SUITE_TOL)
+    assert report.passed is passed
+    assert [e["pass"] for e in report.entries()] == [True, passed]
+
+
+def test_empty_identity_report_passes():
+    report = IdentityReport({}, SUITE_TOL)
+    assert report.passed is True
+    assert report.entries() == []
+
+
+@pytest.mark.parametrize("r", [5.0, np.float64(5.0), np.float32(5.0), 1.0])
+def test_identity_report_compares_across_numeric_types(r):
+    # int.__gt__(float) and float.__gt__(np.float32) are NotImplemented,
+    # which is truthy: the rule must be r < tol, whatever the types
+    for tol in (1, 1.0):
+        assert IdentityReport({"a": r}, tol).passed is False, (r, tol)
+        assert IdentityReport({"a": r}, tol).entries()[0]["pass"] is False, (r, tol)
+    assert IdentityReport({"a": r}, 6).passed is True
+
+
 def dense_series(ctx, x, kind, terms=40):
     """Reference: the series summed literally on Q x Q complex128 matrices.
 
@@ -447,11 +476,37 @@ def test_euler_suite_rejects_negative_k(ctx):
         verify_euler_suite(ctx, [0.5], ks=(2, -1))
 
 
-@pytest.mark.parametrize("k", [2.5, math.inf, math.nan])
+@pytest.mark.parametrize("k", [2.5, math.inf, math.nan, "a", "2", None, 2j])
 def test_euler_suite_rejects_non_integer_k(ctx, k):
-    # int(k) would truncate the power while C(Pi k v) used the full k
-    with pytest.raises(ValueError, match="non-negative integer"):
+    # int(k) would truncate the power while C(Pi k v) used the full k; a k
+    # that is not a real number gets the same message, not a raw TypeError
+    with pytest.raises(ValueError, match=re.escape(f"k must be a non-negative integer, got {k!r}")):
         verify_euler_suite(ctx, [0.5], ks=(2, k))
+    with pytest.raises(ValueError, match=re.escape(f"k must be a non-negative integer, got {k!r}")):
+        verify_euler_suite(ctx, [], ks=(k,))
+
+
+@pytest.mark.parametrize("v", [None, "1.5", b"1.5", 0.5j, [0.5]], ids=["None", "str", "bytes", "complex", "list"])
+def test_euler_suite_rejects_a_v_that_is_not_a_real_number(ctx, v):
+    # float("1.5") is 1.5, and float(None) a raw TypeError
+    with pytest.raises(ValueError, match=re.escape(f"v must be a real number, got {v!r}")):
+        verify_euler_suite(ctx, [0.5, v])
+
+
+@pytest.mark.parametrize("k", [2**64, 2**1000], ids=["2**64", "2**1000"])
+def test_euler_suite_passes_a_huge_integer_k_at_v_zero(ctx, k):
+    # (C(0) + A S(0))^k = I for every k: the powers are floats, not an object array
+    report = verify_euler_suite(ctx, [0.0], ks=(k,))
+    assert report.passed, report.residuals
+    assert report.metadata["ks"] == [k]
+    assert report.metadata["worst_argument"]["h_de_moivre"] == {"k": k, "v": 0.0}
+
+
+def test_euler_suite_reads_a_v_generator_once(ctx):
+    # the v check and the conversion see the same samples
+    report = verify_euler_suite(ctx, (v for v in (0.25, 1)), ks=(2,))
+    assert report.metadata["v_samples"] == [0.25, 1.0]
+    assert report.residuals == verify_euler_suite(ctx, [0.25, 1.0], ks=(2,)).residuals
 
 
 @pytest.mark.parametrize(

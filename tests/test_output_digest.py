@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ["verify", "gates", "signatures_dense", "signatures_gate", "bases", "context", "closed_forms", "series", "euler"]
+FAMILIES = [
+    "verify", "gates", "signatures_dense", "signatures_gate", "bases", "context", "closed_forms", "series", "euler", "cli",
+]
 
 
 def test_output_digest_prints_one_digest_per_family():

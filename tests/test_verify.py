@@ -273,6 +273,62 @@ def test_full_verification_sections_pass(dim, seed):
     assert report["pass"]
 
 
+def test_euler_tolerance_applies_to_the_euler_section_only():
+    # the README's promise: --tol sets the Euler suite's tolerance, and every
+    # other residual section keeps RESIDUAL_TOL
+    report = run_full_verification(4, 1, tol=1e-6)
+    for name, section in report["sections"].items():
+        if name != "diagnosis":
+            assert section["tolerance"] == (1e-6 if name == "euler" else RESIDUAL_TOL), name
+    assert report["pass"]
+
+
+def _with_nan(member):
+    """A wrapper of a per-basis section's residual dicts that replaces the
+    first residual of the given member (0 orthonormal, 1 oblique) by NaN."""
+    def wrap(per_basis):
+        per_basis = list(per_basis)
+        per_basis[member] = {**per_basis[member], next(iter(per_basis[member])): float("nan")}
+        return per_basis
+    return wrap
+
+
+@pytest.mark.parametrize(
+    "attribute,wrap,failing",
+    [
+        ("basis_residuals", _with_nan(0), "basis_orthonormal"),
+        ("truth_table_residuals", _with_nan(1), "truth_tables_nonorthogonal"),
+        ("tautology_residuals", _with_nan(0), "tautologies"),
+        ("scalar_oracle_residual", lambda r: float("nan"), "scalar_oracle"),
+    ],
+)
+def test_a_nan_residual_fails_its_section_and_the_run(monkeypatch, attribute, wrap, failing):
+    # NaN < tol is False: a section with a NaN residual fails, by the one rule
+    real = getattr(vlogic.verify, attribute)
+    monkeypatch.setattr(vlogic.verify, attribute, lambda *args: wrap(real(*args)))
+    report = run_full_verification(4, 1)
+    assert [name for name, section in report["sections"].items() if not section["pass"]] == [failing]
+    assert report["pass"] is False
+
+
+def test_the_euler_section_is_the_suites_report(monkeypatch):
+    # the section carries the residuals, tolerance and pass of the report
+    # that verify_euler_suite returns, a NaN residual failing it
+    def nan_suite(ctx, v_samples, ks, tol):
+        report = real(ctx, v_samples, ks=ks, tol=tol)
+        return vlogic.matfun.IdentityReport({**report.residuals, "g_great_euler": float("nan")}, 0.5 * tol)
+
+    real = vlogic.matfun.verify_euler_suite
+    monkeypatch.setattr(vlogic.matfun, "verify_euler_suite", nan_suite)
+    report = run_full_verification(4, 1, tol=1e-6)
+    section = report["sections"]["euler"]
+    assert section["tolerance"] == 0.5e-6
+    assert np.isnan(section["residuals"]["g_great_euler"])
+    assert section["pass"] is False
+    assert [name for name, s in report["sections"].items() if not s["pass"]] == ["euler"]
+    assert report["pass"] is False
+
+
 @pytest.mark.parametrize("gap", [1.05e-4, 1.5e-4, 1e-3])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_bases_near_the_dependence_threshold_pass_every_check(gap, sign):
