@@ -87,17 +87,18 @@ def make_basis(s, n) -> TruthBasis:
                                 f"got shapes {s.shape} and {n.shape}")
     if s.shape[-1] < 2:
         raise QTooSmall("truth vectors need dimension >= 2")
-    x = np.concatenate((s, n), axis=-1).reshape(*s.shape[:-1], 2, -1)  # rows s and n; a copy of the caller's
+    x = np.concatenate((s, n), axis=-1).reshape(-1, 2, s.shape[-1])  # (B, 2, Q): rows s and n, copied
     # one product per vector and per overlap, the values v @ v and s @ n have
     for i, square in enumerate((x[..., None, :] @ x[..., :, None]).ravel().tolist()):
         norm = math.sqrt(square)  # np.linalg.norm's value for a real vector
         if not abs(norm - 1.0) <= DEFAULT_TOL:
             raise NotUnitNorm(f"|{'sn'[i % 2]}| = {norm!r}; pre-normalize to unit length")
-    eps = s[..., None, :] @ n[..., :, None]
+    eps = x[:, :1] @ x[:, 1, :, None]
     overlaps = eps.ravel().tolist()
     for overlap in overlaps:
         if abs(overlap) > DEPENDENCE_THRESHOLD:
             raise NearlyDependent(f"|<s,n>| = {abs(overlap)} too close to 1")
+    x, eps = (x[0], eps[0]) if s.ndim == 1 else (x, eps)  # a stack of one: bit for bit a member on any BLAS
     frame = x.swapaxes(-1, -2).copy()
     duals = (x - eps * x[..., ::-1, :]) / (1.0 - eps * eps)  # y and z as in the module docstring
     return TruthBasis(_readonly(frame), _readonly(duals), overlaps[0] if s.ndim == 1 else overlaps)

@@ -72,10 +72,10 @@ def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
 
 
 def _probe_outputs(gate: Gate, basis: TruthBasis) -> np.ndarray:
-    """The complex outputs (..., Q) of a Gate or a stack of one basis on the probe input: outputs
-    (duals As)^{(x)k}, with duals As formed once and no checks, gate.on_product(As, ..., As) bit for bit."""
+    """The complex outputs (..., Q) of a Gate or a stack of one basis on the probe input: frame (core
+    (duals As)^{(x)k}), with duals As formed once and no checks, gate.on_product(As, ..., As) bit for bit."""
     d = gate.duals @ (basis.frame @ _ROOT_OF_TRUE)[:, None]
-    return np.matmul(gate.outputs, functools.reduce(_kron, [d] * gate.arity), order="C")[..., 0]
+    return (gate.frame @ (gate.core @ functools.reduce(_kron, [d] * gate.arity)))[..., 0]
 
 
 def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:

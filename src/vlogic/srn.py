@@ -11,9 +11,9 @@ the imaginary unit i; B of -i.
 
 Over the frame S = [s n] each root is S core Y^T with the 2 x 2 core
 alpha*I2 + beta*J (A) or beta*I2 + alpha*J (B), J the swap: `A_CORE` and
-`B_CORE`. `factored_roots` keeps each root as the monadic `Gate` with
-outputs S core, so A @ v costs O(Q m) for a Q x m block; `sqrt_not` lifts
-the dense Q x Q matrices (S core) Y^T. `factored_roots` and
+`B_CORE`. `factored_roots` keeps each root as the monadic `Gate` of its
+core, so A @ v costs O(Q m) for a Q x m block; `sqrt_not` lifts the dense
+Q x Q matrices S (core Y^T). `factored_roots` and
 `identity_report` take a stack of bases too (`basis.make_basis`), and the
 report then has one dict per member.
 """
@@ -67,9 +67,9 @@ def sqrt_not(basis: TruthBasis) -> SrnPair:
 
 
 def factored_roots(basis: TruthBasis) -> SrnPair:
-    """The two roots as monadic Gates with outputs S core (A s and A n, B s
-    and B n): no Q x Q matrix. A basis stack gives each member's roots."""
-    return SrnPair(A=Gate(basis.frame @ A_CORE, basis.duals), B=Gate(basis.frame @ B_CORE, basis.duals))
+    """The two roots as monadic Gates of the cores A_CORE and B_CORE: no
+    Q x Q matrix. A basis stack gives each member's roots, sharing the cores."""
+    return SrnPair(A=Gate(basis, A_CORE), B=Gate(basis, B_CORE))
 
 
 _IDENTITIES = ("A2_minus_N", "B2_minus_N", "AB_minus_I", "BA_minus_I", "A_minus_conj_B", "B_minus_NA", "A_minus_NB")

@@ -181,7 +181,7 @@ def test_vectors_are_read_only_views():
     roots = srn.sqrt_not(b)
     kept_elsewhere = (
         srn.A_CORE, srn.B_CORE, roots.A, roots.B,
-        operators._frame_columns((sl.NOT.outputs,)), operators._frame_columns((sl.AND.outputs, sl.OR.outputs)),
+        operators._one_hot_cores((sl.NOT.outputs,)), operators._one_hot_cores((sl.AND.outputs, sl.OR.outputs)),
     )
     for v in (*fields, *kept_elsewhere):
         assert not v.flags.writeable

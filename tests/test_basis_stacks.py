@@ -105,12 +105,12 @@ def test_stacks_of_mixed_dims_or_no_member_are_refused():
         make_basis([[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 2.0]])
     with pytest.raises(NearlyDependent):
         make_basis([b4.s, b4.s], [b4.n, b4.s])
-    # gates and factors must carry the same members
+    # a core is (..., 2, 2^k) over a stack too, and factors carry its members
     stack = make_basis([b4.s, b4.s], [b4.n, b4.n])
-    frame, duals = stack.frame, stack.duals
-    for outputs, d in ((frame[:1], duals), (frame[0], duals), (frame, duals[:, :, :3])):
-        with pytest.raises(DimensionMismatch, match=r"\(B, 2, Q\)"):
-            Gate(outputs, d)
+    frame, eye = stack.frame, np.eye(2)
+    for core in (eye[:, [0, 1, 0]], eye[:, [0]], np.eye(3, 2), eye[0]):
+        with pytest.raises(DimensionMismatch, match=r"\(\.\.\., 2, 2\^k\)"):
+            Gate(stack, core)
     gate = gate_operator(stack, sl.AND)
     for factors in ((frame[:1], frame), (np.ones((3, 4, 2)), frame), (np.ones((2, 5, 2)), frame)):
         with pytest.raises(DimensionMismatch):

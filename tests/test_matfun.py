@@ -1007,7 +1007,7 @@ def test_every_per_process_cache_is_hit_by_the_traffic():
     assert sorted(caches) == [
         "vlogic.matfun._euler_pair_residuals",
         "vlogic.matfun._scalar_exp_pair_residual",
-        "vlogic.operators._frame_columns",
+        "vlogic.operators._one_hot_cores",
     ]
 
     def traffic():

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 import vlogic
 from vlogic import scalar_logic as sl
-from vlogic import Gate, gate_operator, max_norm, probe, random_basis
+from vlogic import srn
+from vlogic import Gate, gate_operator, make_basis, max_norm, probe, random_basis
 from vlogic.errors import DimensionMismatch, VectorLogicError
 from vlogic.serialize import matrix_to_dict
 
@@ -305,6 +306,44 @@ def test_stacked_gate_needs_tables_of_one_arity(dim4):
     assert gate_operator(dim4, (t for t in (sl.AND, sl.OR))).shape == (2, 4, 16)
 
 
+def test_gate_operator_refuses_anything_but_tables_with_a_value_error(dim4):
+    # a str iterates into characters and a number does not iterate: neither is a table
+    for tables in ("AND", 5, [sl.AND, "OR"], None):
+        with pytest.raises(ValueError, match="tables must be a TruthTable or a sequence of them"):
+            gate_operator(dim4, tables)
+
+
+def test_gate_refuses_a_core_that_is_no_array_or_a_basis_that_is_no_truth_basis(dim4):
+    eye = np.eye(2)
+    for core in (eye.tolist(), 2.0, np.float64(2.0), np.array(1.0), "core", None):
+        with pytest.raises(DimensionMismatch, match=r"\(\.\.\., 2, 2\^k\)"):
+            Gate(dim4, core)
+    for basis in (dim4.frame, (dim4.frame, dim4.duals), "DIM4", None):
+        with pytest.raises(TypeError, match="TruthBasis"):
+            Gate(basis, eye)
+    with pytest.raises(TypeError):  # a core and a basis in the wrong order
+        Gate(eye, dim4)
+
+
+@pytest.mark.parametrize("dim", [4, 4096])
+def test_gates_share_one_cached_read_only_core(dim):
+    b = random_basis(dim, 0.0, seed=1)
+    core = gate_operator(b, sl.ALL_DYADIC_TABLES).core
+    assert core.shape == (16, 2, 4) and not core.flags.writeable
+    assert gate_operator(b, list(sl.ALL_DYADIC_TABLES)).core is core  # the cache's own array, no copy
+    assert gate_operator(random_basis(dim, 0.35, seed=2), sl.ALL_DYADIC_TABLES).core is core
+    # one-hot columns: I2[:, 0] for a TRUE output, I2[:, 1] for FALSE
+    for table, c in zip(sl.ALL_DYADIC_TABLES, core):
+        np.testing.assert_array_equal(c, np.eye(2)[:, [0 if out == sl.TRUE else 1 for out in table.outputs]])
+    # the members of a basis stack share it, and so do the roots of NOT
+    other = random_basis(dim, -0.6, seed=3)
+    stack = make_basis([b.s, other.s], [b.n, other.n])
+    assert gate_operator(stack, sl.ALL_DYADIC_TABLES).core is core
+    for basis in (b, stack):
+        roots = srn.factored_roots(basis)
+        assert roots.A.core is srn.A_CORE and roots.B.core is srn.B_CORE
+
+
 def test_stacked_gate_is_no_single_gate(dim4):
     # probe takes one oracle, serialization one matrix, @ one shape of v
     stack = gate_operator(dim4, [sl.AND, sl.OR])
@@ -348,35 +387,31 @@ def test_gate_on_product_rejects_wrong_factors(dim4):
 
 
 def test_gate_rejects_shapes_it_cannot_apply(dim4):
-    # three output columns are no 2^k, one column is arity 0, and the duals are 2 x Q
-    frame, duals = dim4.frame, dim4.duals
-    for outputs, d in (
-        (frame[:, [0, 1, 0]], duals),
-        (frame[:, [0]], duals),
-        (frame, np.vstack((duals, duals[:1]))),
-        (frame[0], duals),
-        (frame[:3], duals),
-    ):
-        with pytest.raises(DimensionMismatch, match=r"\(2, Q\)"):
-            Gate(outputs, d)
+    # three core columns are no 2^k, one column is arity 0, and a core has 2 rows
+    eye = np.eye(2)
+    for core in (eye[:, [0, 1, 0]], eye[:, [0]], np.eye(3, 2), eye[0]):
+        with pytest.raises(DimensionMismatch, match=r"\(\.\.\., 2, 2\^k\)"):
+            Gate(dim4, core)
 
 
-def test_gate_derives_its_arity_from_its_outputs(ternary_tables):
-    # Gate(outputs, duals) rebuilds every gate and stack of arity 1-3 bit for bit
-    b = random_basis(3, 0.35, seed=7)
+def test_gate_derives_its_arity_from_its_core(ternary_tables):
+    # Gate(basis, core) rebuilds every gate and stack of arity 1-3 bit for bit,
+    # over one basis and over a stack
+    b, other = random_basis(3, 0.35, seed=7), random_basis(3, -0.6, seed=8)
+    stack = make_basis([b.s, other.s], [b.n, other.n])
     rng = np.random.default_rng(7)
     for tables in (list(sl.MONADIC_GATES.values()), list(sl.ALL_DYADIC_TABLES), ternary_tables):
-        for g in (*(gate_operator(b, t) for t in tables), gate_operator(b, tables)):
-            rebuilt = Gate(g.outputs, g.duals)
-            assert (rebuilt.arity, rebuilt.shape) == (g.arity, g.shape)
-            v = rng.standard_normal((g.shape[-1], 2)) + 1j * rng.standard_normal((g.shape[-1], 2))
-            factors = [rng.standard_normal((3, 2)) for _ in range(g.arity)]
-            for got, want in (
-                (rebuilt @ v, g @ v),
-                (rebuilt.on_product(*factors), g.on_product(*factors)),
-                (np.asarray(rebuilt), np.asarray(g)),
-            ):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for basis in (b, stack):
+            for g in (*(gate_operator(basis, t) for t in tables), gate_operator(basis, tables)):
+                rebuilt = Gate(basis, g.core)
+                assert (rebuilt.arity, rebuilt.shape) == (g.arity, g.shape)
+                factors = [rng.standard_normal((3, 2)) for _ in range(g.arity)]
+                pairs = [(rebuilt.on_product(*factors), g.on_product(*factors)), (np.asarray(rebuilt), np.asarray(g))]
+                if basis is b:  # @ takes the gates of one basis
+                    v = rng.standard_normal((g.shape[-1], 2)) + 1j * rng.standard_normal((g.shape[-1], 2))
+                    pairs.append((rebuilt @ v, g @ v))
+                for got, want in pairs:
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_public_names_are_pinned():

@@ -391,6 +391,19 @@ def test_full_verification_memory_at_dim4096():
     assert _verification_peak(4096) < 16 * 2**20
 
 
+def test_diagnosis_section_memory_at_dim4096():
+    # the stacked gates hold their (G, 2, 2^k) cores, not (G, Q, 2^k) outputs
+    b = random_basis(4096, 0.0, seed=1)
+    tracemalloc.start()
+    try:
+        section = diagnosis_section(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert section["pass"]
+
+
 def test_report_schema_is_pinned():
     # every section and residual key of a report; a check dropped in a
     # refactor shows here
