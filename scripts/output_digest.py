@@ -12,11 +12,11 @@ of two commits shows which families a change moves. The families:
   1024} and seeds 1-3, as JSON;
 - gates: the dense matrix (`np.asarray`) of every monadic and dyadic gate
   and of 20 ternary gates;
-- signatures_dense: `probe` of the dense matrix of each of those gates,
-  and the signatures and classes of `enumerate_signatures`;
+- signatures_dense: `probe` of the dense matrix of each of those gates;
 - signatures_gate: `probe` of each of those gates as a matrix-free `Gate`,
-  which goes through the factors of the probe input rather than the Q^k
-  probe vector that a dense oracle meets, so its last bits may differ;
+  and the signatures and classes of `enumerate_signatures`, which read the
+  gates in core space rather than through the Q^k probe vector that a dense
+  oracle meets, so their last bits may differ;
 - bases: the frames and duals of canonical and random bases;
 - context: the dense I, N, A and B of contexts;
 - closed_forms and series: `logical_exp`, `C_of`, `S_of` and their
@@ -86,16 +86,16 @@ def _dense_gates(d: _Digest) -> None:
 def _gate_signatures(d: _Digest) -> None:
     for b, t, gate in _gates():
         d.add(dataclasses.astuple(diagnosis.probe(gate, b, t.arity)))
-
-
-def _dense_signatures(d: _Digest) -> None:
-    for b, t, gate in _gates():
-        d.add(dataclasses.astuple(diagnosis.probe(np.asarray(gate), b, t.arity)))
     for b in _BASES:
         for arity in (1, 2):
             signatures, classes = diagnosis.enumerate_signatures(b, scalar_logic.all_tables(arity))
             d.add([[name, *dataclasses.astuple(sig)] for name, sig in signatures.items()])
             d.add(classes)
+
+
+def _dense_signatures(d: _Digest) -> None:
+    for b, t, gate in _gates():
+        d.add(dataclasses.astuple(diagnosis.probe(np.asarray(gate), b, t.arity)))
 
 
 def _bases(d: _Digest) -> None:

@@ -11,14 +11,17 @@ accepted; the formulas are valid for any |eps| < 1.
 
 Every gate, root of NOT and series value is a small core carried by the
 frame S = [s n] (Q x 2) and its duals Y^T = [y z]^T (2 x Q), Y^T S = I2.
-A basis stores both, read-only, and its overlap; dim, s, n, y and z are
-derived from them, s, n, y and z as views of their columns and rows.
+A basis stores both, read-only, with its overlap and their Gram matrix
+Y^T S (I2 up to rounding), through which a read in core space, such as a
+probe's signature, meets the basis; dim, s, n, y and z are derived from
+them, s, n, y and z as views of their columns and rows.
 
 A stack of B bases of one dim, built by `make_basis` from s and n of shape
 (B, Q), has the same fields with a leading basis axis: frame (B, Q, 2),
-duals (B, 2, Q) and B overlaps. The frame layer (`operators.gate_operator`,
-`Gate.on_product`, the roots of NOT and the per-basis checks of `verify`)
-takes a stack wherever it takes a basis, and gives one result per member.
+duals (B, 2, Q), gram (B, 2, 2) and B overlaps. The frame layer
+(`operators.gate_operator`, `Gate.on_product`, the roots of NOT and the
+per-basis checks of `verify`) takes a stack wherever it takes a basis, and
+gives one result per member.
 """
 
 from __future__ import annotations
@@ -59,11 +62,12 @@ def _named(names, residuals: np.ndarray) -> dict[str, float] | list[dict[str, fl
 @dataclass(frozen=True)
 class TruthBasis:
     """Built by `make_basis`; s, n, y and z are read-only views. A stack
-    has a leading basis axis on each field and a list of overlaps."""
+    has a leading basis axis on each array and a list of overlaps."""
 
     frame: np.ndarray  # [s n], Q x 2
     duals: np.ndarray  # [y z]^T, 2 x Q
     epsilon: float  # <s, n>
+    gram: np.ndarray  # duals @ frame, 2 x 2
 
     dim = property(lambda b: b.frame.shape[-2])
     s = property(lambda b: b.frame[..., 0])
@@ -73,8 +77,9 @@ class TruthBasis:
 
 
 def make_basis(s, n) -> TruthBasis:
-    """Build a TruthBasis from real unit vectors s, n, computing the duals;
-    s and n of shape (B, Q) build a stack of B bases, each checked alike."""
+    """Build a TruthBasis from real unit vectors s, n, computing the duals
+    and their Gram matrix with the frame; s and n of shape (B, Q) build a
+    stack of B bases, each checked alike."""
     try:  # a ragged stack raises ValueError, and a complex entry is refused, never dropped
         s, n = np.asarray(s), np.asarray(n)
         if "c" in s.dtype.kind + n.dtype.kind:
@@ -98,10 +103,12 @@ def make_basis(s, n) -> TruthBasis:
     for overlap in overlaps:
         if abs(overlap) > DEPENDENCE_THRESHOLD:
             raise NearlyDependent(f"|<s,n>| = {abs(overlap)} too close to 1")
-    x, eps = (x[0], eps[0]) if s.ndim == 1 else (x, eps)  # a stack of one: bit for bit a member on any BLAS
     frame = x.swapaxes(-1, -2).copy()
     duals = (x - eps * x[..., ::-1, :]) / (1.0 - eps * eps)  # y and z as in the module docstring
-    return TruthBasis(_readonly(frame), _readonly(duals), overlaps[0] if s.ndim == 1 else overlaps)
+    gram = duals @ frame
+    if s.ndim == 1:  # a stack of one: bit for bit a member on any BLAS
+        frame, duals, gram = frame[0], duals[0], gram[0]
+    return TruthBasis(_readonly(frame), _readonly(duals), overlaps[0] if s.ndim == 1 else overlaps, _readonly(gram))
 
 
 _CANONICAL = {

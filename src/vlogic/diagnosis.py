@@ -5,17 +5,23 @@ true vector of each input prefiltered by a square root of NOT (A s for a
 monadic gate, (A(x)A)(s(x)s) for a dyadic one). By the mixed-product rule
 that input is the Q^k vector (As)^{(x)k}, so a probe never builds the
 Q^k x Q^k matrix A^{(x)k}. `probe` receives its oracle as an opaque
-operator (a matrix-free Gate or a dense matrix), never as a gate name. A
-Gate, like the stack that `enumerate_signatures` builds, is applied to the
-k factors As of the probe input in O(Q 2^k), its duals contracted with As
-once, bit for bit what `Gate.on_product` gives, and never meets the Q^k
-probe vector; a dense oracle, which is read whole anyway, is applied with
-@ to that vector. The output's real and imaginary coefficients along s
-and n, read by one product by the duals per output, alone or in a stack,
-form a four-number signature that distinguishes all four monadic gates
-and the seven named dyadic gates; a diagnosis also reports the runner-up
-reference and its distance. Any basis will do, orthonormal or oblique:
-in each, A s = alpha*s + beta*n and the duals read the s and n parts exactly.
+operator (a matrix-free Gate or a dense matrix), never as a gate name.
+A Gate S M (Y^T)^{(x)k}, like the stack that `enumerate_signatures`
+builds, is read in core space: As = S_b (alpha, beta)^T over the probe's
+basis b, so its duals meet the input as w = (G_in (alpha, beta)^T)^{(x)k}
+with G_in = Y^T S_b, its output is S m with m = M w, and the duals of b
+read that output as c = G_out m with G_out = Y_b^T S. Both 2 x 2 products
+are the basis's `gram` when the gate was built on it, and one (2, Q) @
+(Q, 2) product each for a gate of another basis, so a signature costs
+O(2^k) beyond them and never meets a Q-length array; only the residual,
+the max-norm of S m - S_b c, has Q rows. A dense oracle, which is read
+whole anyway, is applied with @ to the Q^k probe vector, and its output
+read by one product by the duals. The output's real and imaginary
+coefficients along s and n form a four-number signature that distinguishes
+all four monadic gates and the seven named dyadic gates; a diagnosis also
+reports the runner-up reference and its distance. Any basis will do,
+orthonormal or oblique: in each, A s = alpha*s + beta*n and the duals read
+the s and n parts exactly.
 """
 
 from __future__ import annotations
@@ -71,24 +77,35 @@ def _probe_vector(basis: TruthBasis, arity: int) -> np.ndarray:
     return functools.reduce(_kron, [(basis.frame @ _ROOT_OF_TRUE)[None, :]] * arity)[0].view(np.float64).reshape(-1, 2)
 
 
-def _probe_outputs(gate: Gate, basis: TruthBasis) -> np.ndarray:
-    """The complex outputs (..., Q) of a Gate or a stack of one basis on the probe input: frame (core
-    (duals As)^{(x)k}), with duals As formed once and no checks, gate.on_product(As, ..., As) bit for bit."""
-    d = gate.duals @ (basis.frame @ _ROOT_OF_TRUE)[:, None]
-    return (gate.frame @ (gate.core @ functools.reduce(_kron, [d] * gate.arity)))[..., 0]
+def _core_read(gate: Gate, basis: TruthBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read of a Gate or a stack of one basis on the probe input in core space (see the module docstring),
+    with no checks: the coefficients c (..., 2, 2) of each output along s and n (rows), real and imaginary parts
+    side by side, and factors f, v whose product f @ v (..., Q, 2) is the part of each output outside span{s, n}.
+    Only the Kronecker power w is complex; M, G_out and f meet its real view."""
+    same = gate.frame is basis.frame and gate.duals is basis.duals
+    g_in, g_out = (basis.gram, basis.gram) if same else (gate.duals @ basis.frame, basis.duals @ gate.frame)
+    d = w = g_in @ _ROOT_OF_TRUE[:, None]
+    for _ in range(1, gate.arity):  # functools.reduce would add a call to every probe
+        w = _kron(w, d)
+    m = gate.core @ w.view(np.float64)
+    c = g_out @ m
+    if same:  # S m less its s and n parts S c
+        return c, basis.frame, m - c
+    return c, np.concatenate((gate.frame, basis.frame), axis=-1), np.concatenate((m, -c), axis=-2)
 
 
 def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     """Signature of oracle @ (As)^{(x)k} for a hidden Q x Q^k gate of arity k.
 
-    A Gate is applied to the k factors As of the probe input; any other
-    oracle, anything with .shape and @ (a dense array) or else np.asarray of
-    it, to the Q^k vector. A stack of gates is no oracle: `enumerate_signatures`
-    probes stacks. An arity below 1 raises UnsupportedArity, and a basis
-    stack DimensionMismatch.
+    A Gate, built on this basis or on another of the same Q, is read in core
+    space (see the module docstring); any other oracle, anything with .shape
+    and @ (a dense array) or else np.asarray of it, is applied to the Q^k
+    vector. A stack of gates is no oracle: `enumerate_signatures` probes
+    stacks. An arity that is no int of at least 1 raises UnsupportedArity,
+    and a basis stack DimensionMismatch.
     """
-    if arity < 1:
-        raise UnsupportedArity(f"a probed gate has arity at least 1, got {arity}")
+    if type(arity) is not int or arity < 1:
+        raise UnsupportedArity(f"a probed gate has an int arity of at least 1, got {arity!r}")
     if basis.frame.ndim != 2:
         raise DimensionMismatch(f"probe takes one basis, not a stack of frames {basis.frame.shape}: probe each")
     gate = isinstance(oracle, Gate)
@@ -98,14 +115,18 @@ def probe(oracle, basis: TruthBasis, arity: int) -> GateSignature:
     if oracle.shape != (q, q**arity):
         raise DimensionMismatch(f"arity-{arity} oracle must be {q}x{q**arity}, got {oracle.shape}")
     if gate:
-        out = _probe_outputs(oracle, basis)
+        c, f, v = _core_read(oracle, basis)
+        (re_s, im_s), (re_n, im_n) = c.tolist()
+        outside = f @ v  # (Q, 2): real and imaginary parts
+        outside = np.hypot(outside[:, 0], outside[:, 1])
     else:
         out = oracle @ _probe_vector(basis, arity)  # (Q, 2): real and imaginary parts
         out = out[:, 0] + 1j * out[:, 1]
-    c = out @ basis.duals.T  # the read of `_signature_coefficients`, for one output
-    s, n = c.tolist()
-    residual = float(np.maximum.reduce(np.abs(out - c @ basis.frame.T)))
-    return GateSignature(s.real, n.real, s.imag, n.imag, residual=residual)
+        c = out @ basis.duals.T
+        s, n = c.tolist()
+        re_s, re_n, im_s, im_n = s.real, n.real, s.imag, n.imag
+        outside = np.abs(out - c @ basis.frame.T)
+    return GateSignature(re_s, re_n, im_s, im_n, residual=float(np.maximum.reduce(outside)))
 
 
 def symbolic_signature(table: TruthTable) -> tuple[float, float, float, float]:
@@ -141,13 +162,18 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
     a signature within tol of a reference classifies as that gate, never as
     AMBIGUOUS. Of the references within 1e-12 of the runner-up distance the
     runner-up is the first by name, so last-bit rounding never picks it.
-    A NaN signature is UNKNOWN. Raises ValueError for a tol that is not
-    finite and positive, UnsupportedArity for an arity with no references.
+    A NaN signature is UNKNOWN. Raises ValueError for a tol that is not a
+    finite positive number, UnsupportedArity for an arity that is no int
+    with references.
     """
-    if not 0 < tol < math.inf:
+    try:
+        valid = 0 < tol < math.inf
+    except (TypeError, ValueError):  # no number, or an array
+        valid = False
+    if not valid:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-    if arity not in _REFERENCES:
-        raise UnsupportedArity(f"no reference signatures for arity {arity}; known: {sorted(_REFERENCES)}")
+    if type(arity) is not int or arity not in _REFERENCES:
+        raise UnsupportedArity(f"no reference signatures for arity {arity!r}; known: {sorted(_REFERENCES)}")
     names, refs = _REFERENCES[arity]
     row = np.maximum.reduce(np.abs(np.subtract(sig.coefficients, refs)), axis=1)
     (best, best_name), (second, runner_up), *others = sorted(zip(row.tolist(), names))
@@ -159,12 +185,13 @@ def classify(sig: GateSignature, arity: int, tol: float = DEFAULT_CLASSIFY_TOL) 
 
 
 def _signature_coefficients(basis: TruthBasis, tables: Sequence[TruthTable]) -> tuple[np.ndarray, np.ndarray]:
-    """The (G, 4) signature coefficients of the tables, in order, and their
-    (G, Q) probe outputs. Each output is read by its own product by the
-    duals, so every gate gets `probe`'s coefficients to the last bit."""
-    out = _probe_outputs(gate_operator(basis, tables), basis)
-    c = (out[:, None, :] @ basis.duals.T)[:, 0]
-    return np.concatenate((c.real, c.imag), axis=1), out
+    """The (G, 4) signature coefficients of the tables, in order, and the
+    (G, 2, 2) parts v of their outputs outside span{s, n} in core space,
+    which the frame carries to Q rows. The tables are read as one stacked
+    Gate by `_core_read`, so every gate gets `probe`'s coefficients and
+    residual to the last bit."""
+    c, _, v = _core_read(gate_operator(basis, tables), basis)
+    return c.mT.reshape(-1, 4), v
 
 
 def _collision_classes(tables: Sequence[TruthTable], coefficients: np.ndarray) -> list[list[str]]:
@@ -181,9 +208,9 @@ def enumerate_signatures(
 ) -> tuple[dict[str, GateSignature], list[list[str]]]:
     """Probe signatures of the given gates of one arity, grouped into collision classes.
 
-    The gates are probed as one stacked `Gate` through the factors As of the
-    probe input and read by `_signature_coefficients`, so each gets `probe`'s
-    signature to the last bit. Mixed arities raise ValueError, and a basis stack
+    The gates are probed as one stacked `Gate` in core space and read by
+    `_signature_coefficients`, so each gets `probe`'s signature to the last
+    bit. Mixed arities raise ValueError, and a basis stack
     DimensionMismatch; no tables give ({}, []).
     Returns (name -> signature, collision classes); each class lists the
     gates sharing one signature, largest first, classes of size >= 2 being
@@ -195,9 +222,9 @@ def enumerate_signatures(
     tables = list(tables)
     if not tables:
         return {}, []
-    coefficients, out = _signature_coefficients(basis, tables)
-    c = coefficients[:, :2] + 1j * coefficients[:, 2:]  # exact: the read's complex coefficients
-    residuals = np.maximum.reduce(np.abs(out - (c[:, None, :] @ basis.frame.T)[:, 0]), axis=1)
+    coefficients, v = _signature_coefficients(basis, tables)
+    outside = basis.frame @ v  # probe's product and modulus, gate by gate
+    residuals = np.maximum.reduce(np.hypot(outside[..., 0], outside[..., 1]), axis=1)
     signatures = {
         t.name: GateSignature(*c, residual=r) for t, c, r in zip(tables, coefficients.tolist(), residuals.tolist())
     }

@@ -31,11 +31,12 @@ RESIDUAL_TOL = 1e-10
 
 # The entries ys, yn, zs, zn of Y^T S in the order of basis_residuals' names
 _BASIS_ENTRIES = np.array([0, 3, 1, 2])
+_I2 = np.eye(2)
 
 
 def basis_residuals(b: TruthBasis) -> dict[str, float] | list[dict[str, float]]:
-    """The entries of Y^T S - I2, read with one product."""
-    residuals = np.abs(b.duals @ b.frame - np.eye(2)).reshape(*b.frame.shape[:-2], 4)
+    """The entries of Y^T S - I2, read from the basis's Gram matrix."""
+    residuals = np.abs(b.gram - _I2).reshape(*b.frame.shape[:-2], 4)
     return _named(("ys_minus_1", "zn_minus_1", "yn", "zs"), residuals[..., _BASIS_ENTRIES])
 
 
@@ -144,9 +145,8 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
     section passes by `IdentityReport`'s rule, each residual below its
     tolerance (NaN fails): tol for the Euler suite, RESIDUAL_TOL elsewhere."""
     # random_basis(dim, 0.0, seed) and random_basis(dim, 0.35, seed + 1) as one stack
-    (s0, n0), (s1, n1) = _random_vectors(dim, 0.0, seed), _random_vectors(dim, 0.35, seed + 1)
-    both = make_basis(np.array((s0, s1)), np.array((n0, n1)))
-    b0 = TruthBasis(both.frame[0], both.duals[0], both.epsilon[0])  # the orthonormal member
+    both = make_basis(*zip(_random_vectors(dim, 0.0, seed), _random_vectors(dim, 0.35, seed + 1)))
+    b0 = TruthBasis(both.frame[0], both.duals[0], both.epsilon[0], both.gram[0])  # the orthonormal member
     ctx = matfun.make_context(b0)
 
     sections = {}

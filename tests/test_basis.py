@@ -171,12 +171,12 @@ def test_vectors_are_immutable():
 def test_vectors_are_read_only_views():
     s, n = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8])
     b = make_basis(s, n)
-    # a basis stores its frame, duals and overlap; the rest is derived
-    assert [f.name for f in dataclasses.fields(TruthBasis)] == ["frame", "duals", "epsilon"]
+    # a basis stores its frame, duals, overlap and their Gram matrix; the rest is derived
+    assert [f.name for f in dataclasses.fields(TruthBasis)] == ["frame", "duals", "epsilon", "gram"]
     assert b.dim == b.frame.shape[0] == 3
     assert np.shares_memory(b.s, b.frame) and np.shares_memory(b.n, b.frame)
     assert np.shares_memory(b.y, b.duals) and np.shares_memory(b.z, b.duals)
-    fields = (b.s, b.n, b.y, b.z, b.frame, b.duals)
+    fields = (b.s, b.n, b.y, b.z, b.frame, b.duals, b.gram)
     # every other array the library keeps or hands out is read-only too
     roots = srn.sqrt_not(b)
     kept_elsewhere = (

@@ -44,11 +44,13 @@ def test_stack_holds_its_members_bit_for_bit(q):
     stack = stack_of(bases)
     assert isinstance(stack, TruthBasis)
     assert stack.frame.shape == (3, q, 2) and stack.duals.shape == (3, 2, q) and stack.dim == q
-    assert not (stack.frame.flags.writeable or stack.duals.flags.writeable)
+    assert stack.gram.shape == (3, 2, 2)
+    assert not (stack.frame.flags.writeable or stack.duals.flags.writeable or stack.gram.flags.writeable)
     assert stack.epsilon == [b.epsilon for b in bases]
     for i, b in enumerate(bases):
         assert stack.frame[i].tobytes() == b.frame.tobytes()
         assert stack.duals[i].tobytes() == b.duals.tobytes()
+        assert stack.gram[i].tobytes() == b.gram.tobytes()
         for name in ("s", "n", "y", "z"):
             assert getattr(stack, name)[i].tobytes() == getattr(b, name).tobytes()
 

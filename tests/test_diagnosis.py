@@ -97,10 +97,11 @@ def test_classify_unknown_signature():
     assert res.distance >= 0.05
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0, "1", None, 1j, [1e-6], np.ones(2)])
 def test_classify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     # at a NaN, zero or negative tol every signature would read UNKNOWN, at
-    # an infinite one AMBIGUOUS
+    # an infinite one AMBIGUOUS; a tol that does not compare with 0 is the
+    # same ValueError, not the TypeError of the comparison
     sig = GateSignature(*MONADIC_LITERALS["CID"], residual=0.0)
     for arity in (1, 2):
         with pytest.raises(ValueError, match="tol must be a finite positive number"):
@@ -180,8 +181,12 @@ def test_probe_rejects_wrong_shape(set1):
 
 def test_probe_rejects_arity_below_one(dim4):
     # before any shape check or product: arity 0 would otherwise reach @ on
-    # a Q-vector, and -1 a Q^-1 oracle shape
-    for oracle, arity in ((np.zeros((4, 1)), 0), (np.zeros((4, 4)), 0), (np.zeros((4, 1)), -1)):
+    # a Q-vector, and -1 a Q^-1 oracle shape; by value True is arity 1 and
+    # 2.0 arity 2, so no arity that is no int passes for one
+    gate = gate_operator(dim4, sl.AND)
+    cases = [(np.zeros((4, 1)), 0), (np.zeros((4, 4)), 0), (np.zeros((4, 1)), -1)]
+    cases += [(oracle, arity) for oracle in (gate, np.asarray(gate)) for arity in (2.0, True, "2", None)]
+    for oracle, arity in cases:
         with pytest.raises(UnsupportedArity, match="at least 1"):
             probe(oracle, dim4, arity)
 
@@ -203,9 +208,10 @@ def test_fixed_arity_names_match_generic(dim4):
 
 
 def test_classify_without_references_raises_typed_error():
+    # True would classify a dyadic signature against the monadic references
     sig = GateSignature(1.0, 0.0, 0.0, 0.0, residual=0.0)
-    for arity in (0, 3):
-        message = f"no reference signatures for arity {arity}; known: [1, 2]"
+    for arity in (0, 3, 2.0, True, "2"):
+        message = f"no reference signatures for arity {arity!r}; known: [1, 2]"
         with pytest.raises(UnsupportedArity, match=re.escape(message)) as exc:
             classify(sig, arity)
         assert isinstance(exc.value, VectorLogicError)
@@ -480,15 +486,31 @@ def test_roundtrip_failures_apply_the_classify_rule():
     assert outcomes == {(True, False), (True, True), (False, True)}
 
 
-def _public_path_signatures(gate: Gate, b) -> list[tuple]:
-    """(re_s, re_n, im_s, im_n, residual) of each gate of a Gate or a stack, by
-    the public gate.on_product(As, ..., As), each output read by its own
-    products by the duals and by the frame."""
+def _public_path_signatures(gate: Gate, b) -> np.ndarray:
+    """(G, 5) re_s, re_n, im_s, im_n and residual of each gate of a Gate or a
+    stack, by the public gate.on_product(As, ..., As), each output read by
+    its own products by the duals and by the frame."""
     a_s = (b.frame @ vlogic.diagnosis._ROOT_OF_TRUE)[:, None]
     out = gate.on_product(*[a_s] * gate.arity)[..., 0].reshape(-1, b.dim)
     c = (out[:, None, :] @ b.duals.T)[:, 0]
     residuals = np.abs(out - (c[:, None, :] @ b.frame.T)[:, 0]).max(axis=1)
-    return [(s.real, n.real, s.imag, n.imag, r) for (s, n), r in zip(c.tolist(), residuals.tolist())]
+    return np.column_stack((c.real, c.imag, residuals))
+
+
+def _core_formula_signatures(gate: Gate, b) -> np.ndarray:
+    """(G, 5) re_s, re_n, im_s, im_n and residual of each gate of a Gate or a
+    stack built on b, by the core formula: G = Y^T S, w = (G (alpha, beta)^T)^{(x)k},
+    m = M w and c = G m, with the real and imaginary parts of w side by side,
+    and the residual the largest modulus of S (m - c)."""
+    d = b.gram @ vlogic.diagnosis._ROOT_OF_TRUE[:, None]
+    w = d
+    for _ in range(1, gate.arity):
+        w = np.kron(w, d)
+    m = gate.core @ w.view(np.float64)  # (..., 2, 2): rows s and n, columns real and imaginary
+    c = b.gram @ m
+    outside = b.frame @ (m - c)
+    residuals = np.hypot(outside[..., 0], outside[..., 1]).max(axis=-1)
+    return np.column_stack((c.mT.reshape(-1, 4), residuals.reshape(-1)))
 
 
 def _bits(values) -> bytes:
@@ -498,21 +520,43 @@ def _bits(values) -> bytes:
 @pytest.mark.parametrize("dim", [8, 32, 64])
 @pytest.mark.parametrize("eps", [0.0, 0.35], ids=["orthonormal", "oblique"])
 def test_probe_kernel_matches_on_product_bit_for_bit(dim, eps, ternary_tables):
-    # probe, enumerate_signatures and the verify section share one kernel
-    # that skips on_product's checks; its signatures and residuals are the
-    # public path's to the last bit
+    # probe, enumerate_signatures and the verify section share one kernel that
+    # reads a gate built on the basis in core space, never forming S M w; its
+    # signatures and residuals are the core formula's to the last bit, and the
+    # public gate.on_product path's within 1e-13 (not bit for bit: that path
+    # forms S M w and reads it by the duals, rounding otherwise)
     b = random_basis(dim, eps, seed=dim)
     tables = ternary_tables[::5]
     for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES, tables[7]):
         gate = gate_operator(b, table)
         sig = probe(gate, b, table.arity)
-        (expected,) = _public_path_signatures(gate, b)
+        (expected,) = _core_formula_signatures(gate, b)
         assert _bits((*sig.coefficients, sig.residual)) == _bits(expected), table.name
+        (public,) = _public_path_signatures(gate, b)
+        assert np.abs(public - expected).max() < 1e-13, table.name
     signatures, _ = enumerate_signatures(b, tables)
-    expected = _public_path_signatures(gate_operator(b, tables), b)
+    expected = _core_formula_signatures(gate_operator(b, tables), b)
     assert _bits([(*signatures[t.name].coefficients, signatures[t.name].residual) for t in tables]) == _bits(expected)
     coefficients, _ = vlogic.diagnosis._signature_coefficients(b, tables)
-    assert _bits(coefficients) == _bits([e[:4] for e in expected])
+    assert _bits(coefficients) == _bits(expected[:, :4])
+    assert np.abs(_public_path_signatures(gate_operator(b, tables), b) - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim", [8, 32])
+@pytest.mark.parametrize("eps", [0.0, 0.35], ids=["orthonormal", "oblique"])
+def test_a_gate_of_another_basis_is_read_through_both_bases(dim, eps, ternary_tables):
+    # a Gate built on another basis of the same Q is an opaque oracle like
+    # any other: its signature and residual are those of its dense matrix,
+    # which a read through the probe's own Gram matrix alone would miss
+    b, other = random_basis(dim, eps, seed=dim), random_basis(dim, 0.6, seed=dim + 1)
+    differ = []
+    for table in (*sl.MONADIC_GATES.values(), *sl.ALL_DYADIC_TABLES, ternary_tables[150]):
+        gate = gate_operator(other, table)
+        sig, dense_sig = probe(gate, b, table.arity), probe(np.asarray(gate), b, table.arity)
+        distance = np.abs(np.subtract((*sig.coefficients, sig.residual), (*dense_sig.coefficients, dense_sig.residual)))
+        if not distance.max() < 1e-13:
+            differ.append((table.name, distance.max()))
+    assert not differ, differ
 
 
 def test_a_gate_gets_the_same_signature_bits_alone_and_in_a_stack(ternary_tables):

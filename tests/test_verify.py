@@ -123,16 +123,16 @@ def test_tautologies_apply_one_stack(monkeypatch):
     ids=["intact", "swapped_impl", "impl_as_or"],
 )
 def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build, failing):
-    # the section applies one stacked probe per arity to the factors of its
-    # probe input (the probe kernel), and no @ at all, so no Q^k probe vector;
-    # it agrees with a direct probe + classify of each gate; the substitute
-    # goes into both modules that build gates, so the section's probes see it
+    # the section reads one stacked probe per arity in core space (the probe
+    # kernel), and applies no @ at all, so no Q^k probe vector; it agrees with
+    # a direct probe + classify of each gate; the substitute goes into both
+    # modules that build gates, so the section's probes see it
     applied, matmul_inputs = [], []
-    probe_outputs, matmul = vlogic.diagnosis._probe_outputs, Gate.__matmul__
+    core_read, matmul = vlogic.diagnosis._core_read, Gate.__matmul__
 
     def counted_probe(gate, basis):
         applied.append(gate.shape)
-        return probe_outputs(gate, basis)
+        return core_read(gate, basis)
 
     def counted_matmul(gate, v):
         matmul_inputs.append(np.shape(v))
@@ -140,7 +140,7 @@ def test_diagnosis_section_matches_probe_and_classify(monkeypatch, basis, build,
 
     monkeypatch.setattr(vlogic.verify, "gate_operator", build)
     monkeypatch.setattr(vlogic.diagnosis, "gate_operator", build)
-    monkeypatch.setattr(vlogic.diagnosis, "_probe_outputs", counted_probe)
+    monkeypatch.setattr(vlogic.diagnosis, "_core_read", counted_probe)
     monkeypatch.setattr(Gate, "__matmul__", counted_matmul)
     section = diagnosis_section(basis)
     q = basis.dim
@@ -401,6 +401,20 @@ def test_diagnosis_section_memory_at_dim4096():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+    assert section["pass"]
+
+
+def test_diagnosis_section_at_dim65536_holds_no_q_length_array():
+    # the stacked probes are read in core space through the basis's Gram
+    # matrix: no (G, Q) output, which would take 16 MiB for the dyadic gates
+    b = random_basis(65536, 0.35, seed=2)
+    tracemalloc.start()
+    try:
+        section = diagnosis_section(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     assert section["pass"]
 
 
