@@ -27,11 +27,13 @@ gives one result per member.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BadArgument,
     BadEpsilon,
     DimensionMismatch,
     NearlyDependent,
@@ -133,16 +135,36 @@ def random_basis(dim: int, epsilon: float = 0.0, seed: int = 0) -> TruthBasis:
     given (dim, epsilon, seed). Two orthonormal directions are drawn by
     Gram-Schmidt on standard-normal vectors, then n is tilted toward s to
     realize the requested overlap.
+
+    dim and seed are ints (a numpy integer too; bool, float and str are
+    not): QTooSmall below dim 2, BadArgument for a dim past sys.maxsize,
+    numpy's largest array length, or a negative seed.
     """
     return make_basis(*_random_vectors(dim, epsilon, seed))
 
 
+def _as_int(name: str, value) -> int:
+    """A numpy integer as an int; BadArgument, naming the argument, for anything else."""
+    if isinstance(value, np.integer):
+        return int(value)
+    raise BadArgument(f"{name} must be an int, got {value!r}")
+
+
 def _random_vectors(dim: int, epsilon: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The unit vectors s and n of `random_basis`, not yet a basis."""
+    # type(x) is int keeps the common path free of calls; bool is no int here
+    if type(dim) is not int:
+        dim = _as_int("dim", dim)
+    if type(seed) is not int:
+        seed = _as_int("seed", seed)
     if dim < 2:
         raise QTooSmall(f"dim must be >= 2, got {dim}")
+    if dim > sys.maxsize:
+        raise BadArgument(f"dim must be at most {sys.maxsize}, the largest array length, got {dim}")
     if not abs(epsilon) < 1.0:
         raise BadEpsilon(f"|epsilon| must be < 1, got {epsilon}")
+    if seed < 0:
+        raise BadArgument(f"seed must be a non-negative int, got {seed}")
     rng = np.random.default_rng(seed)
     while True:
         v1 = rng.standard_normal(dim)

@@ -43,3 +43,9 @@ class NonCommuting(VectorLogicError):
 
 class SeriesNotConverged(VectorLogicError):
     pass
+
+
+class BadArgument(VectorLogicError):
+    """An argument of the wrong type or out of range: a dim or seed that is
+    no int (bool, float, str), a negative seed, a dim beyond the largest
+    array length, a gate name that is no str. The message names the argument."""

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import product
 from numbers import Integral
 
-from .errors import UnknownGate
+from .errors import BadArgument, UnknownGate
 
 TRUE = 1
 FALSE = -1
@@ -97,8 +97,11 @@ def evaluate(table: TruthTable, *inputs: int) -> int:
 
 
 def gate(name: str) -> TruthTable:
-    """Look up any named gate, case-insensitive."""
+    """Look up any named gate, case-insensitive: UnknownGate for another
+    name, BadArgument for a name that is no str."""
     try:
         return NAMED_GATES[name.upper()]
     except KeyError:
         raise UnknownGate(f"unknown gate {name!r}") from None
+    except AttributeError:
+        raise BadArgument(f"gate name must be a str, got {name!r}") from None

@@ -7,13 +7,15 @@ Basis: {"dim": Q, "s": [..], "n": [..], "epsilon": eps, "y": [..], "z": [..]};
 only s and n are read on load, the rest is recomputed, never trusted from
 the file. A loaded number must be a finite float64: no NaN, Infinity or 1e999.
 Every matrix and basis entry must be a number: no null, true or "1.5".
+Files are written as compact JSON and read by json's C code: no per-number
+Python hook; the readers check each array once.
 """
 
 from __future__ import annotations
 
 import json
 from math import isfinite
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -37,20 +39,31 @@ def matrix_to_dict(m) -> dict:
 
 
 def _size(value) -> int:
-    # load_json makes every number a float, so 4.0 is a size; 2.7 and true are not
-    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+    # json reads 4 as an int and 4.0 as a float: both are a size; 2.7 and true are not
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+        isinstance(value, Integral) or float(value).is_integer()
+    ):
         raise ValueError(f"a matrix size must be a whole number, got {value!r}")
     return int(value)
 
 
+class _NotFinite(ValueError):
+    """An entry beyond float64, which json reads as inf (1e999)."""
+
+
 def _numbers(value) -> np.ndarray:
     # np.array(dtype=float) alone reads null as NaN, true as 1.0 and "1.5" as 1.5
-    out = np.array(value, dtype=float)
     entries = np.array(value, dtype=object).ravel()
     for kind in set(map(type, entries)):
         if kind is bool or not issubclass(kind, Real):
             entry = next(x for x in entries if type(x) is kind)
             raise ValueError(f"entries must be numbers, got {json.dumps(entry, default=repr)}")
+    try:
+        out = np.array(value, dtype=float)
+    except OverflowError:  # an int beyond float64: the entry of largest size
+        raise ValueError(f"number {max(entries, key=abs)} is not a finite float64") from None
+    if not np.isfinite(out).all():
+        raise _NotFinite("entries must be finite float64 numbers")
     return out
 
 
@@ -91,14 +104,27 @@ def _finite(token: str) -> float:
     return value
 
 
-def load_json(path: str) -> dict:
-    """The file's JSON with every number, integers included, as a finite float."""
+def load_json(path: str):
+    """The file's JSON as json's C decoder reads it: 4 is an int, 4.0 a
+    float. NaN and Infinity are refused here; a number beyond float64 is
+    refused by `matrix_from_dict` and `basis_from_dict`."""
     with open(path) as fh:
-        return json.load(fh, parse_constant=_finite, parse_float=_finite, parse_int=_finite)
+        return json.load(fh, parse_constant=_finite)
+
+
+def _load(path: str, from_dict):
+    """from_dict(load_json(path)), naming a number beyond float64 as the file spells it."""
+    try:
+        return from_dict(load_json(path))
+    except VectorLogicError as exc:
+        if isinstance(exc.__cause__, _NotFinite):  # rare: read again, number by number, to name it
+            with open(path) as fh:
+                json.load(fh, parse_float=_finite)
+        raise
 
 
 def dump_json(obj, path: str | None = None):
-    text = json.dumps(obj, indent=2, allow_nan=False)
+    text = json.dumps(obj, allow_nan=False, separators=(",", ":"))
     if path is None:
         print(text)
     else:

@@ -143,7 +143,8 @@ def run_full_verification(dim: int = 4, seed: int = 1, tol: float = IDENTITY_TOL
     """Run every suite on one orthonormal basis of the given dim plus a
     non-orthogonal companion; returns a JSON-ready report. A residual
     section passes by `IdentityReport`'s rule, each residual below its
-    tolerance (NaN fails): tol for the Euler suite, RESIDUAL_TOL elsewhere."""
+    tolerance (NaN fails): tol for the Euler suite, RESIDUAL_TOL elsewhere.
+    dim and seed are checked as `basis.random_basis` checks them."""
     # random_basis(dim, 0.0, seed) and random_basis(dim, 0.35, seed + 1) as one stack
     both = make_basis(*zip(_random_vectors(dim, 0.0, seed), _random_vectors(dim, 0.35, seed + 1)))
     b0 = TruthBasis(both.frame[0], both.duals[0], both.epsilon[0], both.gram[0])  # the orthonormal member

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vlogic import TruthBasis, canonical_basis, make_basis, operators, random_basis, srn
 from vlogic import scalar_logic as sl
 from vlogic.errors import (
+    BadArgument,
     BadEpsilon,
     DimensionMismatch,
     NearlyDependent,
@@ -113,6 +114,32 @@ def test_random_basis_errors():
         random_basis(4, 1.0, 0)
     with pytest.raises(BadEpsilon):
         random_basis(4, -1.2, 0)
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        ((4, 0.0, 1.5), "seed"),
+        ((4, 0.0, -3), "seed"),
+        ((4, 0.0, True), "seed"),
+        ((4, 0.0, "1"), "seed"),
+        ((2.5,), "dim"),
+        (("4",), "dim"),
+        ((True,), "dim"),
+        ((10**30,), "dim"),
+    ],
+    ids=["float_seed", "negative_seed", "bool_seed", "str_seed", "float_dim", "str_dim", "bool_dim", "huge_dim"],
+)
+def test_random_basis_names_a_bad_dim_or_seed(args, named):
+    # numpy raised its own TypeError or ValueError, naming no argument
+    with pytest.raises(BadArgument, match=named):
+        random_basis(*args)
+
+
+def test_random_basis_takes_numpy_integers():
+    expected = random_basis(6, 0.3, 2)
+    got = random_basis(np.int64(6), 0.3, np.uint8(2))
+    np.testing.assert_array_equal(got.frame, expected.frame)
 
 
 def test_random_basis_deterministic():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vlogic
-from vlogic import AND, NOT, TruthTable, canonical_basis, gate_operator
+from vlogic import AND, NOT, TruthTable, canonical_basis, gate_operator, random_basis
 from vlogic.errors import VectorLogicError
 from vlogic.cli import main
 from vlogic.serialize import basis_from_dict, basis_to_dict, dump_json, load_json, matrix_from_dict, matrix_to_dict
@@ -532,3 +532,128 @@ def test_diagnose_rejects_an_entry_that_is_no_number(capsys, tmp_path, target, e
     assert code == 1, err
     assert out == ""
     assert err.startswith(f"vlogic: error: bad {'matrix' if target == 'oracle' else 'basis'} JSON: entries must be numbers")
+
+
+def test_output_is_one_line_of_compact_json(capsys, tmp_path):
+    code, out, _ = run(capsys, "basis", "--canonical", "SET1")
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1 and " " not in out
+    basis_file = tmp_path / "set1.json"
+    run(capsys, "basis", "--canonical", "SET1", "--out", str(basis_file))
+    assert basis_file.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--seed", "-1"], ["basis", "--dim", "4", "--seed", "-3"]], ids=["verify", "basis"]
+)
+def test_a_negative_seed_is_an_input_error_that_names_the_seed(capsys, argv):
+    # numpy's "expected non-negative integer" named no argument
+    code, out, err = run_quietly(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "vlogic: error: seed must be a non-negative int, got " + argv[-1] + "\n"
+
+
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_an_int_beyond_float64_in_a_matrix_entry_is_a_vector_logic_error(key):
+    # json reads it as an int, and np.array(dtype=float) raises OverflowError
+    d = {"rows": 1, "cols": 2, "re": [[1, 2.0]], "im": [[0, 0.5]]}
+    d[key][0][1] = -(10**400)
+    with pytest.raises(VectorLogicError, match=f"bad matrix JSON: number -{10**400} is not a finite float64"):
+        matrix_from_dict(d)
+
+
+def test_an_int_beyond_float64_as_a_matrix_size_is_a_vector_logic_error():
+    with pytest.raises(VectorLogicError, match="matrix JSON says"):
+        matrix_from_dict({"rows": 10**400, "cols": 1, "re": [[1.0]]})
+
+
+@pytest.mark.parametrize("entry", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_a_matrix_entry_that_is_not_finite_is_a_vector_logic_error(entry):
+    with pytest.raises(VectorLogicError, match="bad matrix JSON: entries must be finite"):
+        matrix_from_dict({"rows": 1, "cols": 2, "re": [[1.0, entry]]})
+
+
+def _child_env():
+    src = str(Path(vlogic.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# Runs `python -m vlogic.cli` in this process and prints the vlogic modules
+# it loaded to stderr as the last line.
+_MODULES_WRAPPER = """
+import runpy, sys
+sys.argv = ["vlogic", *sys.argv[1:]]
+try:
+    runpy.run_module("vlogic.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("vlogic."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "command,unused",
+    [
+        ("basis", {"operators", "diagnosis", "matfun", "srn", "verify"}),
+        ("op", {"diagnosis", "matfun", "verify"}),
+        ("diagnose", {"matfun", "verify"}),
+    ],
+)
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, command, unused):
+    basis = canonical_basis("DIM4")
+    dump_json(basis_to_dict(basis), str(tmp_path / "b.json"))
+    dump_json(matrix_to_dict(gate_operator(basis, AND)), str(tmp_path / "o.json"))
+    argv = {
+        "basis": ["basis", "--dim", "8", "--seed", "2"],
+        "op": ["op", "--basis", "b.json", "--gate", "AND"],
+        "diagnose": ["diagnose", "--basis", "b.json", "--oracle", "o.json"],
+    }[command]
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_WRAPPER, *argv],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    json.loads(done.stdout)
+    loaded = set(done.stderr.strip().splitlines()[-1].split())
+    assert "vlogic.serialize" in loaded
+    assert not loaded & {f"vlogic.{name}" for name in unused}, sorted(loaded)
+
+
+def test_command_defaults_follow_the_library(monkeypatch, capsys, tmp_path):
+    # each default is read from the library when the command runs, so a
+    # literal copied into the CLI would show here
+    from vlogic import diagnosis, matfun, verify
+
+    basis = random_basis(8, 0.3, 5)
+    basis_file, oracle_file = tmp_path / "b.json", tmp_path / "o.json"
+    dump_json(basis_to_dict(basis), str(basis_file))
+    dump_json(matrix_to_dict(gate_operator(basis, AND)), str(oracle_file))
+    diagnose = ["diagnose", "--basis", str(basis_file), "--oracle", str(oracle_file)]
+    sqrt_not = ["sqrt-not", "--basis", str(basis_file)]
+    code, payload = run_json(capsys, *diagnose)
+    assert code == 0 and payload["verdict"] == "AND" and payload["distance"] > 1e-300
+    code, payload = run_json(capsys, *sqrt_not)
+    assert code == 0 and max(payload["report"].values()) > 1e-300
+
+    monkeypatch.setattr(matfun, "EULER_V_SAMPLES", (0.5,))
+    monkeypatch.setattr(matfun, "EULER_KS", (4,))
+    monkeypatch.setattr(matfun, "IDENTITY_TOL", 2e-9)
+    tols = []
+    suite = matfun.verify_euler_suite
+    monkeypatch.setattr(matfun, "verify_euler_suite", lambda *a, **kw: tols.append(kw["tol"]) or suite(*a, **kw))
+
+    code, payload = run_json(capsys, "euler", "--basis", str(basis_file))
+    assert code == 0
+    assert (payload["v_samples"], payload["ks"], tols) == ([0.5], [4], [2e-9])
+    code, payload = run_json(capsys, "verify")
+    assert code == 0
+    assert payload["sections"]["euler"]["tolerance"] == 2e-9
+
+    monkeypatch.setattr(verify, "RESIDUAL_TOL", 1e-300)
+    monkeypatch.setattr(diagnosis, "DEFAULT_CLASSIFY_TOL", 1e-300)
+    code, payload = run_json(capsys, *sqrt_not)
+    assert code == 2 and payload["pass"] is False
+    code, payload = run_json(capsys, *diagnose)
+    assert code == 2 and payload["verdict"] == "UNKNOWN"

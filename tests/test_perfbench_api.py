@@ -66,11 +66,20 @@ def test_traced_name_is_public_layer_function(dotted):
     assert fn.__module__ == module.__name__ and not name.startswith("_")
 
 
-@pytest.mark.parametrize("workload", ["verify", "diagnose"])
-def test_benchmark_smoke_run(workload):
+@pytest.mark.parametrize(
+    "workload,trace",
+    [
+        pytest.param("verify", "0", id="verify"),
+        pytest.param("diagnose", "0", id="diagnose"),
+        pytest.param("cli", "0", id="cli"),
+        # the traced cli run goes through perfbench/trace_cli.py, one process per command
+        pytest.param("cli", "1", id="cli-traced"),
+    ],
+)
+def test_benchmark_smoke_run(workload, trace):
     # a short run of the benchmark from the repository root: its worker calls
     # the library by name, so a change that breaks the benchmark fails here
-    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0", "--smoke"]
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", trace, "--smoke"]
     done = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), *argv],
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,

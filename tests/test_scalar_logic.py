@@ -140,6 +140,13 @@ def test_gate_lookup_case_insensitive():
         sl.gate("XNOR3")
 
 
+@pytest.mark.parametrize("name", [3, None, ["AND"]])
+def test_gate_lookup_names_a_name_that_is_no_str(name):
+    # 3.upper() raised a raw AttributeError
+    with pytest.raises(sl.BadArgument, match="gate name must be a str"):
+        sl.gate(name)
+
+
 def test_arity_is_kept_and_leaves_equality_and_hashing_alone():
     t = sl.TruthTable("X", (sl.TRUE, sl.FALSE, sl.FALSE, sl.TRUE))
     assert "arity" not in vars(t)

@@ -25,6 +25,7 @@ from vlogic import (
 )
 from vlogic import scalar_logic as sl
 from vlogic.basis import DEPENDENCE_THRESHOLD
+from vlogic.errors import BadArgument
 from vlogic.verify import (
     RESIDUAL_TOL,
     basis_residuals,
@@ -271,6 +272,16 @@ def test_full_verification_sections_pass(dim, seed):
         for key, r in section.get("residuals", {}).items():
             assert r < section["tolerance"], (name, key, r)
     assert report["pass"]
+
+
+@pytest.mark.parametrize(
+    "args,named", [((2.0,), "dim"), (("4",), "dim"), ((4, -1), "seed"), ((4, 1.0), "seed")],
+    ids=["float_dim", "str_dim", "negative_seed", "float_seed"],
+)
+def test_full_verification_names_a_bad_dim_or_seed(args, named):
+    # numpy raised its own TypeError or "expected non-negative integer"
+    with pytest.raises(BadArgument, match=named):
+        run_full_verification(*args)
 
 
 def test_euler_tolerance_applies_to_the_euler_section_only():
